@@ -7,17 +7,11 @@
 //! Eq. 6, the repaired Eq. 9, and a second-order schedule) it runs
 //!
 //! 1. **simulate** — a bare drive/step loop over the Kronecker netlist
-//!    with the compiled evaluator (raw simulator throughput);
-//! 2. **simulate-interpreted** — the same loop on the tree-walking
-//!    interpreter, so the record carries the compiled-over-interpreted
-//!    speedup per schedule;
-//! 3. **campaign** — a capped fixed-vs-random campaign with interim
+//!    (raw simulator throughput);
+//! 2. **campaign** — a capped fixed-vs-random campaign with interim
 //!    checkpoints (the end-to-end evaluation hot path), honouring
-//!    `--threads`, `--evaluator`, and `--tabulator`;
-//! 4. **campaign-hashed** — the same campaign pinned to the hashed
-//!    contingency-table fallback, so the record carries the
-//!    dense-over-hashed tabulation speedup per schedule;
-//! 5. **exact** — an exhaustive verification slice scoped to
+//!    `--threads` and `--statistic`;
+//! 3. **exact** — an exhaustive verification slice scoped to
 //!    `kronecker/G7` (the enumeration hot path).
 //!
 //! Every workload runs under an enabled [`PerfRecorder`], so the record
@@ -34,9 +28,9 @@ use std::process::exit;
 
 use mmaes_circuits::build_kronecker;
 use mmaes_exact::{ExactConfig, ExactVerifier};
-use mmaes_leakage::{EvaluationConfig, FixedVsRandom, StatisticKind, TabulatorMode};
+use mmaes_leakage::{EvaluationConfig, FixedVsRandom, StatisticKind};
 use mmaes_masking::KroneckerRandomness;
-use mmaes_sim::{EvaluatorMode, Simulator, LANES};
+use mmaes_sim::{Simulator, LANES};
 use mmaes_telemetry::json::{array, parse, JsonObject, JsonValue};
 use mmaes_telemetry::{
     ChromeTraceBuilder, Observer, PerfRecorder, PerfSnapshot, PhaseStats, Stopwatch,
@@ -55,7 +49,12 @@ use mmaes_telemetry::{
 /// * v4 — per-workload `statistic` field and the top-level `statistic`
 ///   knob (`--statistic gtest|ttest` on the campaign workloads; `none`
 ///   for workloads that fold no statistic).
-pub const BENCH_SCHEMA_VERSION: u64 = 4;
+/// * v5 — drops the `simulate-interpreted` and `campaign-hashed`
+///   workloads, the `compiled_speedup` / `tabulation_speedup` maps, the
+///   per-workload `evaluator`/`tabulator` fields and the top-level
+///   `tabulator` knob: campaigns always run the compiled evaluator and
+///   the default table stores.
+pub const BENCH_SCHEMA_VERSION: u64 = 5;
 
 /// Default regression threshold: a workload regresses when its
 /// `traces_per_sec` falls more than this percentage below the baseline.
@@ -81,12 +80,6 @@ pub struct BenchOptions {
     pub quiet: bool,
     /// Worker threads for the campaign workloads (`--threads N`).
     pub threads: usize,
-    /// Netlist evaluator for the campaign workloads (`--evaluator`).
-    pub evaluator: EvaluatorMode,
-    /// Contingency-table store for the `campaign` workload
-    /// (`--tabulator`). The `campaign-hashed` workload always pins the
-    /// hashed fallback regardless.
-    pub tabulator: TabulatorMode,
     /// Leakage statistic for the campaign workloads (`--statistic`):
     /// the G-test fold or the Welch t-test fold, so either hot path can
     /// be tracked for regressions.
@@ -104,8 +97,6 @@ impl Default for BenchOptions {
             trace: None,
             quiet: false,
             threads: 1,
-            evaluator: EvaluatorMode::Compiled,
-            tabulator: TabulatorMode::Dense,
             statistic: StatisticKind::GTest,
         }
     }
@@ -150,20 +141,6 @@ impl BenchOptions {
                         exit(2);
                     }
                 }
-                "--evaluator" => {
-                    let name = value();
-                    options.evaluator = EvaluatorMode::parse(&name).unwrap_or_else(|| {
-                        eprintln!("unknown evaluator `{name}` (compiled|interpreted)");
-                        exit(2);
-                    })
-                }
-                "--tabulator" => {
-                    let name = value();
-                    options.tabulator = TabulatorMode::parse(&name).unwrap_or_else(|| {
-                        eprintln!("unknown tabulator `{name}` (dense|hashed)");
-                        exit(2);
-                    })
-                }
                 "--statistic" => {
                     let name = value();
                     options.statistic = StatisticKind::parse(&name).unwrap_or_else(|| {
@@ -175,8 +152,7 @@ impl BenchOptions {
                     eprintln!(
                         "unknown bench flag `{other}` (flags: --quick --label NAME \
                          --baseline FILE --threshold PCT --out FILE --trace FILE \
-                         --quiet --threads N --evaluator compiled|interpreted \
-                         --tabulator dense|hashed --statistic gtest|ttest)"
+                         --quiet --threads N --statistic gtest|ttest)"
                     );
                     exit(2);
                 }
@@ -206,19 +182,11 @@ impl BenchOptions {
 pub struct WorkloadRecord {
     /// The randomness schedule benchmarked.
     pub schedule: String,
-    /// Workload id: `simulate`, `simulate-interpreted`, `campaign`,
-    /// `campaign-hashed`, or `exact`.
+    /// Workload id: `simulate`, `campaign`, or `exact`.
     pub workload: &'static str,
     /// Worker threads the workload ran with (1 for the single-simulator
     /// workloads).
     pub threads: u64,
-    /// Netlist evaluator the workload ran with
-    /// ([`EvaluatorMode::name`]).
-    pub evaluator: &'static str,
-    /// Contingency-table store the workload ran with
-    /// ([`TabulatorMode::name`]; `none` for workloads that keep no
-    /// tables).
-    pub tabulator: &'static str,
     /// Leakage statistic the workload folded ([`StatisticKind::name`];
     /// `none` for workloads that fold no statistic).
     pub statistic: &'static str,
@@ -255,8 +223,6 @@ impl WorkloadRecord {
             .string("schedule", &self.schedule)
             .string("workload", self.workload)
             .unsigned("threads", self.threads)
-            .string("evaluator", self.evaluator)
-            .string("tabulator", self.tabulator)
             .string("statistic", self.statistic)
             .unsigned("wall_ms", self.wall_ms)
             .unsigned("traces", self.traces)
@@ -342,54 +308,26 @@ pub fn run_matrix(options: &BenchOptions) -> Vec<WorkloadRecord> {
             eprintln!("[bench] {name} (order {order})");
         }
         let circuit = build_kronecker(&schedule).expect("generator emits valid netlists");
-        records.push(bench_simulate(
-            &name,
-            &circuit.netlist,
-            EvaluatorMode::Compiled,
-            options,
-        ));
-        records.push(bench_simulate(
-            &name,
-            &circuit.netlist,
-            EvaluatorMode::Interpreted,
-            options,
-        ));
-        records.push(bench_campaign(
-            &name,
-            &circuit.netlist,
-            order,
-            options,
-            options.tabulator,
-            "campaign",
-        ));
-        records.push(bench_campaign(
-            &name,
-            &circuit.netlist,
-            order,
-            options,
-            TabulatorMode::Hashed,
-            "campaign-hashed",
-        ));
+        records.push(bench_simulate(&name, &circuit.netlist, options));
+        records.push(bench_campaign(&name, &circuit.netlist, order, options));
         records.push(bench_exact(&name, &circuit.netlist, options));
     }
     records
 }
 
-/// Raw simulator throughput: drive pseudo-random inputs and step, on
-/// the requested evaluator so the record exposes both engines' rates.
+/// Raw simulator throughput: drive pseudo-random inputs and step.
 fn bench_simulate(
     schedule: &str,
     netlist: &mmaes_netlist::Netlist,
-    evaluator: EvaluatorMode,
     options: &BenchOptions,
 ) -> WorkloadRecord {
-    // Full-size runs need enough cycles that the per-schedule rate (and
-    // the compiled-over-interpreted ratio derived from it) is not
-    // dominated by sub-millisecond timing noise on the small netlists.
+    // Full-size runs need enough cycles that the per-schedule rate is
+    // not dominated by sub-millisecond timing noise on the small
+    // netlists.
     let cycles: u64 = if options.quick { 2_000 } else { 200_000 };
     let perf = PerfRecorder::enabled();
     let watch = Stopwatch::start();
-    let mut sim = Simulator::with_evaluator(netlist, evaluator);
+    let mut sim = Simulator::new(netlist);
     let inputs: Vec<_> = netlist.inputs().to_vec();
     // A fixed xorshift stream: deterministic, dependency-free driving.
     let mut state = 0x9c01_ead0_f00d_5eedu64;
@@ -415,13 +353,8 @@ fn bench_simulate(
     perf.add("cell_evals", stats.cell_evals);
     WorkloadRecord {
         schedule: schedule.to_owned(),
-        workload: match evaluator {
-            EvaluatorMode::Compiled => "simulate",
-            EvaluatorMode::Interpreted => "simulate-interpreted",
-        },
+        workload: "simulate",
         threads: 1,
-        evaluator: evaluator.name(),
-        tabulator: "none",
         statistic: "none",
         wall_ms,
         traces,
@@ -440,8 +373,6 @@ fn bench_campaign(
     netlist: &mmaes_netlist::Netlist,
     order: usize,
     options: &BenchOptions,
-    tabulator: TabulatorMode,
-    workload: &'static str,
 ) -> WorkloadRecord {
     let traces: u64 = if options.quick { 8_000 } else { 100_000 };
     let config = EvaluationConfig {
@@ -452,8 +383,6 @@ fn bench_campaign(
         // bench measures throughput, not combinatorics.
         max_probe_sets: if order >= 2 { 300 } else { 100_000 },
         threads: options.threads,
-        evaluator: options.evaluator,
-        tabulator,
         statistic: options.statistic,
         ..EvaluationConfig::default()
     };
@@ -468,10 +397,8 @@ fn bench_campaign(
     let snapshot = perf.snapshot().expect("enabled");
     WorkloadRecord {
         schedule: schedule.to_owned(),
-        workload,
+        workload: "campaign",
         threads: options.threads as u64,
-        evaluator: options.evaluator.name(),
-        tabulator: tabulator.name(),
         statistic: options.statistic.name(),
         wall_ms,
         traces: report.traces,
@@ -525,8 +452,6 @@ fn bench_exact(
         schedule: schedule.to_owned(),
         workload: "exact",
         threads: 1,
-        evaluator: EvaluatorMode::Compiled.name(),
-        tabulator: "none",
         statistic: "none",
         wall_ms,
         traces: sets,
@@ -553,86 +478,16 @@ pub fn render_chrome_trace(records: &[WorkloadRecord]) -> String {
     builder.finish()
 }
 
-/// Per-schedule compiled-over-interpreted `simulate` rate ratio — the
-/// headline number for the compiled evaluator. Schedules missing either
-/// mode are skipped.
-pub fn compiled_speedups(records: &[WorkloadRecord]) -> Vec<(String, f64)> {
-    let rate = |schedule: &str, workload: &str| {
-        records
-            .iter()
-            .find(|record| record.schedule == schedule && record.workload == workload)
-            .map(|record| record.traces_per_sec)
-    };
-    let mut speedups = Vec::new();
-    for record in records {
-        if record.workload != "simulate" {
-            continue;
-        }
-        let (Some(compiled), Some(interpreted)) = (
-            rate(&record.schedule, "simulate"),
-            rate(&record.schedule, "simulate-interpreted"),
-        ) else {
-            continue;
-        };
-        if interpreted > 0.0 {
-            speedups.push((record.schedule.clone(), compiled / interpreted));
-        }
-    }
-    speedups
-}
-
-/// Per-schedule `campaign`-over-`campaign-hashed` `traces_per_sec`
-/// ratio — the headline number for the dense tabulation fast path.
-/// Schedules missing either workload are skipped; when `--tabulator
-/// hashed` pins both workloads to the hashed store the ratio degenerates
-/// to ~1, which the record states honestly via the per-workload
-/// `tabulator` fields.
-pub fn tabulation_speedups(records: &[WorkloadRecord]) -> Vec<(String, f64)> {
-    let rate = |schedule: &str, workload: &str| {
-        records
-            .iter()
-            .find(|record| record.schedule == schedule && record.workload == workload)
-            .map(|record| record.traces_per_sec)
-    };
-    let mut speedups = Vec::new();
-    for record in records {
-        if record.workload != "campaign" {
-            continue;
-        }
-        let (Some(campaign), Some(hashed)) = (
-            rate(&record.schedule, "campaign"),
-            rate(&record.schedule, "campaign-hashed"),
-        ) else {
-            continue;
-        };
-        if hashed > 0.0 {
-            speedups.push((record.schedule.clone(), campaign / hashed));
-        }
-    }
-    speedups
-}
-
 /// Renders the full `BENCH_*.json` document (one line, no trailing
 /// newline).
 pub fn render_document(options: &BenchOptions, records: &[WorkloadRecord]) -> String {
-    let mut speedups = JsonObject::new();
-    for (schedule, ratio) in compiled_speedups(records) {
-        speedups = speedups.float(&schedule, ratio);
-    }
-    let mut tab_speedups = JsonObject::new();
-    for (schedule, ratio) in tabulation_speedups(records) {
-        tab_speedups = tab_speedups.float(&schedule, ratio);
-    }
     JsonObject::new()
         .string("type", "bench")
         .unsigned("schema_version", BENCH_SCHEMA_VERSION)
         .string("label", &options.label)
         .boolean("quick", options.quick)
         .unsigned("threads", options.threads as u64)
-        .string("tabulator", options.tabulator.name())
         .string("statistic", options.statistic.name())
-        .raw("compiled_speedup", &speedups.finish())
-        .raw("tabulation_speedup", &tab_speedups.finish())
         .raw(
             "workloads",
             &array(records.iter().map(WorkloadRecord::to_json)),
@@ -661,15 +516,6 @@ pub fn render_table(records: &[WorkloadRecord]) -> String {
             record.cell_evals_per_sec,
             record.table_bytes / 1024,
         );
-    }
-    for (schedule, ratio) in compiled_speedups(records) {
-        let _ = writeln!(
-            table,
-            "{schedule}: compiled evaluator {ratio:.2}x interpreted"
-        );
-    }
-    for (schedule, ratio) in tabulation_speedups(records) {
-        let _ = writeln!(table, "{schedule}: campaign {ratio:.2}x hashed tabulation");
     }
     table
 }
@@ -751,8 +597,6 @@ mod tests {
             schedule: schedule.to_owned(),
             workload,
             threads: 1,
-            evaluator: "compiled",
-            tabulator: "dense",
             statistic: "gtest",
             wall_ms: 100,
             traces: 1000,
@@ -815,83 +659,43 @@ mod tests {
     }
 
     #[test]
-    fn speedup_is_the_ratio_of_the_two_simulate_modes() {
+    fn document_carries_the_knobs_and_per_workload_fields() {
         let records = vec![
             record("de-meyer-eq6", "simulate", 200_000.0),
-            record("de-meyer-eq6", "simulate-interpreted", 100_000.0),
-            record("proposed-eq9", "simulate", 50_000.0), // no interpreted pair
+            record("de-meyer-eq6", "campaign", 100_000.0),
         ];
-        let speedups = compiled_speedups(&records);
-        assert_eq!(speedups.len(), 1);
-        assert_eq!(speedups[0].0, "de-meyer-eq6");
-        assert!((speedups[0].1 - 2.0).abs() < 1e-12);
-
         let options = BenchOptions::default();
         let value = parse(&render_document(&options, &records)).expect("valid JSON");
         assert_eq!(value.get("threads").and_then(JsonValue::as_u64), Some(1));
         assert_eq!(
-            value
-                .get("compiled_speedup")
-                .and_then(|map| map.get("de-meyer-eq6"))
-                .and_then(JsonValue::as_f64),
-            Some(2.0)
+            value.get("statistic").and_then(JsonValue::as_str),
+            Some("gtest")
         );
+        for removed in ["tabulator", "compiled_speedup", "tabulation_speedup"] {
+            assert!(value.get(removed).is_none(), "{removed} is gone in v5");
+        }
         let workloads = value
             .get("workloads")
             .and_then(JsonValue::as_array)
             .expect("workloads");
-        assert_eq!(
-            workloads[0].get("evaluator").and_then(JsonValue::as_str),
-            Some("compiled")
-        );
         assert_eq!(
             workloads[0].get("threads").and_then(JsonValue::as_u64),
             Some(1)
         );
-    }
-
-    #[test]
-    fn tabulation_speedup_is_the_ratio_of_the_two_campaign_modes() {
-        let mut dense = record("de-meyer-eq6", "campaign", 300_000.0);
-        dense.tabulator = "dense";
-        let mut hashed = record("de-meyer-eq6", "campaign-hashed", 100_000.0);
-        hashed.tabulator = "hashed";
-        let unpaired = record("proposed-eq9", "campaign", 50_000.0);
-        let records = vec![dense, hashed, unpaired];
-        let speedups = tabulation_speedups(&records);
-        assert_eq!(speedups.len(), 1);
-        assert_eq!(speedups[0].0, "de-meyer-eq6");
-        assert!((speedups[0].1 - 3.0).abs() < 1e-12);
-
-        let options = BenchOptions::default();
-        let value = parse(&render_document(&options, &records)).expect("valid JSON");
         assert_eq!(
-            value.get("tabulator").and_then(JsonValue::as_str),
-            Some("dense")
-        );
-        assert_eq!(
-            value
-                .get("tabulation_speedup")
-                .and_then(|map| map.get("de-meyer-eq6"))
-                .and_then(JsonValue::as_f64),
-            Some(3.0)
-        );
-        let workloads = value
-            .get("workloads")
-            .and_then(JsonValue::as_array)
-            .expect("workloads");
-        assert_eq!(
-            workloads[1].get("tabulator").and_then(JsonValue::as_str),
-            Some("hashed")
-        );
-        assert_eq!(
-            workloads[0].get("table_bytes").and_then(JsonValue::as_u64),
+            workloads[1].get("table_bytes").and_then(JsonValue::as_u64),
             Some(4096)
         );
         assert_eq!(
-            workloads[0].get("keys_per_sec").and_then(JsonValue::as_f64),
+            workloads[1].get("keys_per_sec").and_then(JsonValue::as_f64),
             Some(0.0)
         );
+        for removed in ["evaluator", "tabulator"] {
+            assert!(
+                workloads[1].get(removed).is_none(),
+                "{removed} is gone in v5"
+            );
+        }
     }
 
     #[test]

@@ -21,9 +21,6 @@
 //! Evaluate options: `--model glitch|transition`, `--order 1|2`,
 //! `--traces N`, `--fixed V`, `--seed N`, `--scope PREFIX`, `--csv FILE`,
 //! `--checkpoints N`, `--early-stop`, `--threads N`,
-//! `--evaluator compiled|interpreted`, `--tabulator dense|hashed`
-//! (contingency-table store: `dense` direct-indexes flat arrays when a
-//! probing set's key space fits, `hashed` forces the HashMap fallback),
 //! `--statistic gtest|ttest` (the leakage test folded over the
 //! contingency tables: the PROLEAD-style G-test on the full observation
 //! distribution, or a TVLA-style Welch t-test on the observations'
@@ -41,9 +38,8 @@
 //! `MMAES_FAILPOINTS` environment variable installs the same schedule
 //! for any subcommand), `--quiet`. Campaign output
 //! (report, CSV, snapshots) is byte-identical for every `--threads`
-//! count, both evaluators, and both tabulators — including runs where
-//! injected or real
-//! worker faults forced batch retries; in status.json every
+//! count — including runs where injected or real worker faults forced
+//! batch retries; in status.json every
 //! wall-clock-derived field lives under the single `runtime` key.
 //!
 //! Explain options: the evaluate campaign options plus `--no-exact`
@@ -57,20 +53,17 @@
 //! randomness-schedule reuse analysis (Eq. 6's recycled `r1 = r3`),
 //! the exact enumerator's unmasked-secret-bit dependence, and a
 //! DOT/Verilog rendering of the implicated subcircuit. Bundles are
-//! byte-identical across `--threads` counts, evaluator engines, and
-//! tabulator stores.
+//! byte-identical across `--threads` counts.
 //! Verify options: `--scope PREFIX`, `--max-bits N`, `--transition`,
 //! `--metrics FILE`, `--progress`, `--perf`, `--quiet`.
 //! Selftest options: `--traces N`, `--per-kind N`, `--metrics FILE`,
 //! `--quiet`.
 //! Chaos options: `--traces N`, `--seed N`, `--threads N`,
-//! `--tabulator dense|hashed`, `--statistic gtest|ttest`,
-//! `--failpoints SPEC`, `--quiet`. `chaos`
+//! `--statistic gtest|ttest`, `--failpoints SPEC`, `--quiet`. `chaos`
 //! runs the Eq. 6 campaign fault-free, then re-runs it under a
 //! scripted fault schedule (worker panics, a stalled batch, snapshot
 //! and status-file write errors by default) at one and `--threads`
-//! worker threads — plus one faulted leg on the *other* tabulator
-//! store — and asserts containment: the finding survives, the report
+//! worker threads and asserts containment: the finding survives, the report
 //! is byte-identical to the fault-free baseline, the degraded
 //! subsystems are reported, and the final snapshot is loadable. Failpoint specs
 //! are `site=action[@WHEN][xCOUNT][~P:SEED]` entries joined with `;`
@@ -78,13 +71,9 @@
 //! `status.write`, `metrics.write`; actions `ioerr`, `truncate`,
 //! `panic`, `stall[(MS)]`.
 //! Bench options: `--quick`, `--label NAME`, `--baseline FILE`,
-//! `--threshold PCT`, `--out FILE`, `--quiet`, `--threads N`,
-//! `--evaluator compiled|interpreted`, `--tabulator dense|hashed`
-//! (the latter three apply to the campaign workloads; the simulate
-//! workloads always measure both evaluators and the `campaign-hashed`
-//! workload always pins the hashed store, so the record carries the
-//! per-schedule compiled-over-interpreted and dense-over-hashed
-//! speedups).
+//! `--threshold PCT`, `--out FILE`, `--trace FILE`, `--quiet`,
+//! `--threads N`, `--statistic gtest|ttest` (the last two apply to the
+//! campaign workloads).
 //!
 //! `evaluate` and `verify` always end with one machine-readable JSON
 //! summary line on stdout (schema v4: includes `elapsed_ms`,
@@ -118,11 +107,10 @@ use mmaes_circuits::{
 use mmaes_exact::{ExactConfig, ExactVerifier, ProbeVerdict};
 use mmaes_leakage::{
     forensics, CampaignError, Durability, EvaluationConfig, EvidenceBundle, ExactDependence,
-    FixedVsRandom, ProbeModel, ProbeSet, StatisticKind, TabulatorMode,
+    FixedVsRandom, ProbeModel, ProbeSet, StatisticKind,
 };
 use mmaes_masking::KroneckerRandomness;
 use mmaes_netlist::{Netlist, NetlistStats, WireId};
-use mmaes_sim::EvaluatorMode;
 use mmaes_telemetry::{chrome_trace, Event, Observer, RunSummary, Stopwatch};
 
 fn main() {
@@ -169,8 +157,7 @@ fn usage() {
          mmaes evaluate <design> [--model glitch|transition] [--order N] [--traces N]\n\
          \u{20}                  [--fixed V] [--seed N] [--scope PREFIX] [--csv FILE]\n\
          \u{20}                  [--checkpoints N] [--early-stop] [--threads N]\n\
-         \u{20}                  [--evaluator compiled|interpreted]\n\
-         \u{20}                  [--tabulator dense|hashed] [--statistic gtest|ttest]\n\
+         \u{20}                  [--statistic gtest|ttest]\n\
          \u{20}                  [--snapshot FILE] [--resume] [--stop-after-batches N]\n\
          \u{20}                  [--metrics FILE] [--status-file FILE]\n\
          \u{20}                  [--metrics-addr HOST:PORT]\n\
@@ -182,12 +169,10 @@ fn usage() {
          \u{20}                  [--metrics FILE] [--progress] [--perf] [--quiet]\n\
          mmaes selftest [--traces N] [--per-kind N] [--metrics FILE] [--quiet]\n\
          mmaes chaos    [--traces N] [--seed N] [--threads N]\n\
-         \u{20}                  [--tabulator dense|hashed] [--statistic gtest|ttest]\n\
-         \u{20}                  [--failpoints SPEC] [--quiet]\n\
+         \u{20}                  [--statistic gtest|ttest] [--failpoints SPEC] [--quiet]\n\
          mmaes bench    [--quick] [--label NAME] [--baseline FILE]\n\
-         \u{20}                  [--threshold PCT] [--out FILE] [--quiet] [--threads N]\n\
-         \u{20}                  [--evaluator compiled|interpreted]\n\
-         \u{20}                  [--tabulator dense|hashed] [--statistic gtest|ttest]\n\
+         \u{20}                  [--threshold PCT] [--out FILE] [--trace FILE] [--quiet]\n\
+         \u{20}                  [--threads N] [--statistic gtest|ttest]\n\
          mmaes top      <status.json> | --addr HOST:PORT\n\
          \u{20}                  [--interval SECS] [--once]\n\
          \n\
@@ -430,20 +415,6 @@ fn evaluate(arguments: &[String]) {
                 numeric(&mut threads);
                 config.threads = threads as usize;
             }
-            "--evaluator" => {
-                let name = value();
-                config.evaluator = EvaluatorMode::parse(&name).unwrap_or_else(|| {
-                    eprintln!("unknown evaluator `{name}` (compiled|interpreted)");
-                    exit(exit_code::INVALID_INPUT);
-                });
-            }
-            "--tabulator" => {
-                let name = value();
-                config.tabulator = TabulatorMode::parse(&name).unwrap_or_else(|| {
-                    eprintln!("unknown tabulator `{name}` (dense|hashed)");
-                    exit(exit_code::INVALID_INPUT);
-                });
-            }
             "--statistic" => {
                 let name = value();
                 config.statistic = StatisticKind::parse(&name).unwrap_or_else(|| {
@@ -652,20 +623,6 @@ fn explain(arguments: &[String]) {
                 let mut threads = 0u64;
                 numeric(&mut threads);
                 config.threads = threads as usize;
-            }
-            "--evaluator" => {
-                let name = value();
-                config.evaluator = EvaluatorMode::parse(&name).unwrap_or_else(|| {
-                    eprintln!("unknown evaluator `{name}` (compiled|interpreted)");
-                    exit(exit_code::INVALID_INPUT);
-                });
-            }
-            "--tabulator" => {
-                let name = value();
-                config.tabulator = TabulatorMode::parse(&name).unwrap_or_else(|| {
-                    eprintln!("unknown tabulator `{name}` (dense|hashed)");
-                    exit(exit_code::INVALID_INPUT);
-                });
             }
             "--statistic" => {
                 let name = value();
@@ -1138,7 +1095,6 @@ fn chaos(arguments: &[String]) {
     let mut traces = 50_000u64;
     let mut seed = EvaluationConfig::default().seed;
     let mut max_threads = 2u64;
-    let mut tabulator = TabulatorMode::default();
     let mut statistic = StatisticKind::default();
     let mut schedule = DEFAULT_SCHEDULE.to_owned();
     let mut quiet = false;
@@ -1160,13 +1116,6 @@ fn chaos(arguments: &[String]) {
             "--traces" => numeric(&mut traces),
             "--seed" => numeric(&mut seed),
             "--threads" => numeric(&mut max_threads),
-            "--tabulator" => {
-                let name = value();
-                tabulator = TabulatorMode::parse(&name).unwrap_or_else(|| {
-                    eprintln!("unknown tabulator `{name}` (dense|hashed)");
-                    exit(exit_code::INVALID_INPUT);
-                });
-            }
             "--statistic" => {
                 let name = value();
                 statistic = StatisticKind::parse(&name).unwrap_or_else(|| {
@@ -1192,28 +1141,23 @@ fn chaos(arguments: &[String]) {
     let circuit = build_kronecker(&KroneckerRandomness::de_meyer_eq6())
         .expect("generator emits valid netlists");
     let stopwatch = Stopwatch::start();
-    let make_config =
-        |threads: usize, tabulator: TabulatorMode, snapshot: Option<std::path::PathBuf>| {
-            EvaluationConfig {
-                traces,
-                seed,
-                warmup_cycles: 6,
-                checkpoints: 4,
-                threads,
-                tabulator,
-                statistic,
-                durability: Durability {
-                    snapshot_path: snapshot,
-                    ..Durability::default()
-                },
-                ..EvaluationConfig::default()
-            }
-        };
+    let make_config = |threads: usize, snapshot: Option<std::path::PathBuf>| EvaluationConfig {
+        traces,
+        seed,
+        warmup_cycles: 6,
+        checkpoints: 4,
+        threads,
+        statistic,
+        durability: Durability {
+            snapshot_path: snapshot,
+            ..Durability::default()
+        },
+        ..EvaluationConfig::default()
+    };
 
     // Phase 0: the fault-free baseline every chaos run is judged against.
     degraded::clear();
-    let baseline =
-        FixedVsRandom::new(&circuit.netlist, make_config(1, tabulator, None)).run_or_exit();
+    let baseline = FixedVsRandom::new(&circuit.netlist, make_config(1, None)).run_or_exit();
     let baseline_csv = baseline.to_csv();
     let found_leak = !baseline.passed();
     if !quiet {
@@ -1231,24 +1175,12 @@ fn chaos(arguments: &[String]) {
     } else {
         vec![1, max_threads as usize]
     };
-    // Every faulted leg must reproduce the fault-free baseline byte for
-    // byte: each configured thread count on the requested tabulator,
-    // plus one leg on the *other* store — a faulted dense/hashed
-    // divergence is a containment failure like any other.
-    let mut legs: Vec<(usize, TabulatorMode)> = thread_counts
-        .iter()
-        .map(|&threads| (threads, tabulator))
-        .collect();
-    let other_store = match tabulator {
-        TabulatorMode::Dense => TabulatorMode::Hashed,
-        TabulatorMode::Hashed => TabulatorMode::Dense,
-    };
-    legs.push((*thread_counts.iter().max().unwrap_or(&1), other_store));
+    // Every faulted leg, one per configured thread count, must
+    // reproduce the fault-free baseline byte for byte.
     let mut failures: Vec<String> = Vec::new();
-    for &(threads, tabulator) in &legs {
-        let store = tabulator.name();
-        let snapshot_path = scratch.join(format!("mmaes-chaos-{pid}-t{threads}-{store}.snapshot"));
-        let status_path = scratch.join(format!("mmaes-chaos-{pid}-t{threads}-{store}-status.json"));
+    for &threads in &thread_counts {
+        let snapshot_path = scratch.join(format!("mmaes-chaos-{pid}-t{threads}.snapshot"));
+        let status_path = scratch.join(format!("mmaes-chaos-{pid}-t{threads}-status.json"));
         let _ = std::fs::remove_file(&snapshot_path);
         let _ = std::fs::remove_file(&status_path);
         degraded::clear();
@@ -1258,7 +1190,7 @@ fn chaos(arguments: &[String]) {
         )]);
         let result = FixedVsRandom::new(
             &circuit.netlist,
-            make_config(threads, tabulator, Some(snapshot_path.clone())),
+            make_config(threads, Some(snapshot_path.clone())),
         )
         .with_observer(observer)
         .try_run();
@@ -1268,33 +1200,33 @@ fn chaos(arguments: &[String]) {
             Ok(report) => {
                 if report.to_csv() != baseline_csv {
                     failures.push(format!(
-                        "threads={threads} tabulator={store}: report under faults diverged \
+                        "threads={threads}: report under faults diverged \
                          from the fault-free baseline"
                     ));
                 }
                 if report.passed() == found_leak {
                     failures.push(format!(
-                        "threads={threads} tabulator={store}: the campaign verdict changed \
+                        "threads={threads}: the campaign verdict changed \
                          under faults"
                     ));
                 }
             }
             Err(error) => failures.push(format!(
-                "threads={threads} tabulator={store}: faults were not contained: {error}"
+                "threads={threads}: faults were not contained: {error}"
             )),
         }
         if schedule.contains("snapshot.save")
             && !entries.iter().any(|entry| entry.subsystem == "snapshot")
         {
             failures.push(format!(
-                "threads={threads} tabulator={store}: snapshot faults injected but no \
+                "threads={threads}: snapshot faults injected but no \
                  degraded mark recorded"
             ));
         }
         if result.is_ok() {
             if let Err(error) = mmaes_leakage::snapshot::load(&snapshot_path) {
                 failures.push(format!(
-                    "threads={threads} tabulator={store}: final snapshot unreadable after \
+                    "threads={threads}: final snapshot unreadable after \
                      faults: {error}"
                 ));
             }
@@ -1310,7 +1242,7 @@ fn chaos(arguments: &[String]) {
                     .join(", ")
             };
             println!(
-                "under faults, threads={threads}, tabulator={store}: {}, degraded: {degraded_list}",
+                "under faults, threads={threads}: {}, degraded: {degraded_list}",
                 match &result {
                     Ok(report) if report.to_csv() == baseline_csv =>
                         "report byte-identical to baseline".to_owned(),
@@ -1329,7 +1261,7 @@ fn chaos(arguments: &[String]) {
         design: circuit.netlist.name().to_owned(),
         schedule: "de-meyer-eq6".to_owned(),
         statistic: statistic.name().to_owned(),
-        traces: baseline.traces * (1 + legs.len() as u64),
+        traces: baseline.traces * (1 + thread_counts.len() as u64),
         max_minus_log10_p: baseline
             .worst()
             .map(|result| result.minus_log10_p)

@@ -10,7 +10,6 @@
 //! --seed N          RNG seed                        (default 0x9c01ead)
 //! --checkpoints N   interim campaign checkpoints    (default 8)
 //! --threads N       campaign worker threads         (default 1)
-//! --tabulator T     contingency-table store, dense|hashed (default dense)
 //! --statistic S     leakage test, gtest|ttest       (default gtest)
 //! --paper-scale     use the paper's simulation counts (slow!)
 //! --exact-full      exhaustively verify the whole design, not just G7
@@ -149,13 +148,6 @@ impl RunOptions {
                     numeric(&mut value);
                     budget.threads = value as usize;
                 }
-                "--tabulator" => {
-                    let name = value();
-                    budget.tabulator =
-                        mmaes_leakage::TabulatorMode::parse(&name).unwrap_or_else(|| {
-                            invalid(format_args!("unknown tabulator `{name}` (dense|hashed)"))
-                        });
-                }
                 "--statistic" => {
                     let name = value();
                     budget.statistic =
@@ -176,8 +168,8 @@ impl RunOptions {
                 "--help" | "-h" => {
                     eprintln!(
                         "flags: --traces N  --traces2 N  --dpa-traces N  --seed N  \
-                         --checkpoints N  --threads N  --tabulator dense|hashed  \
-                         --statistic gtest|ttest  --paper-scale  --exact-full  \
+                         --checkpoints N  --threads N  --statistic gtest|ttest  \
+                         --paper-scale  --exact-full  \
                          --snapshot DIR  --resume  \
                          --metrics FILE  --status-file FILE  --metrics-addr HOST:PORT  \
                          --progress  --perf  --quiet\n\

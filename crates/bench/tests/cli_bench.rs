@@ -44,32 +44,21 @@ fn bench_quick_emits_a_schema_valid_record_and_matching_stdout() {
         Some("citest")
     );
 
-    // …over the full 3-schedule × 5-workload matrix, every entry
+    // …over the full 3-schedule × 3-workload matrix, every entry
     // carrying the throughput fields and a per-phase breakdown.
     let workloads = document
         .get("workloads")
         .and_then(JsonValue::as_array)
         .expect("workloads array");
-    assert_eq!(workloads.len(), 15, "{record}");
+    assert_eq!(workloads.len(), 9, "{record}");
     let mut schedules = std::collections::BTreeSet::new();
     let mut kinds = std::collections::BTreeSet::new();
     for entry in workloads {
         schedules.insert(entry.get("schedule").and_then(JsonValue::as_str).unwrap());
         kinds.insert(entry.get("workload").and_then(JsonValue::as_str).unwrap());
-        assert!(
-            matches!(
-                entry.get("evaluator").and_then(JsonValue::as_str),
-                Some("compiled" | "interpreted")
-            ),
-            "{record}"
-        );
-        assert!(
-            matches!(
-                entry.get("tabulator").and_then(JsonValue::as_str),
-                Some("dense" | "hashed" | "none")
-            ),
-            "{record}"
-        );
+        for removed in ["evaluator", "tabulator"] {
+            assert!(entry.get(removed).is_none(), "{removed}: {record}");
+        }
         for key in ["wall_ms", "traces", "cell_evals", "table_bytes", "threads"] {
             assert!(
                 entry.get(key).and_then(JsonValue::as_u64).is_some(),
@@ -102,43 +91,21 @@ fn bench_quick_emits_a_schema_valid_record_and_matching_stdout() {
         schedules.contains("de-meyer-13-order2-reconstruction"),
         "{schedules:?}"
     );
-    for kind in [
-        "simulate",
-        "simulate-interpreted",
-        "campaign",
-        "campaign-hashed",
-        "exact",
-    ] {
-        assert!(kinds.contains(kind), "{kinds:?}");
-    }
+    assert_eq!(
+        kinds,
+        ["campaign", "exact", "simulate"].into_iter().collect(),
+        "no interpreted or hashed legs in v5"
+    );
 
-    // The envelope carries the threads/tabulator knobs, a per-schedule
-    // compiled-over-interpreted speedup, and (v3) a per-schedule
-    // dense-over-hashed tabulation speedup.
+    // The envelope carries the threads and statistic knobs, and (v5)
+    // neither the tabulator knob nor the oracle speedup maps.
     assert_eq!(document.get("threads").and_then(JsonValue::as_u64), Some(1));
     assert_eq!(
-        document.get("tabulator").and_then(JsonValue::as_str),
-        Some("dense")
+        document.get("statistic").and_then(JsonValue::as_str),
+        Some("gtest")
     );
-    let speedups = document.get("compiled_speedup").expect("speedup map");
-    let tab_speedups = document
-        .get("tabulation_speedup")
-        .expect("tabulation speedup map");
-    for schedule in &schedules {
-        assert!(
-            speedups
-                .get(schedule as &str)
-                .and_then(JsonValue::as_f64)
-                .is_some(),
-            "missing speedup for {schedule}: {record}"
-        );
-        assert!(
-            tab_speedups
-                .get(schedule as &str)
-                .and_then(JsonValue::as_f64)
-                .is_some(),
-            "missing tabulation speedup for {schedule}: {record}"
-        );
+    for removed in ["tabulator", "compiled_speedup", "tabulation_speedup"] {
+        assert!(document.get(removed).is_none(), "{removed}: {record}");
     }
 
     // The last stdout line is the same document.

@@ -24,10 +24,11 @@ fn chaos_verb_contains_faults_and_exits_with_the_finding() {
         stdout.contains("report byte-identical to baseline"),
         "{stdout}"
     );
-    // The harness runs faulted legs on both table stores: the dense
-    // default plus one leg on the hashed fallback.
-    assert!(stdout.contains("tabulator=dense"), "{stdout}");
-    assert!(stdout.contains("tabulator=hashed"), "{stdout}");
+    // One faulted leg per thread count (1 and the default 2), and no
+    // other-store leg.
+    assert!(stdout.contains("under faults, threads=1:"), "{stdout}");
+    assert!(stdout.contains("under faults, threads=2:"), "{stdout}");
+    assert!(!stdout.contains("tabulator="), "{stdout}");
     assert!(
         stdout.contains("\"containment_failures\":\"0\""),
         "{stdout}"

@@ -1,10 +1,9 @@
-//! End-to-end determinism checks for the sharded campaign runner, the
-//! evaluator modes, and the tabulator stores: `--threads N`,
-//! `--evaluator interpreted`, and `--tabulator hashed` must change
-//! nothing but wall time — the per-probe CSV (and, for the tabulators,
-//! the snapshot file) is compared byte for byte and the JSON summary
-//! field by field (excluding the timing fields and the `threads` echo,
-//! which legitimately differ).
+//! End-to-end determinism checks for the multi-threaded campaign
+//! driver: `--threads N` must change nothing but wall time — the
+//! per-probe CSV (and, for the mixed-store campaign, the snapshot file)
+//! is compared byte for byte and the JSON summary field by field
+//! (excluding the timing fields and the `threads` echo, which
+//! legitimately differ).
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -108,87 +107,63 @@ fn four_threads_produce_byte_identical_output_to_one_thread() {
     );
 }
 
+/// The glitch+transition Eq. 9 S-box campaign has 670 dense and 35
+/// hashed tables, so it drives both stores through the one driver —
+/// with a snapshot at each of its 4 checkpoints.
 #[test]
-fn the_interpreted_evaluator_produces_byte_identical_output() {
-    let design = "kronecker:proposed-eq9";
-    let (code_compiled, summary_compiled, csv_compiled) =
-        evaluate(design, &["--evaluator", "compiled"]);
-    let (code_interpreted, summary_interpreted, csv_interpreted) =
-        evaluate(design, &["--evaluator", "interpreted"]);
-
-    assert_eq!(code_compiled, Some(0), "eq9 must stay clean");
-    assert_eq!(code_compiled, code_interpreted);
-    assert_same_statistics(&summary_compiled, &summary_interpreted);
-    assert_eq!(
-        csv_compiled, csv_interpreted,
-        "per-probe CSV diverged between the two evaluators"
-    );
-}
-
-#[test]
-fn the_hashed_tabulator_produces_byte_identical_output_and_snapshots() {
-    let design = "kronecker:de-meyer-eq6";
+fn a_mixed_store_campaign_is_byte_identical_across_thread_counts() {
     let mut snapshots: Vec<Vec<u8>> = Vec::new();
     let mut csvs: Vec<Vec<u8>> = Vec::new();
     let mut summaries: Vec<JsonValue> = Vec::new();
-    for tabulator in ["dense", "hashed"] {
-        for threads in ["1", "2"] {
-            let snapshot = unique_path("snapshot", "snapshot");
-            let (code, summary, csv) = evaluate(
-                design,
-                &[
-                    "--tabulator",
-                    tabulator,
-                    "--threads",
-                    threads,
-                    "--snapshot",
-                    snapshot.to_str().unwrap(),
-                ],
-            );
-            assert_eq!(code, Some(1), "eq6 must be flagged leaky ({tabulator})");
-            snapshots.push(std::fs::read(&snapshot).expect("snapshot written"));
-            let _ = std::fs::remove_file(&snapshot);
-            csvs.push(csv);
-            summaries.push(summary);
+    for threads in ["1", "2"] {
+        let snapshot = unique_path("snapshot", "snapshot");
+        let (code, summary, csv) = evaluate(
+            "sbox:proposed-eq9",
+            &[
+                "--model",
+                "transition",
+                "--checkpoints",
+                "4",
+                "--threads",
+                threads,
+                "--snapshot",
+                snapshot.to_str().unwrap(),
+            ],
+        );
+        assert_eq!(code, Some(1), "eq9 under transitions must be flagged");
+        snapshots.push(std::fs::read(&snapshot).expect("snapshot written"));
+        let _ = std::fs::remove_file(&snapshot);
+        csvs.push(csv);
+        summaries.push(summary);
+    }
+    assert_eq!(
+        csvs[0], csvs[1],
+        "per-probe CSV diverged between 1 and 2 threads"
+    );
+    assert_eq!(
+        snapshots[0], snapshots[1],
+        "snapshot file diverged between 1 and 2 threads"
+    );
+    assert_same_statistics(&summaries[0], &summaries[1]);
+}
+
+/// The differential oracles are test-only hooks, not product options:
+/// their old flags fail like any unknown flag.
+#[test]
+fn removed_oracle_flags_are_unknown_flags() {
+    for verb in ["evaluate", "explain"] {
+        for flag in [["--tabulator", "hashed"], ["--evaluator", "interpreted"]] {
+            let output = mmaes(&[
+                verb,
+                "kronecker:proposed-eq9",
+                "--traces",
+                "6400",
+                flag[0],
+                flag[1],
+            ]);
+            assert_eq!(output.status.code(), Some(2), "{verb} {}", flag[0]);
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert!(stderr.contains("unknown flag"), "{verb}: {stderr}");
         }
     }
-    for index in 1..csvs.len() {
-        assert_eq!(
-            csvs[0], csvs[index],
-            "per-probe CSV diverged between tabulator/thread combinations"
-        );
-        assert_eq!(
-            snapshots[0], snapshots[index],
-            "snapshot file diverged between tabulator/thread combinations"
-        );
-        assert_same_statistics(&summaries[0], &summaries[index]);
-    }
-}
-
-#[test]
-fn bad_tabulator_name_exits_invalid_input() {
-    let output = mmaes(&[
-        "evaluate",
-        "kronecker:proposed-eq9",
-        "--traces",
-        "6400",
-        "--tabulator",
-        "btree",
-    ]);
-    assert_eq!(output.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&output.stderr).contains("unknown tabulator"));
-}
-
-#[test]
-fn bad_evaluator_name_exits_invalid_input() {
-    let output = mmaes(&[
-        "evaluate",
-        "kronecker:proposed-eq9",
-        "--traces",
-        "6400",
-        "--evaluator",
-        "jit",
-    ]);
-    assert_eq!(output.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&output.stderr).contains("unknown evaluator"));
 }

@@ -1,6 +1,6 @@
 //! Workload scaling for the experiment suite.
 
-use mmaes_leakage::{StatisticKind, TabulatorMode};
+use mmaes_leakage::StatisticKind;
 
 /// How much compute each experiment may spend.
 ///
@@ -46,15 +46,10 @@ pub struct ExperimentBudget {
     /// experiment suite resumes where it stopped).
     pub resume: bool,
     /// Worker threads each statistical campaign shards its batches
-    /// across (0 and 1 both mean in-place single-threaded; see
+    /// across (0 and 1 both mean one worker on the calling thread; see
     /// [`mmaes_leakage::EvaluationConfig::threads`]). Reports are
     /// byte-identical for every thread count.
     pub threads: usize,
-    /// Contingency-table store for every statistical campaign (see
-    /// [`mmaes_leakage::EvaluationConfig::tabulator`]). Reports are
-    /// byte-identical for either store; `hashed` exists as the wide-key
-    /// fallback and for differential testing.
-    pub tabulator: TabulatorMode,
     /// Leakage statistic every campaign folds over its tables (see
     /// [`mmaes_leakage::EvaluationConfig::statistic`]): the
     /// PROLEAD-style G-test the paper's numbers come from, or the
@@ -77,7 +72,6 @@ impl Default for ExperimentBudget {
             snapshot_dir: None,
             resume: false,
             threads: 1,
-            tabulator: TabulatorMode::Dense,
             statistic: StatisticKind::GTest,
         }
     }
@@ -99,7 +93,6 @@ impl ExperimentBudget {
             snapshot_dir: None,
             resume: false,
             threads: 1,
-            tabulator: TabulatorMode::Dense,
             statistic: StatisticKind::GTest,
         }
     }
@@ -119,7 +112,6 @@ impl ExperimentBudget {
             snapshot_dir: None,
             resume: false,
             threads: 1,
-            tabulator: TabulatorMode::Dense,
             statistic: StatisticKind::GTest,
         }
     }

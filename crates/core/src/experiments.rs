@@ -71,7 +71,6 @@ fn kronecker_eval(
         seed: budget.seed,
         checkpoints: budget.checkpoints,
         threads: budget.threads,
-        tabulator: budget.tabulator,
         statistic: budget.statistic,
         durability: campaign_durability(
             budget,
@@ -107,7 +106,6 @@ fn sbox_eval(
         seed: budget.seed,
         checkpoints: budget.checkpoints,
         threads: budget.threads,
-        tabulator: budget.tabulator,
         statistic: budget.statistic,
         durability: campaign_durability(budget, &label),
         ..EvaluationConfig::default()
@@ -697,7 +695,6 @@ pub fn run_e12(
             seed: budget.seed,
             checkpoints: budget.checkpoints,
             threads: budget.threads,
-            tabulator: budget.tabulator,
             statistic: budget.statistic,
             durability: campaign_durability(budget, &format!("aes-{}", schedule.name())),
             ..EvaluationConfig::default()

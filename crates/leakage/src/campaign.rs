@@ -24,7 +24,7 @@ use mmaes_telemetry::{Event, Observer, ProbeHealth, Stopwatch};
 pub use crate::config::{
     CampaignMode, Durability, EvaluationConfig, SecretDomain, DECISIVE_MARGIN,
 };
-use crate::engine::{build_snapshot, CampaignState, Engine, FoldContext, CHECKPOINT_TOP_PROBES};
+use crate::engine::{CampaignState, Engine, FoldContext, CHECKPOINT_TOP_PROBES};
 pub use crate::error::CampaignError;
 use crate::health;
 use crate::probe::{enumerate_probe_sets, ProbeSet};
@@ -207,7 +207,7 @@ impl<'a> FixedVsRandom<'a> {
     ///   version-mismatched, taken under a different configuration, or
     ///   unwritable.
     /// * [`CampaignError::Worker`] — a batch exhausted the supervisor's
-    ///   quarantine-and-retry budget (see [`crate::supervisor`]).
+    ///   retry budget (see [`crate::supervisor`]).
     pub fn try_run(&self) -> Result<LeakageReport, CampaignError> {
         self.try_run_impl(false).map(|(report, _)| report)
     }
@@ -414,16 +414,7 @@ impl<'a> FixedVsRandom<'a> {
         // simulated are never lost.
         if let Some(path) = &durability.snapshot_path {
             let _span = perf.span("snapshot");
-            let saved = build_snapshot(
-                fingerprint,
-                config.statistic,
-                state.batches_done,
-                batches,
-                prior_cell_evals + state.folded.cell_evals,
-                &mut state.tables,
-                &state.flagged,
-                &state.trajectories,
-            );
+            let saved = state.snapshot(&context, config.statistic);
             if let Err(error) = snapshot::save_with_retry(&saved, path) {
                 if run_result.is_ok() {
                     // A healthy run whose final state cannot be
@@ -835,5 +826,270 @@ mod tests {
         assert!(report.traces >= 1_000);
         assert!(report.probe_set_count() > 0);
         assert!(!report.to_string().is_empty());
+    }
+
+    #[test]
+    fn retained_tables_are_identical_across_thread_counts() {
+        let netlist = blatantly_leaky();
+        let run = |threads: usize| {
+            let (_, tables) = FixedVsRandom::new(
+                &netlist,
+                EvaluationConfig {
+                    threads,
+                    ..config(20_000)
+                },
+            )
+            .try_run_with_tables()
+            .expect("valid campaign");
+            tables
+        };
+        let single = run(1);
+        let sharded = run(2);
+        assert_eq!(single.len(), sharded.len());
+        for (a, b) in single.iter().zip(&sharded) {
+            assert_eq!(a.label, b.label);
+            assert_eq!(a.columns, b.columns);
+            assert_eq!(a.overflow, b.overflow);
+            assert_eq!(a.samples, b.samples);
+        }
+    }
+
+    #[test]
+    fn checkpoints_record_trajectories_and_emit_events() {
+        use mmaes_telemetry::MemorySink;
+        let netlist = blatantly_leaky();
+        let sink = MemorySink::new();
+        let collected = sink.events();
+        let report = FixedVsRandom::new(
+            &netlist,
+            EvaluationConfig {
+                traces: 20_000,
+                warmup_cycles: 3,
+                checkpoints: 4,
+                ..EvaluationConfig::default()
+            },
+        )
+        .with_observer(Observer::single(sink))
+        .try_run()
+        .expect("campaign");
+
+        let worst = report.worst().expect("results");
+        assert!(worst.trajectory.len() >= 2, "{:?}", worst.trajectory);
+        for pair in worst.trajectory.windows(2) {
+            assert!(pair[0].0 < pair[1].0, "trace counts must increase");
+        }
+        assert!(worst.trajectory.last().expect("points").0 <= report.traces);
+
+        let events = collected.lock().unwrap();
+        assert!(matches!(
+            events.first(),
+            Some(Event::CampaignStarted { .. })
+        ));
+        assert!(events
+            .iter()
+            .any(|event| matches!(event, Event::CampaignCheckpoint(_))));
+        assert!(events
+            .iter()
+            .any(|event| matches!(event, Event::ProbeFlagged { .. })));
+        assert!(events
+            .iter()
+            .any(|event| matches!(event, Event::SimProgress { .. })));
+        assert!(matches!(
+            events.last(),
+            Some(Event::CampaignFinished { passed: false, .. })
+        ));
+    }
+
+    #[test]
+    fn early_stop_cuts_the_trace_budget_on_decisive_leak() {
+        let netlist = blatantly_leaky();
+        let report = FixedVsRandom::new(
+            &netlist,
+            EvaluationConfig {
+                traces: 64_000,
+                warmup_cycles: 3,
+                checkpoints: 16,
+                early_stop: true,
+                ..EvaluationConfig::default()
+            },
+        )
+        .try_run()
+        .expect("campaign");
+        assert!(!report.passed());
+        assert!(report.early_stopped);
+        assert!(
+            report.traces < 64_000,
+            "stopped at {} traces",
+            report.traces
+        );
+    }
+
+    #[test]
+    fn default_config_keeps_the_fast_path_trajectory_free() {
+        let netlist = properly_masked();
+        let report = FixedVsRandom::new(&netlist, config(1_000))
+            .try_run()
+            .expect("campaign");
+        assert!(report
+            .results
+            .iter()
+            .all(|result| result.trajectory.is_empty()));
+        assert!(!report.early_stopped);
+    }
+
+    #[test]
+    fn trajectory_of_a_strong_leak_is_monotone_for_a_deterministic_seed() {
+        // The G statistic of a genuine leak accumulates with the sample
+        // count, so the running -log10(p) of the worst probe must grow
+        // checkpoint over checkpoint (the seed fixes the sampling, so
+        // this is exact, not probabilistic).
+        let netlist = blatantly_leaky();
+        let report = FixedVsRandom::new(
+            &netlist,
+            EvaluationConfig {
+                traces: 32_000,
+                warmup_cycles: 3,
+                checkpoints: 8,
+                ..EvaluationConfig::default()
+            },
+        )
+        .try_run()
+        .expect("campaign");
+        let worst = report.worst().expect("results");
+        assert!(worst.trajectory.len() >= 4, "{:?}", worst.trajectory);
+        for pair in worst.trajectory.windows(2) {
+            assert!(pair[0].0 < pair[1].0, "trace counts must increase");
+            assert!(
+                pair[1].1 >= pair[0].1,
+                "-log10(p) regressed: {:?}",
+                worst.trajectory
+            );
+        }
+        assert!(worst.trajectory.last().expect("points").1 <= worst.minus_log10_p);
+    }
+
+    #[test]
+    fn tiny_table_cap_pools_overflow_without_losing_the_leak() {
+        // max_table_keys bounds per-probe memory; once the cap is hit,
+        // further keys land in the overflow bucket. The bucket is one
+        // more contingency column, so a blatant leak survives even an
+        // absurdly small cap.
+        let netlist = blatantly_leaky();
+        let report = FixedVsRandom::new(
+            &netlist,
+            EvaluationConfig {
+                traces: 20_000,
+                warmup_cycles: 3,
+                max_table_keys: 1,
+                ..EvaluationConfig::default()
+            },
+        )
+        .try_run()
+        .expect("campaign");
+        assert!(!report.passed(), "{report}");
+        for result in &report.results {
+            assert!(result.distinct_keys <= 1, "cap violated: {result:?}");
+        }
+    }
+
+    #[test]
+    fn sharded_campaign_is_byte_identical_to_single_threaded() {
+        let netlist = blatantly_leaky();
+        let base = EvaluationConfig {
+            traces: 20_000,
+            warmup_cycles: 3,
+            checkpoints: 4,
+            ..EvaluationConfig::default()
+        };
+        let single = FixedVsRandom::new(&netlist, base.clone())
+            .try_run()
+            .expect("campaign");
+        let sharded = FixedVsRandom::new(&netlist, EvaluationConfig { threads: 4, ..base })
+            .try_run()
+            .expect("campaign");
+        assert_eq!(single.results, sharded.results);
+        assert_eq!(single.traces, sharded.traces);
+        assert_eq!(single.cell_evals, sharded.cell_evals);
+        assert_eq!(single.to_csv(), sharded.to_csv());
+    }
+
+    #[test]
+    fn sharded_overflow_tables_match_single_threaded() {
+        // With a one-key cap every table overflows. The hashed store
+        // keeps the smallest key whatever order the shards finish in,
+        // so the overflowing tables match too.
+        let netlist = blatantly_leaky();
+        let base = EvaluationConfig {
+            traces: 20_000,
+            warmup_cycles: 3,
+            max_table_keys: 1,
+            ..EvaluationConfig::default()
+        };
+        let single = FixedVsRandom::new(&netlist, base.clone())
+            .try_run()
+            .expect("campaign");
+        let sharded = FixedVsRandom::new(&netlist, EvaluationConfig { threads: 3, ..base })
+            .try_run()
+            .expect("campaign");
+        assert_eq!(single.results, sharded.results);
+    }
+
+    #[test]
+    fn sharded_early_stop_matches_single_threaded() {
+        // Early stop is decided at a fold-side checkpoint, so the
+        // stopping batch — and therefore the reported trace count — is
+        // identical no matter how many workers were still simulating.
+        let netlist = blatantly_leaky();
+        let base = EvaluationConfig {
+            traces: 64_000,
+            warmup_cycles: 3,
+            checkpoints: 16,
+            early_stop: true,
+            ..EvaluationConfig::default()
+        };
+        let single = FixedVsRandom::new(&netlist, base.clone())
+            .try_run()
+            .expect("campaign");
+        let sharded = FixedVsRandom::new(&netlist, EvaluationConfig { threads: 4, ..base })
+            .try_run()
+            .expect("campaign");
+        assert!(sharded.early_stopped);
+        assert_eq!(single.traces, sharded.traces);
+        assert_eq!(single.results, sharded.results);
+    }
+
+    #[test]
+    fn ttest_statistic_produces_a_report_across_thread_counts() {
+        use crate::stats::StatisticKind;
+        let netlist = blatantly_leaky();
+        let base = EvaluationConfig {
+            statistic: StatisticKind::TTest,
+            traces: 20_000,
+            warmup_cycles: 3,
+            checkpoints: 4,
+            ..EvaluationConfig::default()
+        };
+        let single = FixedVsRandom::new(&netlist, base.clone())
+            .try_run()
+            .expect("campaign");
+        // The recombined secret shifts the mean Hamming weight of the
+        // observed cone between populations — the t-test must see it.
+        assert!(!single.passed(), "{single}");
+        let sharded = FixedVsRandom::new(&netlist, EvaluationConfig { threads: 4, ..base })
+            .try_run()
+            .expect("campaign");
+        assert_eq!(single.results, sharded.results);
+        assert_eq!(single.to_csv(), sharded.to_csv());
+        // And a sound design stays clean under the t-test.
+        let clean = FixedVsRandom::new(
+            &properly_masked(),
+            EvaluationConfig {
+                statistic: StatisticKind::TTest,
+                ..config(20_000)
+            },
+        )
+        .try_run()
+        .expect("campaign");
+        assert!(clean.passed(), "{clean}");
     }
 }

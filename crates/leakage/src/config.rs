@@ -8,8 +8,6 @@ use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use mmaes_sim::EvaluatorMode;
-
 use crate::probe::ProbeModel;
 use crate::stats::StatisticKind;
 use crate::tabulate::TabulatorMode;
@@ -106,8 +104,10 @@ pub struct EvaluationConfig {
     /// Restrict probe positions to wires whose name starts with this
     /// prefix (e.g. `"kronecker"`), mirroring module-wise evaluation.
     pub probe_scope_filter: Option<String>,
-    /// Cap on distinct keys kept per contingency table; overflow is
-    /// pooled into one bucket (bounds memory on very wide cones).
+    /// Cap on distinct keys kept per contingency table: a table keeps
+    /// the `max_table_keys` smallest keys it has seen and pools every
+    /// other key's counts into one overflow bucket (bounds memory on
+    /// very wide cones, independent of arrival order).
     pub max_table_keys: usize,
     /// Number of interim checkpoints across the campaign (PROLEAD's
     /// intermediate reports). At each checkpoint every probing set's
@@ -122,28 +122,24 @@ pub struct EvaluationConfig {
     /// fluctuation). Requires `checkpoints > 0` to have any effect.
     pub early_stop: bool,
     /// Worker threads batches are sharded across (0 and 1 both mean
-    /// in-place single-threaded). Because every batch's randomness is a
-    /// pure function of `(seed, batch)` and the coordinator folds
-    /// completed batches in strict batch order, the report, the
-    /// trajectories and the snapshots are **byte-identical** for every
-    /// thread count. Not part of the snapshot fingerprint: a campaign
-    /// interrupted at `--threads 4` resumes fine on 1 thread.
+    /// one worker on the calling thread). Every batch's randomness is a
+    /// pure function of `(seed, batch)`, every table absorbs
+    /// commutatively, and the campaign only checkpoints, snapshots or
+    /// stops at window ends where all threads have absorbed the same
+    /// batches — so the report, the trajectories and the snapshots are
+    /// **byte-identical** for every thread count. Not part of the
+    /// snapshot fingerprint: a campaign interrupted at `--threads 4`
+    /// resumes fine on 1 thread.
     pub threads: usize,
-    /// Which simulator engine each worker runs
-    /// ([`EvaluatorMode::Compiled`] by default; the interpreter exists
-    /// for differential testing). Both engines are bit-exact, so this is
-    /// not part of the snapshot fingerprint either.
-    pub evaluator: EvaluatorMode,
-    /// Which contingency-table engine the campaign uses
-    /// ([`TabulatorMode::Dense`] by default; the hashed reference
-    /// exists for differential testing). Per probing set, `Dense`
-    /// direct-indexes a flat table whenever the set's full key space
-    /// fits `max_table_keys` (see
-    /// [`crate::probe::ProbeSet::dense_index_width`]) and falls back to
-    /// the hashed table otherwise; both produce byte-identical reports
-    /// and snapshots, so this is not part of the snapshot fingerprint
-    /// either — a campaign interrupted under one tabulator resumes fine
-    /// under the other.
+    /// Which contingency-table store the campaign uses. Campaigns run
+    /// [`TabulatorMode::Dense`] (the default): per probing set, a flat
+    /// direct-indexed table whenever the set's full key space fits
+    /// `max_table_keys` (see
+    /// [`crate::probe::ProbeSet::dense_index_width`]), the hashed store
+    /// otherwise. [`TabulatorMode::Hashed`] forces the hashed store on
+    /// every set; it is the hook the campaign-level differential suites
+    /// use and is not a user option. Both give byte-identical reports
+    /// and snapshots, so this is not part of the snapshot fingerprint.
     pub tabulator: TabulatorMode,
     /// The detection statistic each probing set's contingency table is
     /// tested with ([`StatisticKind::GTest`] by default — the
@@ -179,7 +175,6 @@ impl Default for EvaluationConfig {
             checkpoints: 0,
             early_stop: false,
             threads: 1,
-            evaluator: EvaluatorMode::Compiled,
             tabulator: TabulatorMode::Dense,
             statistic: StatisticKind::GTest,
             durability: Durability::default(),

@@ -1,31 +1,34 @@
-//! The staged campaign engine: one scheduler behind every run path.
+//! The campaign engine: one windowed driver behind every run.
 //!
 //! A campaign is a pipeline of stages —
 //!
 //! ```text
-//! batch source → simulate → tabulate → fold → checkpoint/health/snapshot
+//! batch source → simulate → extract → absorb → checkpoint/health/snapshot
 //! ```
 //!
-//! — and the engine runs that pipeline under one of two
-//! [`FoldProtocol`]s. **Ordered** folding moves per-batch observation
-//! runs across a channel and absorbs them in strict batch order (the
-//! hashed tabulator needs this: which keys win the last table slots
-//! under `max_table_keys` depends on insertion order). **Commutative**
-//! folding lets workers absorb into thread-local dense shards and
-//! merges them once per checkpoint window (a dense table can never
-//! overflow its cap, so its counts are plain integer sums and fold
-//! order is irrelevant). Both protocols funnel every frontier advance
-//! through [`Engine::after_batch`] — the single checkpoint / health /
-//! snapshot / early-stop / interrupt decision point — which is what
-//! makes reports, trajectories and snapshots byte-identical across
-//! protocols, thread counts, evaluators and tabulators.
+//! — run by one driver. The batch range is cut into *windows* that end
+//! at each checkpoint multiple, at `stop_after_batches` and at the end.
+//! Within a window, workers claim chunks of batches from a shared
+//! counter, simulate each batch under supervision and absorb its
+//! observations into their tables: dense tables take packed `u32`
+//! indices, hashed tables take `u128` keys. Both stores absorb
+//! commutatively (a hashed table keeps the cap smallest keys it has
+//! seen, see [`crate::tabulate`]), so the order in which batches finish
+//! cannot change a table. At one thread the worker runs on the calling
+//! thread and absorbs straight into the campaign's tables; at more
+//! threads each worker owns shard tables, merged at the end of the
+//! window. Every window end funnels through [`Engine::after_batch`] —
+//! the single checkpoint / health / snapshot / early-stop / interrupt
+//! decision point — which then sees the same `batches_done` and the
+//! same tables at every thread count. That is what makes reports,
+//! trajectories and snapshots byte-identical across thread counts and
+//! resume legs.
 //!
-//! Supervision (panic boundaries, bounded retries, rebuilt simulators,
-//! heartbeat watchdogs, degraded-sink snapshots) is integrated here
-//! once; `campaign.rs` is left with configuration, the builder API and
-//! report assembly.
+//! Supervision (panic boundaries, bounded in-place retries, rebuilt
+//! simulators, heartbeat watchdogs, degraded-sink snapshots) is
+//! integrated here once; `campaign.rs` is left with configuration, the
+//! builder API and report assembly.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::Duration;
@@ -41,10 +44,10 @@ use rand::{Rng, RngCore, SeedableRng};
 use crate::campaign::CampaignError;
 use crate::config::{CampaignMode, EvaluationConfig, SecretDomain, DECISIVE_MARGIN};
 use crate::health;
-use crate::probe::{ProbeModel, ProbeSet};
+use crate::probe::ProbeSet;
 use crate::snapshot::{self, CampaignSnapshot, TableSnapshot};
-use crate::stats::pooling_summary;
-use crate::supervisor::{self, RetryQueue};
+use crate::stats::{pooling_summary, StatisticKind};
+use crate::supervisor::{self, Heartbeats};
 use crate::tabulate::{Table, TabulatorMode};
 
 /// Probing sets carried per checkpoint event: the top sets by running
@@ -54,36 +57,16 @@ pub(crate) const CHECKPOINT_TOP_PROBES: usize = 8;
 /// Refill granularity of [`BufferedRng`], in `u64` words.
 const RNG_BLOCK: usize = 256;
 
-/// Watchdog granularity of the sharded coordinator: how often it wakes
-/// from `recv` to scan heartbeats and check for a fatal worker verdict.
+/// Watchdog granularity of the multi-threaded coordinator: how often it
+/// wakes to scan worker heartbeats while a window runs.
 const WATCHDOG_TICK_MS: u64 = 100;
 
-/// Batches per claim in the dense windowed protocol: workers take
-/// multi-batch chunks from the shared counter to amortize claim
-/// contention. Chunk size cannot perturb results — absorption into
-/// thread-local dense tables is commutative — so this is purely a
-/// throughput knob.
-const DENSE_CHUNK: u64 = 4;
-
-/// How completed batches reach the campaign's tables.
-///
-/// Selected per campaign from the table stores actually in play (see
-/// [`Engine::run`]): the hashed reference store can overflow its key
-/// cap, making absorption order-sensitive, so it requires `Ordered`;
-/// an all-dense campaign (the [`TabulatorMode::Dense`] fast path when
-/// every probing set's key space fits the cap) upgrades to
-/// `Commutative`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FoldProtocol {
-    /// Batch outcomes cross a channel and fold in strict batch order
-    /// through a reorder buffer — the general protocol, correct for
-    /// every table store.
-    Ordered,
-    /// Workers absorb into thread-local dense shards; shards merge at
-    /// checkpoint-window boundaries, where the frontier state is
-    /// bit-identical to the ordered fold's at the same batch.
-    Commutative,
-}
+/// Batches per claim at `threads > 1`: workers take multi-batch chunks
+/// from the window's counter to amortize claim contention. Absorption
+/// is commutative, so chunk size cannot perturb results — this is
+/// purely a throughput knob. A lone worker claims one batch at a time,
+/// so an interrupt stops it right after the batch in flight.
+const CHUNK: u64 = 4;
 
 /// Derives the RNG for one batch from the campaign seed and the batch
 /// index (a splitmix64-style mix). Making every batch's randomness a
@@ -138,68 +121,22 @@ impl RngCore for BufferedRng {
 
 /// Builds the contingency table for one probing set under the
 /// configured [`TabulatorMode`]: a dense direct-indexed table when the
-/// set's full key space fits the cap (it then cannot overflow, which is
-/// what makes dense absorption commutative), the hashed reference
-/// otherwise.
+/// set's full key space fits the cap (it then cannot overflow), the
+/// hashed store, capped at `max_table_keys`, otherwise.
 pub(crate) fn make_table(set: &ProbeSet, config: &EvaluationConfig) -> Table {
+    let cap = config.max_table_keys;
     match config.tabulator {
         TabulatorMode::Dense => set
-            .dense_index_width(config.model, config.max_table_keys)
-            .map_or_else(Table::hashed, Table::dense),
-        TabulatorMode::Hashed => Table::hashed(),
+            .dense_index_width(config.model, cap)
+            .map_or_else(|| Table::hashed(cap), Table::dense),
+        TabulatorMode::Hashed => Table::hashed(cap),
     }
 }
 
-/// Assembles the serializable campaign state from the live tables.
-/// Takes the tables `&mut` so the serialized columns come from (and
-/// prime) each table's memoized sorted snapshot: a checkpoint's
-/// statistic sweep and its snapshot share one sort per table.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_snapshot(
-    fingerprint: u64,
-    statistic: crate::stats::StatisticKind,
-    batches_done: u64,
-    total_batches: u64,
-    cell_evals: u64,
-    tables: &mut [Table],
-    flagged: &[bool],
-    trajectories: &[Vec<(u64, f64)>],
-) -> CampaignSnapshot {
-    CampaignSnapshot {
-        config_fingerprint: fingerprint,
-        statistic,
-        batches_done,
-        total_batches,
-        cell_evals,
-        tables: tables
-            .iter_mut()
-            .enumerate()
-            .map(|(index, table)| {
-                TableSnapshot::from_sorted(
-                    table.sorted_columns().to_vec(),
-                    table.overflow(),
-                    table.samples(),
-                    flagged[index],
-                    &trajectories[index],
-                )
-            })
-            .collect(),
-    }
-}
-
-/// One completed batch: per-probing-set `(key, [fixed, random])` runs
-/// sorted by key, plus the simulator work the batch cost.
-pub(crate) struct BatchOutcome {
-    batch: u64,
-    counts: Vec<Vec<(u128, [u64; 2])>>,
-    stats: SimStats,
-}
-
-/// The coordinator-side campaign state. Only the fold stage mutates it,
-/// and only at batch-frontier advances — which is the whole determinism
-/// argument: any producer (the in-place loop or a worker pool) that
-/// advances the frontier through the same states yields the same bytes.
-/// A side effect worth naming: `batches_done` is always a contiguous
+/// The coordinator-side campaign state. Its frontier only advances at
+/// window ends — which is the whole determinism argument: any thread
+/// count that advances the frontier through the same states yields the
+/// same bytes. A side effect worth naming: `batches_done` is always a contiguous
 /// frontier, so every snapshot records exactly the batches
 /// `0..batches_done` — resumable on any thread count.
 pub(crate) struct CampaignState {
@@ -207,9 +144,9 @@ pub(crate) struct CampaignState {
     pub(crate) trajectories: Vec<Vec<(u64, f64)>>,
     pub(crate) flagged: Vec<bool>,
     pub(crate) batches_done: u64,
-    /// Work from *folded* batches only. Batches a stopping worker pool
-    /// simulated but never folded are excluded, keeping `cell_evals`
-    /// independent of the thread count.
+    /// Work from absorbed batches only. Batches in a discarded window
+    /// are excluded, keeping `cell_evals` independent of the thread
+    /// count.
     pub(crate) folded: SimStats,
     pub(crate) early_stopped: bool,
     pub(crate) interrupted: bool,
@@ -240,9 +177,42 @@ impl CampaignState {
             last_elapsed_ms: 0,
         }
     }
+
+    /// Assembles the serializable campaign state from the live tables.
+    /// Takes the tables `&mut` so the serialized columns come from (and
+    /// prime) each table's memoized sorted snapshot: a checkpoint's
+    /// statistic sweep and its snapshot share one pass per table.
+    pub(crate) fn snapshot(
+        &mut self,
+        context: &FoldContext<'_>,
+        statistic: StatisticKind,
+    ) -> CampaignSnapshot {
+        CampaignSnapshot {
+            config_fingerprint: context.fingerprint,
+            statistic,
+            batches_done: self.batches_done,
+            total_batches: context.batches,
+            cell_evals: context.prior_cell_evals + self.folded.cell_evals,
+            tables: self
+                .tables
+                .iter_mut()
+                .zip(&self.flagged)
+                .zip(&self.trajectories)
+                .map(|((table, &flagged), trajectory)| {
+                    TableSnapshot::from_sorted(
+                        table.sorted_columns().to_vec(),
+                        table.overflow(),
+                        table.samples(),
+                        flagged,
+                        trajectory,
+                    )
+                })
+                .collect(),
+        }
+    }
 }
 
-/// Read-only context the fold stage needs besides the state.
+/// Read-only context the driver needs besides the state.
 pub(crate) struct FoldContext<'a> {
     pub(crate) probe_sets: &'a [ProbeSet],
     pub(crate) watch: &'a Stopwatch,
@@ -256,78 +226,61 @@ pub(crate) struct FoldContext<'a> {
     pub(crate) fresh_bits_per_trace: u64,
 }
 
-/// Runs one batch under supervision, retrying in place: a faulted
-/// attempt (contained panic — injected or real) rebuilds the simulator
-/// and retries after bounded backoff, up to
-/// [`supervisor::MAX_ATTEMPTS`] total attempts. Because the outcome is
-/// a pure function of `(seed, batch)`, a successful retry is
-/// indistinguishable from a fault-free first attempt.
-fn run_batch_supervised<'a>(
-    engine: &Engine<'a>,
-    sim: &mut Simulator<'a>,
-    batch: u64,
-    perf: &PerfRecorder,
-) -> Result<BatchOutcome, CampaignError> {
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        match supervisor::supervised(batch, || engine.run_batch(sim, batch, perf)) {
-            Ok(outcome) => return Ok(outcome),
-            Err(fault) => {
-                if attempts >= supervisor::MAX_ATTEMPTS {
-                    return Err(CampaignError::Worker {
-                        batch,
-                        attempts,
-                        message: fault.to_string(),
-                    });
+/// One batch's per-lane observations of one probing set, in the form
+/// its table absorbs. The keys are boxed so the dense sets, nearly
+/// always the majority, keep a compact scratch.
+#[allow(clippy::large_enum_variant)]
+enum Lanes {
+    /// Packed indices for a dense table
+    /// ([`ProbeSet::observation_indices`]).
+    Indices([u32; LANES]),
+    /// Observation keys for a hashed table ([`ProbeSet::observation_keys`]).
+    Keys(Box<[u128; LANES]>),
+}
+
+impl Lanes {
+    /// Extraction scratch matching each table's store.
+    fn for_tables(tables: &[Table]) -> Vec<Lanes> {
+        tables
+            .iter()
+            .map(|table| {
+                if table.is_dense() {
+                    Lanes::Indices([0; LANES])
+                } else {
+                    Lanes::Keys(Box::new([0; LANES]))
                 }
-                // The panicked attempt may have torn the simulator
-                // mid-step; rebuild it rather than trust its state.
-                *sim = Simulator::with_evaluator(engine.netlist, engine.config.evaluator);
-                std::thread::sleep(Duration::from_millis(supervisor::backoff_ms(attempts)));
-            }
-        }
+            })
+            .collect()
     }
 }
 
-/// [`run_batch_supervised`] for the dense fast path: same retry budget,
-/// same rebuilt-simulator policy, but the outcome is the per-set index
-/// scratch (rewritten whole on every attempt) plus the batch's
-/// `(lane_groups, stats)` — nothing is committed to live tables here.
-fn run_batch_dense_supervised<'a>(
-    engine: &Engine<'a>,
-    sim: &mut Simulator<'a>,
-    batch: u64,
-    perf: &PerfRecorder,
-    indices: &mut [[u32; LANES]],
-) -> Result<(u64, SimStats), CampaignError> {
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        match supervisor::supervised(batch, || {
-            engine.run_batch_dense(sim, batch, perf, &mut *indices)
-        }) {
-            Ok(outcome) => return Ok(outcome),
-            Err(fault) => {
-                if attempts >= supervisor::MAX_ATTEMPTS {
-                    return Err(CampaignError::Worker {
-                        batch,
-                        attempts,
-                        message: fault.to_string(),
-                    });
-                }
-                *sim = Simulator::with_evaluator(engine.netlist, engine.config.evaluator);
-                std::thread::sleep(Duration::from_millis(supervisor::backoff_ms(attempts)));
-            }
-        }
-    }
+/// One worker's private state, hoisted across windows: its simulator
+/// (lowering is one-time work), its extraction scratch and — at
+/// `threads > 1` — its shard tables (drained by each window's merge)
+/// and perf recorder (absorbed once at exit).
+struct Worker<'a> {
+    sim: Simulator<'a>,
+    lanes: Vec<Lanes>,
+    shard: Vec<Table>,
+    perf: PerfRecorder,
 }
 
-/// The staged scheduler: everything needed to simulate, tabulate and
-/// fold batches, shared read-only across worker threads. Splitting this
-/// out of the builder is what lets `std::thread::scope` workers borrow
-/// the input-driving tables while the coordinator keeps `&mut` access
-/// to the campaign state.
+/// The part of the batch range one window covers, and the counter its
+/// workers claim chunks from.
+struct Window {
+    next: AtomicU64,
+    end: u64,
+    /// Batches per claim.
+    chunk: u64,
+    /// Set when a worker's batch turns fatal: the others stop claiming.
+    stop: AtomicBool,
+}
+
+/// The campaign driver: everything needed to simulate, extract and
+/// absorb batches, shared read-only across worker threads. Splitting
+/// this out of the builder is what lets `std::thread::scope` workers
+/// borrow the input-driving tables while the coordinator keeps `&mut`
+/// access to the campaign state.
 pub(crate) struct Engine<'a> {
     pub(crate) netlist: &'a Netlist,
     pub(crate) config: &'a EvaluationConfig,
@@ -341,18 +294,29 @@ pub(crate) struct Engine<'a> {
     pub(crate) observer: &'a Observer,
 }
 
-impl Engine<'_> {
+impl<'a> Engine<'a> {
     /// Runs the sampling pipeline from `state.batches_done` to
-    /// `context.batches` (or an early stop / interrupt / fatal fault).
+    /// `context.batches` (or an early stop / interrupt / fatal fault),
+    /// one window at a time.
     ///
-    /// Dispatches on the execution shape: in-place (one simulator on
-    /// the calling thread) versus sharded (a supervised worker pool),
-    /// crossed with the [`FoldProtocol`] the table stores license —
-    /// `Commutative` when every table is dense, `Ordered` otherwise
-    /// (checked after resume, because restoring a foreign snapshot can
-    /// downgrade a table to the hashed store). All four paths drive the
-    /// same stages and funnel every frontier advance through
-    /// [`Engine::after_batch`], so their outputs are byte-identical.
+    /// At one thread the worker routine runs on the calling thread and
+    /// writes straight into `state.tables` — no spawned thread and no
+    /// shard copy, so peak memory is one set of tables. At `threads >
+    /// 1` each worker absorbs into its own shard tables, merged into
+    /// the campaign's at the end of the window; the coordinator doubles
+    /// as the heartbeat watchdog, flagging overdue shards into the
+    /// degraded registry (advisory — wall-clock diagnostics never
+    /// reach the report). Per-worker perf recorders are absorbed into
+    /// the campaign recorder at exit (per-phase totals then sum CPU
+    /// time across workers, which can exceed wall time).
+    ///
+    /// A batch that exhausts the supervisor's retry budget is fatal.
+    /// At one thread the batches before it are already absorbed in
+    /// order, so the frontier moves up to it; at more threads the
+    /// window's shards are **discarded unmerged** (their union is not a
+    /// contiguous batch range) and the state stays at the last window
+    /// boundary. Either way the emergency snapshot records a contiguous
+    /// prefix.
     pub(crate) fn run(
         &self,
         context: &FoldContext<'_>,
@@ -362,103 +326,288 @@ impl Engine<'_> {
             return Ok(());
         }
         let threads = self.config.threads.max(1);
-        let protocol = if state.tables.iter().all(Table::is_dense) {
-            FoldProtocol::Commutative
-        } else {
-            FoldProtocol::Ordered
+        let heartbeats = Heartbeats::new(threads);
+        let mut flagged_stall = vec![false; threads];
+        let mut workers: Vec<Worker> = (0..threads)
+            .map(|_| Worker {
+                sim: Simulator::new(self.netlist),
+                lanes: Lanes::for_tables(&state.tables),
+                shard: if threads > 1 {
+                    state.tables.iter().map(Table::empty_like).collect()
+                } else {
+                    Vec::new()
+                },
+                perf: if threads > 1 && context.perf.is_enabled() {
+                    PerfRecorder::enabled()
+                } else {
+                    PerfRecorder::disabled()
+                },
+            })
+            .collect();
+        let mut result = Ok(());
+        while state.batches_done < context.batches {
+            let window = Window {
+                next: AtomicU64::new(state.batches_done),
+                end: self.window_end(context, state.batches_done),
+                chunk: if threads == 1 { 1 } else { CHUNK },
+                stop: AtomicBool::new(false),
+            };
+            let (stats, fault) = if let [Worker { sim, lanes, .. }] = workers.as_mut_slice() {
+                self.work(
+                    sim,
+                    lanes,
+                    &mut state.tables,
+                    &window,
+                    context.perf,
+                    &heartbeats,
+                    0,
+                )
+            } else {
+                self.run_workers(&window, &mut workers, &heartbeats, &mut flagged_stall)
+            };
+            if let Some(error) = fault {
+                if let (1, CampaignError::Worker { batch, .. }) = (threads, &error) {
+                    // One worker absorbed in batch order up to the
+                    // fatal batch. More workers' shards are discarded
+                    // unmerged: their union is not a contiguous range.
+                    add_stats(&mut state.folded, stats);
+                    state.batches_done = *batch;
+                }
+                result = Err(error);
+                break;
+            }
+            let reached = window.next.load(Ordering::Relaxed).min(window.end);
+            if threads > 1 {
+                let _span = context.perf.span("merge");
+                for worker in &mut workers {
+                    for (table, local) in state.tables.iter_mut().zip(&mut worker.shard) {
+                        table.merge_from(local);
+                    }
+                }
+            }
+            add_stats(&mut state.folded, stats);
+            state.batches_done = reached;
+            if self.after_batch(context, state) || reached < window.end {
+                break;
+            }
+        }
+        for worker in &workers {
+            context.perf.absorb(&worker.perf);
+        }
+        result
+    }
+
+    /// Where the window starting at `start` ends: the next decision
+    /// point — checkpoint multiple, deterministic batch cap, or the
+    /// end. (`cap.max(start + 1)` always runs one batch when resumed at
+    /// or past the cap: the cap is only noticed after a batch.)
+    fn window_end(&self, context: &FoldContext<'_>, start: u64) -> u64 {
+        let mut end = match start.checked_div(context.checkpoint_every) {
+            Some(windows_done) => {
+                ((windows_done + 1) * context.checkpoint_every).min(context.batches)
+            }
+            None => context.batches,
         };
-        match (protocol, threads) {
-            (FoldProtocol::Commutative, 1) => self.run_in_place_dense(context, state),
-            (FoldProtocol::Ordered, 1) => self.run_in_place(context, state),
-            (FoldProtocol::Commutative, threads) => self.run_sharded_dense(context, state, threads),
-            (FoldProtocol::Ordered, threads) => self.run_sharded(context, state, threads),
+        if let Some(cap) = self.config.durability.stop_after_batches {
+            end = end.min(cap.max(start + 1));
+        }
+        end
+    }
+
+    /// Runs one window on one scoped thread per worker, each absorbing
+    /// into its own shard, while this thread wakes every
+    /// [`WATCHDOG_TICK_MS`] to flag overdue shards (once per worker)
+    /// until they finish. Returns the window's summed simulator work
+    /// and the first fatal fault.
+    fn run_workers(
+        &self,
+        window: &Window,
+        workers: &mut [Worker<'a>],
+        heartbeats: &Heartbeats,
+        flagged_stall: &mut [bool],
+    ) -> (SimStats, Option<CampaignError>) {
+        let threads = workers.len();
+        let stall_timeout_ms = supervisor::stall_timeout_ms();
+        let fatal: Mutex<Option<CampaignError>> = Mutex::new(None);
+        let mut stats = SimStats::default();
+        // Each worker reports its window's work exactly once at exit;
+        // the channel doubles as the coordinator's completion wake-up
+        // between watchdog ticks.
+        let (sender, receiver) = mpsc::channel::<SimStats>();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = workers
+                .iter_mut()
+                .enumerate()
+                .map(|(index, worker)| {
+                    let sender = sender.clone();
+                    let fatal = &fatal;
+                    scope.spawn(move || {
+                        let Worker {
+                            sim,
+                            lanes,
+                            shard,
+                            perf,
+                        } = worker;
+                        let (local, fault) =
+                            self.work(sim, lanes, shard, window, perf, heartbeats, index);
+                        if let Some(error) = fault {
+                            fatal
+                                .lock()
+                                .unwrap_or_else(|poison| poison.into_inner())
+                                .get_or_insert(error);
+                        }
+                        let _ = sender.send(local);
+                    })
+                })
+                .collect();
+            drop(sender);
+            let mut done = 0;
+            while done < threads {
+                match receiver.recv_timeout(Duration::from_millis(WATCHDOG_TICK_MS)) {
+                    Ok(local) => {
+                        add_stats(&mut stats, local);
+                        done += 1;
+                    }
+                    Err(mpsc::RecvTimeoutError::Timeout) => {
+                        for (worker, fault) in heartbeats.stalled(stall_timeout_ms) {
+                            if !std::mem::replace(&mut flagged_stall[worker], true) {
+                                mmaes_telemetry::degraded::mark(
+                                    "worker",
+                                    &format!("worker {worker}: {fault}"),
+                                );
+                            }
+                        }
+                    }
+                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                }
+            }
+            for handle in handles {
+                if let Err(payload) = handle.join() {
+                    // Unreachable: batch attempts run inside the
+                    // supervisor's panic boundary.
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        });
+        let fault = fatal
+            .into_inner()
+            .unwrap_or_else(|poison| poison.into_inner());
+        (stats, fault)
+    }
+
+    /// The one worker routine: claims chunks of the window, simulates
+    /// and extracts each batch under supervision, then commits it into
+    /// `tables`. A claimed chunk always completes
+    /// (or turns fatal), so the absorbed batches are exactly the
+    /// contiguous range below the claim counter. Stops claiming once
+    /// the window is exhausted, another worker's batch turned fatal, or
+    /// the interrupt flag is raised. Returns the simulator work it
+    /// absorbed and its fatal fault, if any.
+    #[allow(clippy::too_many_arguments)]
+    fn work(
+        &self,
+        sim: &mut Simulator<'a>,
+        lanes: &mut [Lanes],
+        tables: &mut [Table],
+        window: &Window,
+        perf: &PerfRecorder,
+        heartbeats: &Heartbeats,
+        worker: usize,
+    ) -> (SimStats, Option<CampaignError>) {
+        let interrupt = &self.config.durability.interrupt;
+        let mut absorbed = SimStats::default();
+        while !window.stop.load(Ordering::Acquire) {
+            let chunk = window.next.fetch_add(window.chunk, Ordering::Relaxed);
+            if chunk >= window.end {
+                break;
+            }
+            for batch in chunk..(chunk + window.chunk).min(window.end) {
+                heartbeats.start(worker, batch);
+                let attempt = self.run_batch_supervised(sim, batch, perf, lanes);
+                heartbeats.idle(worker);
+                let (lane_groups, stats) = match attempt {
+                    Ok(outcome) => outcome,
+                    Err(error) => {
+                        window.stop.store(true, Ordering::Release);
+                        return (absorbed, Some(error));
+                    }
+                };
+                let _span = perf.span("tabulate");
+                for (lanes, table) in lanes.iter().zip(tables.iter_mut()) {
+                    match lanes {
+                        Lanes::Indices(indices) => table.absorb_indices(indices, lane_groups),
+                        Lanes::Keys(keys) => table.absorb_keys(keys, lane_groups),
+                    }
+                }
+                add_stats(&mut absorbed, stats);
+            }
+            if interrupt
+                .as_ref()
+                .is_some_and(|flag| flag.load(Ordering::Relaxed))
+            {
+                // Stop claiming; completed chunks stand, and the window
+                // end folds the contiguous claimed range.
+                break;
+            }
+        }
+        (absorbed, None)
+    }
+
+    /// Runs one batch under supervision, retrying in place: a faulted
+    /// attempt (contained panic — injected or real) rebuilds the
+    /// simulator and retries after bounded backoff, up to
+    /// [`supervisor::MAX_ATTEMPTS`] total attempts. Every attempt
+    /// rewrites `lanes` whole and commits nothing, and the outcome is a
+    /// pure function of `(seed, batch)`, so a successful retry is
+    /// indistinguishable from a fault-free first attempt.
+    fn run_batch_supervised(
+        &self,
+        sim: &mut Simulator<'a>,
+        batch: u64,
+        perf: &PerfRecorder,
+        lanes: &mut [Lanes],
+    ) -> Result<(u64, SimStats), CampaignError> {
+        let mut attempts = 0u32;
+        loop {
+            attempts += 1;
+            match supervisor::supervised(batch, || self.run_batch(sim, batch, perf, &mut *lanes)) {
+                Ok(outcome) => return Ok(outcome),
+                Err(fault) => {
+                    if attempts >= supervisor::MAX_ATTEMPTS {
+                        return Err(CampaignError::Worker {
+                            batch,
+                            attempts,
+                            message: fault.to_string(),
+                        });
+                    }
+                    // The panicked attempt may have torn the simulator
+                    // mid-step; rebuild it rather than trust its state.
+                    *sim = Simulator::new(self.netlist);
+                    std::thread::sleep(Duration::from_millis(supervisor::backoff_ms(attempts)));
+                }
+            }
         }
     }
 
-    /// Simulates one batch on `sim` and aggregates its observations.
-    /// A pure function of `(seed, batch)` — which simulator runs it,
-    /// on which thread, in which order, cannot change the outcome.
-    fn run_batch(&self, sim: &mut Simulator, batch: u64, perf: &PerfRecorder) -> BatchOutcome {
+    /// Simulates one batch on `sim` and extracts every probing set's
+    /// per-lane observations into `lanes`. Returns the batch's lane
+    /// populations (bit set = random population) and the simulator
+    /// work it cost. A pure function of `(seed, batch)` — which
+    /// simulator runs it, on which thread, in which order, cannot
+    /// change the outcome.
+    fn run_batch(
+        &self,
+        sim: &mut Simulator,
+        batch: u64,
+        perf: &PerfRecorder,
+        lanes: &mut [Lanes],
+    ) -> (u64, SimStats) {
         let config = self.config;
         // Each batch derives its own RNG from (seed, batch), so the
         // trace stream is position-addressable: resume is exact and
         // sharding across threads cannot perturb it. Block-buffering
         // amortizes generator stepping without changing the stream.
         let mut rng = BufferedRng::new(batch_rng(config.seed, batch));
-        // Lane → population: bit set = random population.
-        let lane_groups: u64 = rng.gen();
-        let before = sim.counters();
-        sim.reset();
-        {
-            let _span = perf.span("simulate");
-            for cycle in 0..=config.warmup_cycles {
-                self.drive_cycle(sim, cycle, lane_groups, &mut rng);
-                if cycle < config.warmup_cycles {
-                    sim.step();
-                } else {
-                    sim.eval();
-                }
-            }
-        }
-        // Observation: one sample per lane per probing set, aggregated
-        // into key-sorted runs. The sort makes the batch's contribution
-        // canonical, so table insertion order (and thus which keys win
-        // the last slots under `max_table_keys`) depends only on the
-        // batch sequence — the overflow-determinism half of the
-        // byte-identity guarantee.
-        let _span = perf.span("tabulate");
-        let counts = self
-            .probe_sets
-            .iter()
-            .map(|set| {
-                let keys = observation_keys(sim, set, config.model);
-                let mut samples = [(0u128, 0usize); LANES];
-                for (lane, slot) in samples.iter_mut().enumerate() {
-                    *slot = (keys[lane], ((lane_groups >> lane) & 1) as usize);
-                }
-                samples.sort_unstable_by_key(|&(key, _)| key);
-                let mut runs: Vec<(u128, [u64; 2])> = Vec::new();
-                for (key, group) in samples {
-                    match runs.last_mut() {
-                        Some((last, cell)) if *last == key => cell[group] += 1,
-                        _ => {
-                            let mut cell = [0u64; 2];
-                            cell[group] = 1;
-                            runs.push((key, cell));
-                        }
-                    }
-                }
-                runs
-            })
-            .collect();
-        BatchOutcome {
-            batch,
-            counts,
-            stats: sim.counters().delta_since(before),
-        }
-    }
-
-    /// Simulates one batch and extracts per-probing-set packed indices
-    /// into the caller's scratch — the dense fast path. Identical
-    /// simulation to [`Engine::run_batch`], but the tabulation side
-    /// does no sorting, no run-length encoding and no allocation: each
-    /// set's 64 lane observations become 64 `u32` indices (bit-for-bit
-    /// the zero-extended `u128` keys, see [`observation_indices`]) for
-    /// the caller to commit with [`Table::absorb_indices`]. Extraction
-    /// is the fallible phase and runs inside the supervisor's panic
-    /// boundary; the commit into live tables happens outside it, only
-    /// after the whole batch succeeded — a retried attempt rewrites the
-    /// scratch completely, so a torn attempt can never half-count a
-    /// batch.
-    fn run_batch_dense(
-        &self,
-        sim: &mut Simulator,
-        batch: u64,
-        perf: &PerfRecorder,
-        indices: &mut [[u32; LANES]],
-    ) -> (u64, SimStats) {
-        let config = self.config;
-        let mut rng = BufferedRng::new(batch_rng(config.seed, batch));
         let lane_groups: u64 = rng.gen();
         let before = sim.counters();
         sim.reset();
@@ -474,8 +623,11 @@ impl Engine<'_> {
             }
         }
         let _span = perf.span("tabulate");
-        for (set, slot) in self.probe_sets.iter().zip(indices.iter_mut()) {
-            observation_indices(sim, set, config.model, slot);
+        for (set, lanes) in self.probe_sets.iter().zip(lanes.iter_mut()) {
+            match lanes {
+                Lanes::Indices(indices) => set.observation_indices(sim, config.model, indices),
+                Lanes::Keys(keys) => **keys = set.observation_keys(sim, config.model),
+            }
         }
         (lane_groups, sim.counters().delta_since(before))
     }
@@ -549,49 +701,13 @@ impl Engine<'_> {
         }
     }
 
-    /// Folds one completed batch into the campaign state: contingency
-    /// tables first, then (on checkpoint boundaries) the running
-    /// statistic sweep, events, snapshot and early-stop decision, then
-    /// the cooperative-interrupt check. Batches MUST be folded in
-    /// strictly increasing batch order — that invariant (not any
-    /// property of the producers) is what makes multi-threaded
-    /// campaigns byte-identical to single-threaded ones. Returns `true`
-    /// when the campaign should stop before `context.batches` (early
-    /// stop or interrupt). Infallible: a checkpoint snapshot that
-    /// exhausts its retry budget degrades (recorded in the registry,
-    /// later interim saves skipped) rather than aborting a healthy
-    /// campaign.
-    fn fold_batch(
-        &self,
-        context: &FoldContext<'_>,
-        state: &mut CampaignState,
-        outcome: BatchOutcome,
-    ) -> bool {
-        let config = self.config;
-        let perf = context.perf;
-        debug_assert_eq!(outcome.batch, state.batches_done, "fold order violated");
-        {
-            let _span = perf.span("merge");
-            for (runs, table) in outcome.counts.iter().zip(&mut state.tables) {
-                table.absorb_runs(runs, config.max_table_keys);
-            }
-        }
-        state.folded.cycles += outcome.stats.cycles;
-        state.folded.cell_evals += outcome.stats.cell_evals;
-        state.batches_done += 1;
-        self.after_batch(context, state)
-    }
-
-    /// Everything a batch-frontier advance triggers besides absorption:
-    /// the interim checkpoint (running statistic sweep, events,
-    /// snapshot, early-stop decision) and the cooperative-interrupt
-    /// check, purely as a function of `state.batches_done`. Shared
-    /// verbatim by the batch-ordered fold and the dense windowed
-    /// protocol (whose window boundaries coincide exactly with
-    /// checkpoint multiples), which is what keeps checkpoints,
-    /// trajectories, early stops and interrupt frontiers byte-identical
-    /// between them. Returns `true` when the campaign should stop
-    /// before `context.batches`.
+    /// Everything a window end triggers besides absorption: the interim
+    /// checkpoint (running statistic sweep, events, snapshot,
+    /// early-stop decision) and the cooperative-interrupt check, purely
+    /// as a function of `state.batches_done` and the tables — which is
+    /// what keeps checkpoints, trajectories, early stops and interrupt
+    /// frontiers byte-identical across thread counts. Returns `true`
+    /// when the campaign should stop before `context.batches`.
     fn after_batch(&self, context: &FoldContext<'_>, state: &mut CampaignState) -> bool {
         let config = self.config;
         let perf = context.perf;
@@ -607,11 +723,7 @@ impl Engine<'_> {
             let statistic = config.statistic.as_statistic();
             let traces_so_far = state.batches_done * LANES as u64;
             let health_enabled = self.observer.enabled();
-            let mut probe_healths: Vec<ProbeHealth> = Vec::with_capacity(if health_enabled {
-                state.tables.len()
-            } else {
-                0
-            });
+            let mut probe_healths: Vec<ProbeHealth> = Vec::new();
             let mut running: Vec<(usize, f64)> = Vec::with_capacity(context.probe_sets.len());
             for (index, table) in state.tables.iter_mut().enumerate() {
                 let overflow = table.overflow();
@@ -633,7 +745,7 @@ impl Engine<'_> {
                 }
                 if minus_log10_p > config.threshold && !state.flagged[index] {
                     state.flagged[index] = true;
-                    if self.observer.enabled() {
+                    if health_enabled {
                         self.observer.emit(&Event::ProbeFlagged {
                             label: context.probe_sets[index].label.clone(),
                             minus_log10_p,
@@ -644,7 +756,7 @@ impl Engine<'_> {
             }
             running.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
             let (worst_index, max_minus_log10_p) = running.first().copied().unwrap_or((0, 0.0));
-            if self.observer.enabled() {
+            if health_enabled {
                 let probes: Vec<ProbePoint> = running
                     .iter()
                     .enumerate()
@@ -698,16 +810,7 @@ impl Engine<'_> {
             if let Some(path) = &config.durability.snapshot_path {
                 if !state.snapshot_degraded {
                     let _span = perf.span("snapshot");
-                    let saved = build_snapshot(
-                        context.fingerprint,
-                        config.statistic,
-                        state.batches_done,
-                        context.batches,
-                        context.prior_cell_evals + state.folded.cell_evals,
-                        &mut state.tables,
-                        &state.flagged,
-                        &state.trajectories,
-                    );
+                    let saved = state.snapshot(context, config.statistic);
                     if let Err(error) = snapshot::save_with_retry(&saved, path) {
                         // Interim saves are an amenity; losing them must
                         // not kill a healthy campaign. Degrade: skip
@@ -746,865 +849,9 @@ impl Engine<'_> {
         }
         false
     }
-
-    /// In-place single-threaded ordered fold: one simulator, fold as we
-    /// go. Faulted batches are retried in place on a rebuilt simulator
-    /// (same supervision budget as the pool).
-    fn run_in_place(
-        &self,
-        context: &FoldContext<'_>,
-        state: &mut CampaignState,
-    ) -> Result<(), CampaignError> {
-        let mut sim = Simulator::with_evaluator(self.netlist, self.config.evaluator);
-        for batch in state.batches_done..context.batches {
-            match run_batch_supervised(self, &mut sim, batch, context.perf) {
-                Ok(outcome) => {
-                    if self.fold_batch(context, state, outcome) {
-                        break;
-                    }
-                }
-                Err(error) => return Err(error),
-            }
-        }
-        Ok(())
-    }
-
-    /// The single-threaded dense fast path: one simulator, per-set
-    /// `u32` index scratch reused across batches, observations absorbed
-    /// straight into the live tables — no hashing, no sorting, no
-    /// per-batch allocation. Extraction (the fallible phase) runs under
-    /// supervision; the commit happens only after the whole batch
-    /// succeeded, so retried batches count exactly once.
-    fn run_in_place_dense(
-        &self,
-        context: &FoldContext<'_>,
-        state: &mut CampaignState,
-    ) -> Result<(), CampaignError> {
-        let perf = context.perf;
-        let mut sim = Simulator::with_evaluator(self.netlist, self.config.evaluator);
-        let mut indices = vec![[0u32; LANES]; context.probe_sets.len()];
-        for batch in state.batches_done..context.batches {
-            let (lane_groups, stats) =
-                run_batch_dense_supervised(self, &mut sim, batch, perf, &mut indices)?;
-            {
-                let _span = perf.span("tabulate");
-                for (slot, table) in indices.iter().zip(&mut state.tables) {
-                    table.absorb_indices(slot, lane_groups);
-                }
-            }
-            state.folded.cycles += stats.cycles;
-            state.folded.cell_evals += stats.cell_evals;
-            state.batches_done += 1;
-            if self.after_batch(context, state) {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    /// Shards batches across a supervised worker pool under the ordered
-    /// fold protocol. Workers claim batch indices from a shared atomic
-    /// counter (quarantined retries first) and each own a private
-    /// [`Simulator`]; the coordinator (this thread) reorders completed
-    /// batches through a `BTreeMap` buffer and folds them in strict
-    /// batch order, so the result is byte-identical to the in-place
-    /// single-threaded loop.
-    ///
-    /// Fault containment (see [`crate::supervisor`]): every batch
-    /// attempt runs inside a panic boundary. A faulted batch is pushed
-    /// onto a shared retry queue — the next free (healthy) worker
-    /// rebuilds its simulator, backs off briefly and re-runs it; a
-    /// panicked attempt delivers no outcome, so the fold sees each
-    /// batch exactly once and reports stay byte-identical under
-    /// injected faults. A batch that exhausts
-    /// [`supervisor::MAX_ATTEMPTS`] is fatal: the pool stops and the
-    /// campaign returns [`CampaignError::Worker`]. The coordinator
-    /// doubles as a heartbeat watchdog, flagging shards whose in-flight
-    /// batch is overdue into the degraded registry (advisory only —
-    /// wall-clock diagnostics never reach the report).
-    ///
-    /// Each worker records perf into its own recorder, merged into the
-    /// campaign recorder at join (per-phase totals then sum CPU time
-    /// across workers, which can exceed wall time).
-    fn run_sharded(
-        &self,
-        context: &FoldContext<'_>,
-        state: &mut CampaignState,
-        threads: usize,
-    ) -> Result<(), CampaignError> {
-        let next_batch = AtomicU64::new(state.batches_done);
-        let stop = AtomicBool::new(false);
-        let retry_queue = RetryQueue::new();
-        let heartbeats = supervisor::Heartbeats::new(threads);
-        let stall_timeout_ms = supervisor::stall_timeout_ms();
-        // First fatal worker verdict wins; later ones are dropped.
-        let fatal: Mutex<Option<CampaignError>> = Mutex::new(None);
-        // Bounded channel: backpressure keeps the reorder buffer (and
-        // per-worker memory) proportional to the thread count even when
-        // one batch folds slowly (e.g. a checkpoint snapshot).
-        let (sender, receiver) = mpsc::sync_channel::<BatchOutcome>(threads * 2);
-        let perf_enabled = context.perf.is_enabled();
-        let mut result = Ok(());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|worker| {
-                    let sender = sender.clone();
-                    let next_batch = &next_batch;
-                    let stop = &stop;
-                    let retry_queue = &retry_queue;
-                    let heartbeats = &heartbeats;
-                    let fatal = &fatal;
-                    scope.spawn(move || {
-                        let worker_perf = if perf_enabled {
-                            PerfRecorder::enabled()
-                        } else {
-                            PerfRecorder::disabled()
-                        };
-                        let mut sim =
-                            Simulator::with_evaluator(self.netlist, self.config.evaluator);
-                        while !stop.load(Ordering::Acquire) {
-                            // Quarantined batches first: a faulted batch
-                            // must not languish behind the claim
-                            // frontier (the fold is blocked on it).
-                            let (batch, prior_attempts) = match retry_queue.pop() {
-                                Some(claim) => (claim.batch, claim.attempts),
-                                None => {
-                                    let batch = next_batch.fetch_add(1, Ordering::Relaxed);
-                                    if batch >= context.batches {
-                                        break;
-                                    }
-                                    (batch, 0)
-                                }
-                            };
-                            if prior_attempts > 0 {
-                                std::thread::sleep(Duration::from_millis(supervisor::backoff_ms(
-                                    prior_attempts,
-                                )));
-                            }
-                            heartbeats.start(worker, batch);
-                            let attempt = supervisor::supervised(batch, || {
-                                self.run_batch(&mut sim, batch, &worker_perf)
-                            });
-                            heartbeats.idle(worker);
-                            match attempt {
-                                // A closed channel means the coordinator
-                                // stopped (early stop, interrupt or error).
-                                Ok(outcome) => {
-                                    if sender.send(outcome).is_err() {
-                                        break;
-                                    }
-                                }
-                                Err(fault) => {
-                                    // The panicked attempt may have torn
-                                    // the simulator mid-step; rebuild it
-                                    // rather than trust its state.
-                                    sim = Simulator::with_evaluator(
-                                        self.netlist,
-                                        self.config.evaluator,
-                                    );
-                                    let attempts = prior_attempts + 1;
-                                    if attempts >= supervisor::MAX_ATTEMPTS {
-                                        let mut slot = fatal
-                                            .lock()
-                                            .unwrap_or_else(|poison| poison.into_inner());
-                                        slot.get_or_insert(CampaignError::Worker {
-                                            batch,
-                                            attempts,
-                                            message: fault.to_string(),
-                                        });
-                                        stop.store(true, Ordering::Release);
-                                        break;
-                                    }
-                                    retry_queue.push(batch, attempts);
-                                }
-                            }
-                        }
-                        worker_perf
-                    })
-                })
-                .collect();
-            drop(sender);
-            // Reorder buffer: outcomes arrive in completion order and
-            // are folded in batch order. A disconnect means every
-            // worker exited — with all batches claimed and sent, that
-            // only happens once the frontier has caught up (or the
-            // pool stopped on a fatal fault, picked up below).
-            let mut pending: BTreeMap<u64, BatchOutcome> = BTreeMap::new();
-            let mut flagged_stall = vec![false; threads];
-            'fold: while state.batches_done < context.batches {
-                let outcome = match receiver.recv_timeout(Duration::from_millis(WATCHDOG_TICK_MS)) {
-                    Ok(outcome) => outcome,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        // Watchdog tick: advisory stall flags (once
-                        // per worker) and the fatal-verdict check.
-                        for (worker, fault) in heartbeats.stalled(stall_timeout_ms) {
-                            if !flagged_stall[worker] {
-                                flagged_stall[worker] = true;
-                                mmaes_telemetry::degraded::mark(
-                                    "worker",
-                                    &format!("worker {worker}: {fault}"),
-                                );
-                            }
-                        }
-                        let poisoned = fatal.lock().unwrap_or_else(|poison| poison.into_inner());
-                        if poisoned.is_some() {
-                            break;
-                        }
-                        continue;
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                };
-                pending.insert(outcome.batch, outcome);
-                while let Some(outcome) = pending.remove(&state.batches_done) {
-                    if self.fold_batch(context, state, outcome) {
-                        break 'fold;
-                    }
-                }
-            }
-            // Shut down: flag first, then close the channel so workers
-            // blocked in `send` observe the disconnect and exit.
-            stop.store(true, Ordering::Release);
-            drop(receiver);
-            for handle in handles {
-                match handle.join() {
-                    Ok(worker_perf) => context.perf.absorb(&worker_perf),
-                    // Unreachable: every batch attempt runs inside the
-                    // supervisor's panic boundary.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            if let Some(error) = fatal
-                .lock()
-                .unwrap_or_else(|poison| poison.into_inner())
-                .take()
-            {
-                result = Err(error);
-            }
-        });
-        result
-    }
-
-    /// Shards batches across workers with **thread-local dense tables**
-    /// and a commutative once-per-window merge — the protocol dense
-    /// absorption licenses (see [`crate::tabulate`]): a dense table can
-    /// never overflow its cap, so its counts are plain integer sums and
-    /// fold order is irrelevant. Workers claim [`DENSE_CHUNK`]-batch
-    /// chunks from an atomic counter and absorb each batch into their
-    /// own shard; nothing crosses a channel per batch, eliminating the
-    /// steady-state `merge` phase and the reorder buffer entirely.
-    ///
-    /// Byte-identity is preserved by *windowing*: the claim frontier
-    /// runs only to the next checkpoint boundary (`checkpoint_every`
-    /// multiple, `stop_after_batches` cap, or the end), the coordinator
-    /// folds every shard exactly there, and [`Engine::after_batch`]
-    /// then sees the same `batches_done` — and bit-identical tables,
-    /// since integer addition is associative — as the single-threaded
-    /// loop does at that batch. Checkpoints, trajectories, snapshots,
-    /// early stops and deterministic interrupts land on identical
-    /// bytes.
-    ///
-    /// Fault containment: each batch retries in place under the
-    /// supervisor's budget (rebuilt simulator, bounded backoff), like
-    /// the single-threaded loop. A batch that exhausts its budget is
-    /// fatal: the window's shard tables are **discarded unmerged**
-    /// (workers stop mid-window, so their union is not a contiguous
-    /// batch range) and the campaign state remains at the last window
-    /// boundary — still contiguous, so the emergency snapshot stays
-    /// valid. The coordinator doubles as the heartbeat watchdog,
-    /// flagging overdue shards into the degraded registry (advisory).
-    fn run_sharded_dense(
-        &self,
-        context: &FoldContext<'_>,
-        state: &mut CampaignState,
-        threads: usize,
-    ) -> Result<(), CampaignError> {
-        let config = self.config;
-        let perf_enabled = context.perf.is_enabled();
-        let heartbeats = supervisor::Heartbeats::new(threads);
-        let stall_timeout_ms = supervisor::stall_timeout_ms();
-        let mut flagged_stall = vec![false; threads];
-        let interrupt = &config.durability.interrupt;
-        // Hoisted across windows: simulators (lowering is one-time
-        // work), per-worker shard tables (drained by each window's
-        // merge) and per-worker perf recorders (absorbed once at exit).
-        let mut sims: Vec<Simulator> = (0..threads)
-            .map(|_| Simulator::with_evaluator(self.netlist, config.evaluator))
-            .collect();
-        let mut shards: Vec<Vec<Table>> = (0..threads)
-            .map(|_| {
-                context
-                    .probe_sets
-                    .iter()
-                    .map(|set| make_table(set, config))
-                    .collect()
-            })
-            .collect();
-        let worker_perfs: Vec<PerfRecorder> = (0..threads)
-            .map(|_| {
-                if perf_enabled {
-                    PerfRecorder::enabled()
-                } else {
-                    PerfRecorder::disabled()
-                }
-            })
-            .collect();
-        let mut result = Ok(());
-        while state.batches_done < context.batches {
-            let window_start = state.batches_done;
-            // The window runs to the next single-thread decision point:
-            // checkpoint multiple, deterministic batch cap, or the end.
-            // (`cap.max(window_start + 1)` reproduces the single-thread
-            // loop, which always folds one more batch before noticing
-            // the cap when resumed at or past it.)
-            let mut window_end = match window_start.checked_div(context.checkpoint_every) {
-                Some(windows_done) => {
-                    ((windows_done + 1) * context.checkpoint_every).min(context.batches)
-                }
-                None => context.batches,
-            };
-            if let Some(cap) = config.durability.stop_after_batches {
-                window_end = window_end.min(cap.max(window_start + 1));
-            }
-            let next_batch = AtomicU64::new(window_start);
-            let stop = AtomicBool::new(false);
-            let fatal: Mutex<Option<CampaignError>> = Mutex::new(None);
-            // Workers report their window's SimStats exactly once at
-            // exit; the channel doubles as the coordinator's completion
-            // wake-up between watchdog ticks.
-            let (sender, receiver) = mpsc::channel::<SimStats>();
-            let mut window_stats = SimStats::default();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = sims
-                    .iter_mut()
-                    .zip(shards.iter_mut())
-                    .zip(worker_perfs.iter())
-                    .enumerate()
-                    .map(|(worker, ((sim, shard), worker_perf))| {
-                        let sender = sender.clone();
-                        let next_batch = &next_batch;
-                        let stop = &stop;
-                        let fatal = &fatal;
-                        let heartbeats = &heartbeats;
-                        scope.spawn(move || {
-                            let mut indices = vec![[0u32; LANES]; shard.len()];
-                            let mut local = SimStats::default();
-                            'claim: while !stop.load(Ordering::Acquire) {
-                                let chunk = next_batch.fetch_add(DENSE_CHUNK, Ordering::Relaxed);
-                                if chunk >= window_end {
-                                    break;
-                                }
-                                // A claimed chunk always completes (or
-                                // turns fatal), so the absorbed batches
-                                // are exactly the contiguous range below
-                                // the claim frontier.
-                                for batch in chunk..(chunk + DENSE_CHUNK).min(window_end) {
-                                    heartbeats.start(worker, batch);
-                                    let attempt = run_batch_dense_supervised(
-                                        self,
-                                        sim,
-                                        batch,
-                                        worker_perf,
-                                        &mut indices,
-                                    );
-                                    heartbeats.idle(worker);
-                                    match attempt {
-                                        Ok((lane_groups, stats)) => {
-                                            let _span = worker_perf.span("tabulate");
-                                            for (slot, table) in
-                                                indices.iter().zip(shard.iter_mut())
-                                            {
-                                                table.absorb_indices(slot, lane_groups);
-                                            }
-                                            local.cycles += stats.cycles;
-                                            local.cell_evals += stats.cell_evals;
-                                        }
-                                        Err(error) => {
-                                            fatal
-                                                .lock()
-                                                .unwrap_or_else(|poison| poison.into_inner())
-                                                .get_or_insert(error);
-                                            stop.store(true, Ordering::Release);
-                                            break 'claim;
-                                        }
-                                    }
-                                }
-                                if interrupt
-                                    .as_ref()
-                                    .is_some_and(|flag| flag.load(Ordering::Relaxed))
-                                {
-                                    // Stop claiming; completed chunks
-                                    // stand, and the merge below folds
-                                    // the contiguous claimed range.
-                                    break;
-                                }
-                            }
-                            let _ = sender.send(local);
-                        })
-                    })
-                    .collect();
-                drop(sender);
-                let mut done = 0usize;
-                while done < threads {
-                    match receiver.recv_timeout(Duration::from_millis(WATCHDOG_TICK_MS)) {
-                        Ok(local) => {
-                            window_stats.cycles += local.cycles;
-                            window_stats.cell_evals += local.cell_evals;
-                            done += 1;
-                        }
-                        Err(mpsc::RecvTimeoutError::Timeout) => {
-                            for (worker, fault) in heartbeats.stalled(stall_timeout_ms) {
-                                if !flagged_stall[worker] {
-                                    flagged_stall[worker] = true;
-                                    mmaes_telemetry::degraded::mark(
-                                        "worker",
-                                        &format!("worker {worker}: {fault}"),
-                                    );
-                                }
-                            }
-                        }
-                        Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-                for handle in handles {
-                    if let Err(payload) = handle.join() {
-                        // Unreachable: batch attempts run inside the
-                        // supervisor's panic boundary.
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            });
-            if let Some(error) = fatal
-                .lock()
-                .unwrap_or_else(|poison| poison.into_inner())
-                .take()
-            {
-                // Discard the torn window: the shards' union is not a
-                // contiguous batch range. State stays at the last
-                // window boundary, which is.
-                result = Err(error);
-                break;
-            }
-            let reached = next_batch.load(Ordering::Relaxed).min(window_end);
-            {
-                let _span = context.perf.span("merge");
-                for shard in &mut shards {
-                    for (table, local) in state.tables.iter_mut().zip(shard.iter_mut()) {
-                        table.merge_from(local);
-                    }
-                }
-            }
-            state.folded.cycles += window_stats.cycles;
-            state.folded.cell_evals += window_stats.cell_evals;
-            state.batches_done = reached;
-            if self.after_batch(context, state) || reached < window_end {
-                break;
-            }
-        }
-        for worker_perf in &worker_perfs {
-            context.perf.absorb(worker_perf);
-        }
-        result
-    }
 }
 
-/// Packs each lane's extended observation of `set` into a key.
-///
-/// Up to 128 observed bits are packed exactly; beyond that, bits are
-/// folded with a deterministic 128-bit mix (collisions can only merge
-/// contingency columns — they can weaken detection, never fabricate it).
-fn observation_keys(sim: &Simulator, set: &ProbeSet, model: ProbeModel) -> [u128; LANES] {
-    let bits = set.observation_bits(model);
-    let mut keys = [0u128; LANES];
-    let mut position = 0usize;
-    let push_word = |keys: &mut [u128; LANES], word: u64, position: usize| {
-        if position < 128 {
-            for (lane, key) in keys.iter_mut().enumerate() {
-                *key |= (((word >> lane) & 1) as u128) << position;
-            }
-        } else {
-            const PRIME: u128 = 0x0000_0100_0000_01b3_0000_0100_0000_01b3;
-            for (lane, key) in keys.iter_mut().enumerate() {
-                *key = key.wrapping_mul(PRIME) ^ (((word >> lane) & 1) as u128 + 2);
-            }
-        }
-    };
-    for &wire in &set.observed {
-        push_word(&mut keys, sim.value(wire), position);
-        position += 1;
-        if matches!(model, ProbeModel::GlitchTransition) {
-            push_word(&mut keys, sim.prev_value(wire), position);
-            position += 1;
-        }
-    }
-    debug_assert_eq!(position, bits);
-    keys
-}
-
-/// [`observation_keys`] specialized to dense-eligible sets: packs each
-/// lane's observation into a `u32` index using the *same* bit layout
-/// (observed bit `i` at index bit `i`), so the index is bit-for-bit the
-/// zero-extended `u128` key — which is why a dense table's linear scan
-/// serializes in the exact sorted-key order the hashed store emits.
-/// Only called for sets whose [`ProbeSet::dense_index_width`] fits
-/// `u32`, so no overflow-mix arm exists here.
-fn observation_indices(
-    sim: &Simulator,
-    set: &ProbeSet,
-    model: ProbeModel,
-    indices: &mut [u32; LANES],
-) {
-    let bits = set.observation_bits(model);
-    debug_assert!(bits <= crate::tabulate::MAX_DENSE_WIDTH);
-    indices.fill(0);
-    let mut position = 0u32;
-    let mut push_word = |indices: &mut [u32; LANES], word: u64| {
-        for (lane, index) in indices.iter_mut().enumerate() {
-            *index |= (((word >> lane) & 1) as u32) << position;
-        }
-        position += 1;
-    };
-    for &wire in &set.observed {
-        push_word(indices, sim.value(wire));
-        if matches!(model, ProbeModel::GlitchTransition) {
-            push_word(indices, sim.prev_value(wire));
-        }
-    }
-    debug_assert_eq!(position as usize, bits);
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::campaign::FixedVsRandom;
-    use crate::config::EvaluationConfig;
-    use mmaes_netlist::{Netlist, NetlistBuilder, SecretId, SignalRole};
-    use mmaes_sim::EvaluatorMode;
-    use mmaes_telemetry::{Event, Observer};
-
-    fn share_role(share: u8) -> SignalRole {
-        SignalRole::Share {
-            secret: SecretId(0),
-            share,
-            bit: 0,
-        }
-    }
-
-    /// An unmasked design: the secret bit goes straight to a register.
-    /// Fixed-vs-random must flag it instantly.
-    fn blatantly_leaky() -> Netlist {
-        let mut builder = NetlistBuilder::new("leaky");
-        let share0 = builder.input("s0", share_role(0));
-        let share1 = builder.input("s1", share_role(1));
-        let secret = builder.xor2(share0, share1); // recombines the secret!
-        let q = builder.register(secret);
-        let out = builder.buf(q);
-        builder.output("out", out);
-        builder.build().expect("valid")
-    }
-
-    /// A properly masked pass-through: each share is registered
-    /// independently; no wire depends on both shares.
-    fn properly_masked() -> Netlist {
-        let mut builder = NetlistBuilder::new("masked");
-        let share0 = builder.input("s0", share_role(0));
-        let share1 = builder.input("s1", share_role(1));
-        let q0 = builder.register(share0);
-        let q1 = builder.register(share1);
-        builder.output("q0", q0);
-        builder.output("q1", q1);
-        builder.build().expect("valid")
-    }
-
-    fn config(traces: u64) -> EvaluationConfig {
-        EvaluationConfig {
-            traces,
-            warmup_cycles: 3,
-            ..EvaluationConfig::default()
-        }
-    }
-
-    #[test]
-    fn retained_tables_are_identical_across_thread_counts() {
-        let netlist = blatantly_leaky();
-        let run = |threads: usize| {
-            let (_, tables) = FixedVsRandom::new(
-                &netlist,
-                EvaluationConfig {
-                    threads,
-                    ..config(20_000)
-                },
-            )
-            .try_run_with_tables()
-            .expect("valid campaign");
-            tables
-        };
-        let single = run(1);
-        let sharded = run(2);
-        assert_eq!(single.len(), sharded.len());
-        for (a, b) in single.iter().zip(&sharded) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.columns, b.columns);
-            assert_eq!(a.overflow, b.overflow);
-            assert_eq!(a.samples, b.samples);
-        }
-    }
-
-    #[test]
-    fn checkpoints_record_trajectories_and_emit_events() {
-        use mmaes_telemetry::MemorySink;
-        let netlist = blatantly_leaky();
-        let sink = MemorySink::new();
-        let collected = sink.events();
-        let report = FixedVsRandom::new(
-            &netlist,
-            EvaluationConfig {
-                traces: 20_000,
-                warmup_cycles: 3,
-                checkpoints: 4,
-                ..EvaluationConfig::default()
-            },
-        )
-        .with_observer(Observer::single(sink))
-        .try_run()
-        .expect("campaign");
-
-        let worst = report.worst().expect("results");
-        assert!(worst.trajectory.len() >= 2, "{:?}", worst.trajectory);
-        for pair in worst.trajectory.windows(2) {
-            assert!(pair[0].0 < pair[1].0, "trace counts must increase");
-        }
-        assert!(worst.trajectory.last().expect("points").0 <= report.traces);
-
-        let events = collected.lock().unwrap();
-        assert!(matches!(
-            events.first(),
-            Some(Event::CampaignStarted { .. })
-        ));
-        assert!(events
-            .iter()
-            .any(|event| matches!(event, Event::CampaignCheckpoint(_))));
-        assert!(events
-            .iter()
-            .any(|event| matches!(event, Event::ProbeFlagged { .. })));
-        assert!(events
-            .iter()
-            .any(|event| matches!(event, Event::SimProgress { .. })));
-        assert!(matches!(
-            events.last(),
-            Some(Event::CampaignFinished { passed: false, .. })
-        ));
-    }
-
-    #[test]
-    fn early_stop_cuts_the_trace_budget_on_decisive_leak() {
-        let netlist = blatantly_leaky();
-        let report = FixedVsRandom::new(
-            &netlist,
-            EvaluationConfig {
-                traces: 64_000,
-                warmup_cycles: 3,
-                checkpoints: 16,
-                early_stop: true,
-                ..EvaluationConfig::default()
-            },
-        )
-        .try_run()
-        .expect("campaign");
-        assert!(!report.passed());
-        assert!(report.early_stopped);
-        assert!(
-            report.traces < 64_000,
-            "stopped at {} traces",
-            report.traces
-        );
-    }
-
-    #[test]
-    fn default_config_keeps_the_fast_path_trajectory_free() {
-        let netlist = properly_masked();
-        let report = FixedVsRandom::new(&netlist, config(1_000))
-            .try_run()
-            .expect("campaign");
-        assert!(report
-            .results
-            .iter()
-            .all(|result| result.trajectory.is_empty()));
-        assert!(!report.early_stopped);
-    }
-
-    #[test]
-    fn trajectory_of_a_strong_leak_is_monotone_for_a_deterministic_seed() {
-        // The G statistic of a genuine leak accumulates with the sample
-        // count, so the running -log10(p) of the worst probe must grow
-        // checkpoint over checkpoint (the seed fixes the sampling, so
-        // this is exact, not probabilistic).
-        let netlist = blatantly_leaky();
-        let report = FixedVsRandom::new(
-            &netlist,
-            EvaluationConfig {
-                traces: 32_000,
-                warmup_cycles: 3,
-                checkpoints: 8,
-                ..EvaluationConfig::default()
-            },
-        )
-        .try_run()
-        .expect("campaign");
-        let worst = report.worst().expect("results");
-        assert!(worst.trajectory.len() >= 4, "{:?}", worst.trajectory);
-        for pair in worst.trajectory.windows(2) {
-            assert!(pair[0].0 < pair[1].0, "trace counts must increase");
-            assert!(
-                pair[1].1 >= pair[0].1,
-                "-log10(p) regressed: {:?}",
-                worst.trajectory
-            );
-        }
-        assert!(worst.trajectory.last().expect("points").1 <= worst.minus_log10_p);
-    }
-
-    #[test]
-    fn tiny_table_cap_pools_overflow_without_losing_the_leak() {
-        // max_table_keys bounds per-probe memory; once the cap is hit,
-        // further keys land in the overflow bucket. The bucket is one
-        // more contingency column, so a blatant leak survives even an
-        // absurdly small cap.
-        let netlist = blatantly_leaky();
-        let report = FixedVsRandom::new(
-            &netlist,
-            EvaluationConfig {
-                traces: 20_000,
-                warmup_cycles: 3,
-                max_table_keys: 1,
-                ..EvaluationConfig::default()
-            },
-        )
-        .try_run()
-        .expect("campaign");
-        assert!(!report.passed(), "{report}");
-        for result in &report.results {
-            assert!(result.distinct_keys <= 1, "cap violated: {result:?}");
-        }
-    }
-
-    #[test]
-    fn sharded_campaign_is_byte_identical_to_single_threaded() {
-        let netlist = blatantly_leaky();
-        let base = EvaluationConfig {
-            traces: 20_000,
-            warmup_cycles: 3,
-            checkpoints: 4,
-            ..EvaluationConfig::default()
-        };
-        let single = FixedVsRandom::new(&netlist, base.clone())
-            .try_run()
-            .expect("campaign");
-        let sharded = FixedVsRandom::new(&netlist, EvaluationConfig { threads: 4, ..base })
-            .try_run()
-            .expect("campaign");
-        assert_eq!(single.results, sharded.results);
-        assert_eq!(single.traces, sharded.traces);
-        assert_eq!(single.cell_evals, sharded.cell_evals);
-        assert_eq!(single.to_csv(), sharded.to_csv());
-    }
-
-    #[test]
-    fn sharded_overflow_tables_match_single_threaded() {
-        // The nastiest determinism case: with a tiny table cap, *which*
-        // keys claim the last slots depends on insertion order. The
-        // per-batch sorted-runs aggregation plus in-order folding makes
-        // that order a function of the batch sequence alone.
-        let netlist = blatantly_leaky();
-        let base = EvaluationConfig {
-            traces: 20_000,
-            warmup_cycles: 3,
-            max_table_keys: 1,
-            ..EvaluationConfig::default()
-        };
-        let single = FixedVsRandom::new(&netlist, base.clone())
-            .try_run()
-            .expect("campaign");
-        let sharded = FixedVsRandom::new(&netlist, EvaluationConfig { threads: 3, ..base })
-            .try_run()
-            .expect("campaign");
-        assert_eq!(single.results, sharded.results);
-    }
-
-    #[test]
-    fn sharded_early_stop_matches_single_threaded() {
-        // Early stop is decided at a fold-side checkpoint, so the
-        // stopping batch — and therefore the reported trace count — is
-        // identical no matter how many workers were still simulating.
-        let netlist = blatantly_leaky();
-        let base = EvaluationConfig {
-            traces: 64_000,
-            warmup_cycles: 3,
-            checkpoints: 16,
-            early_stop: true,
-            ..EvaluationConfig::default()
-        };
-        let single = FixedVsRandom::new(&netlist, base.clone())
-            .try_run()
-            .expect("campaign");
-        let sharded = FixedVsRandom::new(&netlist, EvaluationConfig { threads: 4, ..base })
-            .try_run()
-            .expect("campaign");
-        assert!(sharded.early_stopped);
-        assert_eq!(single.traces, sharded.traces);
-        assert_eq!(single.results, sharded.results);
-    }
-
-    #[test]
-    fn interpreted_evaluator_reproduces_the_compiled_report() {
-        let netlist = blatantly_leaky();
-        let base = config(10_000);
-        let compiled = FixedVsRandom::new(&netlist, base.clone())
-            .try_run()
-            .expect("campaign");
-        let interpreted = FixedVsRandom::new(
-            &netlist,
-            EvaluationConfig {
-                evaluator: EvaluatorMode::Interpreted,
-                ..base
-            },
-        )
-        .try_run()
-        .expect("campaign");
-        assert_eq!(compiled.results, interpreted.results);
-        assert_eq!(compiled.cell_evals, interpreted.cell_evals);
-    }
-
-    #[test]
-    fn ttest_statistic_produces_a_report_across_thread_counts() {
-        use crate::stats::StatisticKind;
-        let netlist = blatantly_leaky();
-        let base = EvaluationConfig {
-            statistic: StatisticKind::TTest,
-            traces: 20_000,
-            warmup_cycles: 3,
-            checkpoints: 4,
-            ..EvaluationConfig::default()
-        };
-        let single = FixedVsRandom::new(&netlist, base.clone())
-            .try_run()
-            .expect("campaign");
-        // The recombined secret shifts the mean Hamming weight of the
-        // observed cone between populations — the t-test must see it.
-        assert!(!single.passed(), "{single}");
-        let sharded = FixedVsRandom::new(&netlist, EvaluationConfig { threads: 4, ..base })
-            .try_run()
-            .expect("campaign");
-        assert_eq!(single.results, sharded.results);
-        assert_eq!(single.to_csv(), sharded.to_csv());
-        // And a sound design stays clean under the t-test.
-        let clean = FixedVsRandom::new(
-            &properly_masked(),
-            EvaluationConfig {
-                statistic: StatisticKind::TTest,
-                ..config(20_000)
-            },
-        )
-        .try_run()
-        .expect("campaign");
-        assert!(clean.passed(), "{clean}");
-    }
+fn add_stats(into: &mut SimStats, from: SimStats) {
+    into.cycles += from.cycles;
+    into.cell_evals += from.cell_evals;
 }

@@ -48,7 +48,6 @@ pub use config::{CampaignMode, Durability, EvaluationConfig, SecretDomain};
 pub use error::CampaignError;
 pub use forensics::{EvidenceBundle, ExactDependence, RandomnessReuse};
 pub use health::MIN_EXPECTED_FLOOR;
-pub use mmaes_sim::EvaluatorMode;
 pub use mutate::{mutants, FaultKind, Mutant};
 pub use probe::{enumerate_probe_sets, ProbeModel, ProbeSet};
 pub use report::{LeakageReport, ProbeResult};

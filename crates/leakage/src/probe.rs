@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 
 use mmaes_netlist::{Netlist, StableCones, WireId};
+use mmaes_sim::{Simulator, LANES};
 
 /// The adversarial model used to extend probes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -63,6 +64,72 @@ impl ProbeSet {
             return None;
         }
         ((1u64 << bits) <= max_table_keys as u64).then_some(bits)
+    }
+
+    /// Packs each lane's extended observation of this set into a key:
+    /// observed bit `i` at key bit `i` (a wire's current value, then —
+    /// under transitions — its previous one).
+    ///
+    /// Up to 128 observed bits are packed exactly; beyond that, bits are
+    /// folded with a deterministic 128-bit mix (collisions can only
+    /// merge contingency columns — they can weaken detection, never
+    /// fabricate it).
+    pub(crate) fn observation_keys(&self, sim: &Simulator, model: ProbeModel) -> [u128; LANES] {
+        let mut keys = [0u128; LANES];
+        let mut position = 0usize;
+        let push_word = |keys: &mut [u128; LANES], word: u64, position: usize| {
+            if position < 128 {
+                for (lane, key) in keys.iter_mut().enumerate() {
+                    *key |= (((word >> lane) & 1) as u128) << position;
+                }
+            } else {
+                const PRIME: u128 = 0x0000_0100_0000_01b3_0000_0100_0000_01b3;
+                for (lane, key) in keys.iter_mut().enumerate() {
+                    *key = key.wrapping_mul(PRIME) ^ (((word >> lane) & 1) as u128 + 2);
+                }
+            }
+        };
+        for &wire in &self.observed {
+            push_word(&mut keys, sim.value(wire), position);
+            position += 1;
+            if matches!(model, ProbeModel::GlitchTransition) {
+                push_word(&mut keys, sim.prev_value(wire), position);
+                position += 1;
+            }
+        }
+        debug_assert_eq!(position, self.observation_bits(model));
+        keys
+    }
+
+    /// [`ProbeSet::observation_keys`] specialized to dense-eligible
+    /// sets: packs each lane's observation into a `u32` index using the
+    /// *same* bit layout, so the index is bit-for-bit the zero-extended
+    /// `u128` key — which is why a dense table's linear scan serializes
+    /// in the exact sorted-key order the hashed store emits. Only called
+    /// for sets whose [`ProbeSet::dense_index_width`] fits `u32`, so no
+    /// overflow-mix arm exists here.
+    pub(crate) fn observation_indices(
+        &self,
+        sim: &Simulator,
+        model: ProbeModel,
+        indices: &mut [u32; LANES],
+    ) {
+        debug_assert!(self.observation_bits(model) <= crate::tabulate::MAX_DENSE_WIDTH);
+        indices.fill(0);
+        let mut position = 0u32;
+        let mut push_word = |indices: &mut [u32; LANES], word: u64| {
+            for (lane, index) in indices.iter_mut().enumerate() {
+                *index |= (((word >> lane) & 1) as u32) << position;
+            }
+            position += 1;
+        };
+        for &wire in &self.observed {
+            push_word(indices, sim.value(wire));
+            if matches!(model, ProbeModel::GlitchTransition) {
+                push_word(indices, sim.prev_value(wire));
+            }
+        }
+        debug_assert_eq!(position as usize, self.observation_bits(model));
     }
 }
 

@@ -630,7 +630,10 @@ mod tests {
         // A snapshot path whose directory does not exist (the portable
         // stand-in for a read-only directory — these tests may run as
         // root, where permission bits do not bite) must fail typed
-        // through the whole retry budget.
+        // through the whole retry budget. Its saves pass through the
+        // process-global failpoint registry, so hold the gate: otherwise
+        // they would consume the hit counts of a concurrent fault test.
+        let _guard = mmaes_telemetry::failpoint::scoped("");
         let path = std::env::temp_dir()
             .join("mmaes-snapshot-missing-dir-test")
             .join("nonexistent")

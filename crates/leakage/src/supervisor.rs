@@ -1,34 +1,30 @@
-//! Worker supervision for sharded campaigns (DESIGN.md § Fault
-//! containment).
+//! Worker supervision for campaigns (DESIGN.md § Fault containment).
 //!
 //! A multi-hour campaign must not lose its statistics to one worker
 //! thread dying mid-batch. This module wraps batch execution in a
-//! panic boundary with a typed [`WorkerFault`] taxonomy, quarantines
-//! faulted batches on a retry queue so a healthy worker can take them
-//! over with bounded backoff, and tracks per-worker heartbeats so the
-//! coordinator can flag a stalled shard.
+//! panic boundary with a typed [`WorkerFault`] taxonomy, bounds the
+//! in-place retries of a faulted batch with a short backoff, and tracks
+//! per-worker heartbeats so the coordinator can flag a stalled shard.
 //!
 //! Crucially, none of this can perturb the report: every batch's
 //! randomness is a pure function of `(seed, batch)` (see
 //! [`crate::campaign`]), so a retried batch reproduces the exact
 //! outcome the faulted attempt would have produced, and a panicked
-//! attempt never delivers an outcome at all — the coordinator's
-//! batch-order folding sees each batch exactly once. Reports therefore
-//! stay byte-identical across thread counts *and* injected faults.
-//! Stall detection is the one wall-clock-based diagnostic here, which
-//! is why it is advisory only: it lands in the
-//! [`mmaes_telemetry::degraded`] registry, never in the report.
+//! attempt commits nothing — the campaign's tables see each batch
+//! exactly once. Reports therefore stay byte-identical across thread
+//! counts *and* injected faults. Stall detection is the one
+//! wall-clock-based diagnostic here, which is why it is advisory only:
+//! it lands in the [`mmaes_telemetry::degraded`] registry, never in the
+//! report.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use mmaes_telemetry::failpoint::{self, Fault};
 
 /// Total attempts a batch gets before its fault becomes fatal: the
-/// first run plus three quarantined retries.
+/// first run plus three retries.
 pub const MAX_ATTEMPTS: u32 = 4;
 
 /// Default stalled-shard threshold: a batch in flight longer than this
@@ -131,50 +127,6 @@ pub fn stall_timeout_ms() -> u64 {
         .unwrap_or(DEFAULT_STALL_TIMEOUT_MS)
 }
 
-/// A quarantined batch awaiting retry: the batch index and how many
-/// attempts it has consumed so far.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Quarantined {
-    /// The batch index to re-run.
-    pub batch: u64,
-    /// Attempts already consumed (≥ 1).
-    pub attempts: u32,
-}
-
-/// Shared retry queue: workers push batches whose attempt faulted and
-/// pop quarantined batches before claiming fresh ones from the counter,
-/// so a faulted batch is re-run promptly (usually by a different,
-/// healthy worker) instead of languishing behind the claim frontier.
-#[derive(Debug, Default)]
-pub struct RetryQueue {
-    queue: Mutex<VecDeque<Quarantined>>,
-}
-
-impl RetryQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        RetryQueue::default()
-    }
-
-    /// Quarantines `batch` after `attempts` consumed attempts.
-    pub fn push(&self, batch: u64, attempts: u32) {
-        let mut queue = self
-            .queue
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner());
-        queue.push_back(Quarantined { batch, attempts });
-    }
-
-    /// Claims the oldest quarantined batch, if any.
-    pub fn pop(&self) -> Option<Quarantined> {
-        let mut queue = self
-            .queue
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner());
-        queue.pop_front()
-    }
-}
-
 /// Sentinel heartbeat value: the worker is idle (between batches).
 const IDLE: u64 = u64::MAX;
 
@@ -270,29 +222,6 @@ mod tests {
         assert!(supervised(3, || ()).is_err(), "first attempt fires");
         assert!(supervised(3, || ()).is_err(), "second attempt fires");
         assert!(supervised(3, || ()).is_ok(), "budget of 2 exhausted");
-    }
-
-    #[test]
-    fn retry_queue_is_fifo() {
-        let queue = RetryQueue::new();
-        assert_eq!(queue.pop(), None);
-        queue.push(5, 1);
-        queue.push(2, 3);
-        assert_eq!(
-            queue.pop(),
-            Some(Quarantined {
-                batch: 5,
-                attempts: 1
-            })
-        );
-        assert_eq!(
-            queue.pop(),
-            Some(Quarantined {
-                batch: 2,
-                attempts: 3
-            })
-        );
-        assert_eq!(queue.pop(), None);
     }
 
     #[test]

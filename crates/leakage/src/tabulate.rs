@@ -2,20 +2,28 @@
 //!
 //! A fixed-vs-random campaign spends most of its time turning
 //! observations into contingency-table counts. This module provides two
-//! interchangeable table stores behind one [`Table`] type:
+//! table stores behind one [`Table`] type:
 //!
 //! * **Dense** — a flat `Vec<[u64; 2]>` directly indexed by the packed
 //!   observation key. Selected per probing set when the set's exact
 //!   key-space width fits (`2^width ≤ max_table_keys`, width ≤
 //!   [`MAX_DENSE_WIDTH`]): absorption is then a bounds-checked array
-//!   increment — no hashing, no sorting, no per-batch allocation — and
-//!   the table can never overflow its cap, which is what makes dense
-//!   absorption *commutative* and lets sharded workers keep
-//!   thread-local tables folded once per checkpoint window.
-//! * **Hashed** — the original `HashMap<u128, [u64; 2]>` with an
-//!   overflow bucket past the key cap. The fallback for sets wider than
-//!   the dense rule admits, and the differential-testing reference
-//!   (`--tabulator hashed`).
+//!   increment — no lookup, no sorting, no per-batch allocation — and
+//!   the table can never overflow its cap.
+//! * **Hashed** — a sparse key-ordered map for sets wider than the
+//!   dense rule admits (named as in [`TabulatorMode::Hashed`] and the
+//!   `hashed_tables` perf counter). It keeps at most `cap` keys: the
+//!   **`cap` smallest keys it has seen**, by key value, with every
+//!   other key's counts pooled into one overflow bucket. An arriving key larger than every retained key
+//!   of a full table goes to overflow; a smaller one evicts the largest
+//!   retained key, whose counts move to overflow. A key in the `cap`
+//!   smallest is therefore never pooled, and any other key ends up
+//!   pooled, so the final state depends only on the multiset of
+//!   observations — not on arrival order, batching or sharding.
+//!
+//! Both stores absorb **commutatively**, which is what lets the campaign
+//! engine run one windowed driver: workers absorb into their own shard
+//! tables and [`Table::merge_from`] folds them under the same rule.
 //!
 //! Byte-identity across the two stores is structural, not statistical:
 //! a dense-eligible set has at most `2^width ≤ max_table_keys` distinct
@@ -26,10 +34,10 @@
 //!
 //! [`Table::sorted_columns`] memoizes the sorted snapshot (invalidated
 //! by any absorption), so a checkpoint's G-test sweep, its snapshot
-//! serialization and the final report all share one sort (hashed) or
-//! one linear scan (dense) instead of re-collecting per consumer.
+//! serialization and the final report all share one collection pass
+//! instead of re-collecting per consumer.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use mmaes_sim::LANES;
 
@@ -46,42 +54,33 @@ const TABLE_OVERHEAD_BYTES: u64 = 48;
 /// Bytes per dense cell: one `[u64; 2]`.
 const DENSE_CELL_BYTES: u64 = 16;
 
-/// Estimated resident bytes per hashed entry: 24 bytes of payload
-/// (`u128` key + `[u64; 2]` cell) plus hash-table bucket overhead.
+/// Estimated resident bytes per hashed entry: 32 bytes of payload
+/// (`u128` key + `[u64; 2]` cell) plus map node overhead.
 const HASHED_ENTRY_BYTES: u64 = 48;
 
-/// Which contingency-table store a campaign uses
-/// (`--tabulator dense|hashed`, mirroring `--evaluator`).
+/// Which contingency-table store a campaign uses.
 ///
-/// Both produce byte-identical reports, CSVs, trajectories and
-/// snapshots; `Hashed` exists as the differential-testing reference and
-/// is also what `Dense` silently falls back to per probing set when the
-/// set's key space exceeds the dense selection rule.
+/// Not a user option: campaigns run [`TabulatorMode::Dense`], and
+/// `Hashed` is the hook the campaign-level differential suites use to
+/// force the sparse store on every probing set. Both produce
+/// byte-identical reports, CSVs, trajectories and snapshots whenever no
+/// table overflows its cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TabulatorMode {
     /// Direct-indexed flat tables for every set that fits the selection
-    /// rule, hashed fallback for the rest. The default.
+    /// rule, the hashed store for the rest. The default.
     #[default]
     Dense,
-    /// The HashMap-based reference tabulator for every set.
+    /// The hashed store for every set.
     Hashed,
 }
 
 impl TabulatorMode {
-    /// Canonical CLI spelling.
+    /// Lower-case name, for diagnostics.
     pub fn name(self) -> &'static str {
         match self {
             TabulatorMode::Dense => "dense",
             TabulatorMode::Hashed => "hashed",
-        }
-    }
-
-    /// Parses the [`TabulatorMode::name`] spelling.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "dense" => Some(TabulatorMode::Dense),
-            "hashed" => Some(TabulatorMode::Hashed),
-            _ => None,
         }
     }
 }
@@ -92,7 +91,10 @@ impl TabulatorMode {
 /// keys).
 #[derive(Debug, Clone)]
 enum Store {
-    Hashed(HashMap<u128, [u64; 2]>),
+    Hashed {
+        counts: BTreeMap<u128, [u64; 2]>,
+        cap: usize,
+    },
     Dense(Vec<[u64; 2]>),
 }
 
@@ -107,19 +109,26 @@ pub struct Table {
     samples: u64,
     /// Sorted `(key, cell)` snapshot, memoized until the next
     /// absorption. Serves the checkpoint G-test sweep, snapshot
-    /// serialization and report assembly from one sort/scan.
+    /// serialization and report assembly from one pass.
     sorted: Option<Vec<(u128, [u64; 2])>>,
 }
 
 impl Table {
-    /// An empty hashed table.
-    pub fn hashed() -> Self {
+    fn with_store(store: Store) -> Self {
         Table {
-            store: Store::Hashed(HashMap::new()),
+            store,
             overflow: [0, 0],
             samples: 0,
             sorted: None,
         }
+    }
+
+    /// An empty hashed table retaining at most `cap` keys.
+    pub fn hashed(cap: usize) -> Self {
+        Table::with_store(Store::Hashed {
+            counts: BTreeMap::new(),
+            cap,
+        })
     }
 
     /// An empty dense table of `2^width` cells.
@@ -130,11 +139,14 @@ impl Table {
     /// the selection rule first.
     pub fn dense(width: usize) -> Self {
         assert!(width <= MAX_DENSE_WIDTH, "dense width {width} too wide");
-        Table {
-            store: Store::Dense(vec![[0, 0]; 1usize << width]),
-            overflow: [0, 0],
-            samples: 0,
-            sorted: None,
+        Table::with_store(Store::Dense(vec![[0, 0]; 1usize << width]))
+    }
+
+    /// An empty table with this table's store layout — a worker's shard.
+    pub fn empty_like(&self) -> Self {
+        match &self.store {
+            Store::Hashed { cap, .. } => Table::hashed(*cap),
+            Store::Dense(cells) => Table::with_store(Store::Dense(vec![[0, 0]; cells.len()])),
         }
     }
 
@@ -153,54 +165,44 @@ impl Table {
         self.overflow
     }
 
-    /// Folds one batch's pre-aggregated `(key, per-group counts)` runs
-    /// into the table — the batch-ordered protocol's absorption path.
-    /// Runs arrive sorted by key, so on the hashed store which keys
-    /// claim the last slots under `cap` is a deterministic function of
-    /// the batch sequence — the property that makes sharded campaigns
-    /// byte-identical to single-threaded ones even when tables
-    /// overflow. The dense store ignores `cap`: its key space is
-    /// complete by construction.
-    pub fn absorb_runs(&mut self, runs: &[(u128, [u64; 2])], cap: usize) {
+    /// Adds `cell` to `key`'s counts — on the hashed store under the
+    /// smallest-keys rule (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` lies outside a dense table's key space.
+    pub fn absorb(&mut self, key: u128, cell: [u64; 2]) {
         self.sorted = None;
+        self.samples += cell[0] + cell[1];
         match &mut self.store {
-            Store::Hashed(counts) => {
-                for &(key, cell) in runs {
-                    self.samples += cell[0] + cell[1];
-                    if let Some(existing) = counts.get_mut(&key) {
-                        existing[0] += cell[0];
-                        existing[1] += cell[1];
-                    } else if counts.len() < cap {
-                        counts.insert(key, cell);
-                    } else {
-                        self.overflow[0] += cell[0];
-                        self.overflow[1] += cell[1];
-                    }
-                }
-            }
-            Store::Dense(cells) => {
-                for &(key, cell) in runs {
-                    self.samples += cell[0] + cell[1];
-                    let slot = &mut cells[key as usize];
-                    slot[0] += cell[0];
-                    slot[1] += cell[1];
+            Store::Dense(cells) => add(&mut cells[usize::try_from(key).expect("dense key")], cell),
+            Store::Hashed { counts, cap } => {
+                if let Some(pooled) = retain_smallest(counts, *cap, key, cell) {
+                    add(&mut self.overflow, pooled);
                 }
             }
         }
     }
 
+    /// Absorbs one batch of per-lane observation keys: lane `i` belongs
+    /// to the random population when bit `i` of `lane_groups` is set.
+    pub fn absorb_keys(&mut self, keys: &[u128; LANES], lane_groups: u64) {
+        for (lane, &key) in keys.iter().enumerate() {
+            let mut cell = [0, 0];
+            cell[((lane_groups >> lane) & 1) as usize] = 1;
+            self.absorb(key, cell);
+        }
+    }
+
     /// Absorbs one batch of per-lane packed indices directly — the
-    /// dense fast path: no sort, no run-length encoding, no per-batch
-    /// allocation, just [`LANES`] bounds-checked increments. Lane `i`
-    /// belongs to the random population when bit `i` of `lane_groups`
-    /// is set. Commutative across batches (pure integer adds), which is
-    /// what licenses the per-worker-table merge protocol.
+    /// dense fast path: [`LANES`] bounds-checked increments, nothing
+    /// else. Lane populations as in [`Table::absorb_keys`].
     ///
     /// # Panics
     ///
-    /// Panics if an index exceeds the table's width — an internal
-    /// invariant violation, since indices are packed from exactly the
-    /// bits the width was computed from.
+    /// Panics on a hashed table, or if an index exceeds the table's
+    /// width — an internal invariant violation, since indices are
+    /// packed from exactly the bits the width was computed from.
     pub fn absorb_indices(&mut self, indices: &[u32; LANES], lane_groups: u64) {
         let Store::Dense(cells) = &mut self.store else {
             unreachable!("absorb_indices on a hashed table");
@@ -213,35 +215,32 @@ impl Table {
     }
 
     /// Folds `other` into `self` and drains `other` back to empty — the
-    /// commutative merge a sharded coordinator runs once per checkpoint
-    /// window over each worker's thread-local tables. Both tables must
-    /// share the same store layout (the campaign builds every shard
-    /// from the same probing set).
+    /// merge a multi-threaded campaign runs once per checkpoint window
+    /// over each worker's shard tables. Hashed tables merge under the
+    /// smallest-keys rule, so the result equals absorbing both
+    /// observation streams into one table, in any order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two tables' store layouts differ (shards are built
+    /// with [`Table::empty_like`]).
     pub fn merge_from(&mut self, other: &mut Table) {
         self.sorted = None;
         other.sorted = None;
-        self.samples += other.samples;
-        other.samples = 0;
-        self.overflow[0] += other.overflow[0];
-        self.overflow[1] += other.overflow[1];
-        other.overflow = [0, 0];
+        self.samples += std::mem::take(&mut other.samples);
+        add(&mut self.overflow, std::mem::take(&mut other.overflow));
         match (&mut self.store, &mut other.store) {
             (Store::Dense(into), Store::Dense(from)) => {
                 assert_eq!(into.len(), from.len(), "mismatched dense widths");
                 for (into, from) in into.iter_mut().zip(from.iter_mut()) {
-                    into[0] += from[0];
-                    into[1] += from[1];
-                    *from = [0, 0];
+                    add(into, std::mem::take(from));
                 }
             }
-            (Store::Hashed(into), Store::Hashed(from)) => {
-                // Uncapped by design: the commutative protocol only
-                // runs when every table is dense, so a hashed merge
-                // only occurs in direct API use (e.g. tests).
-                for (key, cell) in from.drain() {
-                    let slot = into.entry(key).or_insert([0, 0]);
-                    slot[0] += cell[0];
-                    slot[1] += cell[1];
+            (Store::Hashed { counts: into, cap }, Store::Hashed { counts: from, .. }) => {
+                for (key, cell) in std::mem::take(from) {
+                    if let Some(pooled) = retain_smallest(into, *cap, key, cell) {
+                        add(&mut self.overflow, pooled);
+                    }
                 }
             }
             _ => panic!("merge_from requires matching table layouts"),
@@ -251,24 +250,34 @@ impl Table {
     /// Restores serialized state (sorted `(key, cell)` pairs, overflow,
     /// samples) into this table — the resume path. A dense table whose
     /// layout cannot hold a key (a foreign or hand-edited snapshot)
-    /// falls back to the hashed store rather than failing: resume
-    /// correctness never depends on the tabulator choice.
+    /// falls back to a hashed store with the dense key space as its cap
+    /// rather than failing; a hashed table past its cap pools its
+    /// largest keys into overflow.
     pub fn restore(&mut self, counts: Vec<(u128, [u64; 2])>, overflow: [u64; 2], samples: u64) {
         self.sorted = None;
         self.overflow = overflow;
         self.samples = samples;
-        match &mut self.store {
-            Store::Dense(cells) => {
-                if counts.iter().all(|&(key, _)| key < cells.len() as u128) {
-                    cells.fill([0, 0]);
-                    for (key, cell) in counts {
-                        cells[key as usize] = cell;
-                    }
-                } else {
-                    self.store = Store::Hashed(counts.into_iter().collect());
+        if let Store::Dense(cells) = &mut self.store {
+            if counts.iter().all(|&(key, _)| key < cells.len() as u128) {
+                cells.fill([0, 0]);
+                for (key, cell) in counts {
+                    cells[key as usize] = cell;
                 }
+                return;
             }
-            Store::Hashed(map) => *map = counts.into_iter().collect(),
+            let cap = cells.len();
+            self.store = Store::Hashed {
+                counts: BTreeMap::new(),
+                cap,
+            };
+        }
+        let Store::Hashed { counts: map, cap } = &mut self.store else {
+            unreachable!("dense handled above");
+        };
+        *map = counts.into_iter().collect();
+        while map.len() > *cap {
+            let (_, cell) = map.pop_last().expect("non-empty past the cap");
+            add(&mut self.overflow, cell);
         }
     }
 
@@ -279,24 +288,17 @@ impl Table {
     /// the linear scan of non-zero cells *is* sorted-key order, because
     /// the packed index equals the key.
     pub fn sorted_columns(&mut self) -> &[(u128, [u64; 2])] {
-        if self.sorted.is_none() {
-            let entries = match &self.store {
-                Store::Hashed(counts) => {
-                    let mut entries: Vec<(u128, [u64; 2])> =
-                        counts.iter().map(|(&key, &cell)| (key, cell)).collect();
-                    entries.sort_unstable_by_key(|&(key, _)| key);
-                    entries
-                }
-                Store::Dense(cells) => cells
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, cell)| cell[0] | cell[1] != 0)
-                    .map(|(index, &cell)| (index as u128, cell))
-                    .collect(),
-            };
-            self.sorted = Some(entries);
-        }
-        self.sorted.as_deref().expect("just memoized")
+        self.sorted.get_or_insert_with(|| match &self.store {
+            Store::Hashed { counts, .. } => {
+                counts.iter().map(|(&key, &cell)| (key, cell)).collect()
+            }
+            Store::Dense(cells) => cells
+                .iter()
+                .enumerate()
+                .filter(|&(_, cell)| cell[0] | cell[1] != 0)
+                .map(|(index, &cell)| (index as u128, cell))
+                .collect(),
+        })
     }
 
     /// The `(fixed, random)` columns exactly as the G-test consumes
@@ -314,23 +316,56 @@ impl Table {
         columns
     }
 
-    /// Distinct observation keys seen (the overflow bucket excluded).
+    /// Distinct observation keys retained (the overflow bucket excluded).
     pub fn distinct_keys(&mut self) -> usize {
         self.sorted_columns().len()
     }
 
     /// Actual resident bytes of the table store: exact for dense (the
     /// cell array is fully allocated up front), a per-entry estimate
-    /// including bucket overhead for hashed. Deterministic across
-    /// thread counts and resume legs (it depends on logical content,
-    /// never on allocator state).
+    /// including node overhead for hashed. Deterministic across thread
+    /// counts and resume legs (it depends on logical content, never on
+    /// allocator state).
     pub fn resident_bytes(&self) -> u64 {
         match &self.store {
             Store::Dense(cells) => TABLE_OVERHEAD_BYTES + DENSE_CELL_BYTES * cells.len() as u64,
-            Store::Hashed(counts) => {
+            Store::Hashed { counts, .. } => {
                 TABLE_OVERHEAD_BYTES + HASHED_ENTRY_BYTES * counts.len() as u64
             }
         }
+    }
+}
+
+fn add(into: &mut [u64; 2], cell: [u64; 2]) {
+    into[0] += cell[0];
+    into[1] += cell[1];
+}
+
+/// The smallest-keys rule: adds `cell` to `key` in `counts` while
+/// keeping at most `cap` keys, and returns the counts that must be
+/// pooled into overflow instead (the arriving cell, or the evicted
+/// largest key's cell).
+fn retain_smallest(
+    counts: &mut BTreeMap<u128, [u64; 2]>,
+    cap: usize,
+    key: u128,
+    cell: [u64; 2],
+) -> Option<[u64; 2]> {
+    if let Some(slot) = counts.get_mut(&key) {
+        add(slot, cell);
+        return None;
+    }
+    if counts.len() < cap {
+        counts.insert(key, cell);
+        return None;
+    }
+    match counts.last_key_value() {
+        Some((&largest, _)) if key < largest => {
+            let (_, evicted) = counts.pop_last().expect("full table");
+            counts.insert(key, cell);
+            Some(evicted)
+        }
+        _ => Some(cell),
     }
 }
 
@@ -339,41 +374,39 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Splits a key stream into per-batch sorted runs, mirroring the
-    /// campaign's per-batch RLE aggregation.
-    fn runs_of(keys: &[(u128, usize)]) -> Vec<(u128, [u64; 2])> {
-        let mut sorted = keys.to_vec();
-        sorted.sort_unstable_by_key(|&(key, _)| key);
-        let mut runs: Vec<(u128, [u64; 2])> = Vec::new();
-        for (key, group) in sorted {
-            match runs.last_mut() {
-                Some((last, cell)) if *last == key => cell[group] += 1,
-                _ => {
-                    let mut cell = [0u64; 2];
-                    cell[group] = 1;
-                    runs.push((key, cell));
-                }
-            }
+    /// Absorbs a stream of `(key, population)` observations one by one.
+    fn absorb_all(table: &mut Table, keys: &[(u128, usize)]) {
+        for &(key, group) in keys {
+            let mut cell = [0, 0];
+            cell[group] = 1;
+            table.absorb(key, cell);
         }
-        runs
     }
 
-    #[test]
-    fn mode_parses_its_own_names() {
-        for mode in [TabulatorMode::Dense, TabulatorMode::Hashed] {
-            assert_eq!(TabulatorMode::parse(mode.name()), Some(mode));
+    /// A deterministic permutation of `items` drawn from `seed`
+    /// (Fisher–Yates over a splitmix64 stream).
+    fn permuted<T: Clone>(items: &[T], mut seed: u64) -> Vec<T> {
+        let mut out = items.to_vec();
+        for index in (1..out.len()).rev() {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut mixed = seed;
+            mixed = (mixed ^ (mixed >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            mixed = (mixed ^ (mixed >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            out.swap(
+                index,
+                ((mixed ^ (mixed >> 31)) % (index as u64 + 1)) as usize,
+            );
         }
-        assert_eq!(TabulatorMode::parse("turbo"), None);
-        assert_eq!(TabulatorMode::default(), TabulatorMode::Dense);
+        out
     }
 
     #[test]
     fn dense_and_hashed_agree_on_a_fixed_stream() {
         let mut dense = Table::dense(4);
-        let mut hashed = Table::hashed();
-        let runs = runs_of(&[(3, 0), (3, 1), (15, 1), (0, 0), (3, 0)]);
-        dense.absorb_runs(&runs, 16);
-        hashed.absorb_runs(&runs, 16);
+        let mut hashed = Table::hashed(16);
+        let keys = [(3, 0), (3, 1), (15, 1), (0, 0), (3, 0)];
+        absorb_all(&mut dense, &keys);
+        absorb_all(&mut hashed, &keys);
         assert_eq!(dense.sorted_columns(), hashed.sorted_columns());
         assert_eq!(dense.g_columns(), hashed.g_columns());
         assert_eq!(dense.samples(), hashed.samples());
@@ -382,38 +415,38 @@ mod tests {
     }
 
     #[test]
-    fn absorb_indices_matches_absorb_runs() {
+    fn absorb_indices_matches_absorb_keys() {
         let lane_groups = 0xdead_beef_0bad_f00du64;
         let mut indices = [0u32; LANES];
-        for (lane, slot) in indices.iter_mut().enumerate() {
-            *slot = (lane % 7) as u32;
+        let mut keys = [0u128; LANES];
+        for lane in 0..LANES {
+            indices[lane] = (lane % 7) as u32;
+            keys[lane] = (lane % 7) as u128;
         }
-        let keyed: Vec<(u128, usize)> = indices
-            .iter()
-            .enumerate()
-            .map(|(lane, &index)| (index as u128, ((lane_groups >> lane) & 1) as usize))
-            .collect();
         let mut direct = Table::dense(3);
         direct.absorb_indices(&indices, lane_groups);
-        let mut reference = Table::dense(3);
-        reference.absorb_runs(&runs_of(&keyed), 8);
-        assert_eq!(direct.sorted_columns(), reference.sorted_columns());
+        let mut dense = Table::dense(3);
+        dense.absorb_keys(&keys, lane_groups);
+        let mut hashed = Table::hashed(8);
+        hashed.absorb_keys(&keys, lane_groups);
+        assert_eq!(direct.sorted_columns(), dense.sorted_columns());
+        assert_eq!(direct.sorted_columns(), hashed.sorted_columns());
         assert_eq!(direct.samples(), LANES as u64);
     }
 
     #[test]
     fn merge_from_is_commutative_and_drains_the_source() {
-        let runs_a = runs_of(&[(1, 0), (2, 1), (2, 1)]);
-        let runs_b = runs_of(&[(2, 0), (7, 1)]);
+        let keys_a = [(1, 0), (2, 1), (2, 1)];
+        let keys_b = [(2, 0), (7, 1)];
         let mut ab = Table::dense(3);
-        ab.absorb_runs(&runs_a, 8);
+        absorb_all(&mut ab, &keys_a);
         let mut b = Table::dense(3);
-        b.absorb_runs(&runs_b, 8);
+        absorb_all(&mut b, &keys_b);
         ab.merge_from(&mut b);
         let mut ba = Table::dense(3);
-        ba.absorb_runs(&runs_b, 8);
-        let mut a = Table::dense(3);
-        a.absorb_runs(&runs_a, 8);
+        absorb_all(&mut ba, &keys_b);
+        let mut a = ba.empty_like();
+        absorb_all(&mut a, &keys_a);
         ba.merge_from(&mut a);
         assert_eq!(ab.sorted_columns(), ba.sorted_columns());
         assert_eq!(ab.samples(), ba.samples());
@@ -424,12 +457,16 @@ mod tests {
     #[test]
     fn cached_columns_invalidate_on_absorption() {
         let mut table = Table::dense(2);
-        table.absorb_runs(&runs_of(&[(1, 0)]), 4);
+        absorb_all(&mut table, &[(1, 0)]);
         assert_eq!(table.sorted_columns().len(), 1);
-        table.absorb_runs(&runs_of(&[(2, 1)]), 4);
+        absorb_all(&mut table, &[(2, 1)]);
         assert_eq!(table.sorted_columns().len(), 2, "stale cache served");
         table.absorb_indices(&[0u32; LANES], 0);
         assert_eq!(table.sorted_columns().len(), 3);
+        let mut other = table.empty_like();
+        absorb_all(&mut other, &[(3, 0)]);
+        table.merge_from(&mut other);
+        assert_eq!(table.sorted_columns().len(), 4, "stale cache after merge");
     }
 
     #[test]
@@ -440,7 +477,7 @@ mod tests {
         // one that already served columns. A stale memo at any of these
         // points would silently corrupt every post-resume checkpoint.
         let mut table = Table::dense(3);
-        table.absorb_runs(&runs_of(&[(1, 0), (5, 1)]), 8);
+        absorb_all(&mut table, &[(1, 0), (5, 1)]);
         let saved = table.sorted_columns().to_vec(); // memoizes
         let overflow = table.overflow();
         let samples = table.samples();
@@ -448,7 +485,7 @@ mod tests {
         // Resume into a table that has already memoized different
         // contents: restore must drop that memo.
         let mut resumed = Table::dense(3);
-        resumed.absorb_runs(&runs_of(&[(2, 0)]), 8);
+        absorb_all(&mut resumed, &[(2, 0)]);
         assert_eq!(resumed.sorted_columns().len(), 1); // memoizes
         resumed.restore(saved.clone(), overflow, samples);
         assert_eq!(resumed.sorted_columns(), saved.as_slice(), "stale memo");
@@ -456,19 +493,29 @@ mod tests {
 
         // And absorption after the restore must invalidate again, so
         // the first post-resume checkpoint sees the merged counts.
-        resumed.absorb_runs(&runs_of(&[(2, 1)]), 8);
+        absorb_all(&mut resumed, &[(2, 1)]);
         assert_eq!(resumed.sorted_columns().len(), saved.len() + 1);
         assert_eq!(resumed.g_columns().len(), saved.len() + 1);
     }
 
     #[test]
     fn hashed_overflow_pools_past_the_cap_deterministically() {
-        let mut table = Table::hashed();
-        table.absorb_runs(&runs_of(&[(1, 0), (2, 0), (3, 1), (4, 1)]), 2);
-        assert_eq!(table.distinct_keys(), 2);
-        assert_eq!(table.overflow(), [0, 2], "keys 3 and 4 pooled");
+        // The larger keys arrive first and are evicted by the smaller
+        // ones: the table keeps the cap smallest keys, whatever the
+        // arrival order.
+        let mut table = Table::hashed(2);
+        absorb_all(&mut table, &[(4, 1), (3, 1), (1, 0), (3, 0), (2, 0)]);
+        assert_eq!(
+            table.sorted_columns(),
+            &[(1u128, [1u64, 0u64]), (2, [1, 0])]
+        );
+        assert_eq!(table.overflow(), [1, 2], "keys 3 and 4 pooled");
         assert_eq!(table.g_columns().len(), 3, "overflow is one more column");
-        assert_eq!(table.samples(), 4);
+        assert_eq!(table.samples(), 5);
+        // A pooled key that arrives again stays pooled.
+        absorb_all(&mut table, &[(4, 0)]);
+        assert_eq!(table.overflow(), [2, 2]);
+        assert_eq!(table.distinct_keys(), 2);
     }
 
     #[test]
@@ -487,28 +534,36 @@ mod tests {
     }
 
     #[test]
+    fn restore_pools_keys_past_the_hashed_cap() {
+        let mut table = Table::hashed(1);
+        table.restore(vec![(1, [5, 6]), (9, [1, 2])], [1, 0], 15);
+        assert_eq!(table.sorted_columns(), &[(1u128, [5u64, 6u64])]);
+        assert_eq!(table.overflow(), [2, 2]);
+        assert_eq!(table.samples(), 15);
+    }
+
+    #[test]
     fn resident_bytes_track_the_store() {
         let dense = Table::dense(4);
         assert_eq!(dense.resident_bytes(), 48 + 16 * 16);
-        let mut hashed = Table::hashed();
+        let mut hashed = Table::hashed(8);
         assert_eq!(hashed.resident_bytes(), 48);
-        hashed.absorb_runs(&runs_of(&[(1, 0), (2, 1)]), 8);
+        absorb_all(&mut hashed, &[(1, 0), (2, 1)]);
         assert_eq!(hashed.resident_bytes(), 48 + 2 * 48);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The differential property behind `--tabulator`: on any key
-        /// stream batched any way, a dense table and a capacity-matched
-        /// hashed table produce identical `g_columns()` — including at
-        /// the `2^width == max_table_keys` boundary, where the hashed
+        /// The differential property behind [`TabulatorMode`]: on any
+        /// key stream, a dense table and a capacity-matched hashed table
+        /// produce identical `g_columns()` — including at the
+        /// `2^width == max_table_keys` boundary, where the hashed
         /// store's cap is exactly the dense key space.
         #[test]
         fn dense_matches_hashed_on_random_key_streams(
             width in 1usize..=10,
             raw in prop::collection::vec((any::<u64>(), any::<bool>()), 1..200),
-            batch_len in 1usize..32,
         ) {
             let cap = 1usize << width; // the exact 2^width == cap boundary
             let keys: Vec<(u128, usize)> = raw
@@ -516,12 +571,9 @@ mod tests {
                 .map(|&(key, group)| ((key as u128) & (cap as u128 - 1), group as usize))
                 .collect();
             let mut dense = Table::dense(width);
-            let mut hashed = Table::hashed();
-            for batch in keys.chunks(batch_len) {
-                let runs = runs_of(batch);
-                dense.absorb_runs(&runs, cap);
-                hashed.absorb_runs(&runs, cap);
-            }
+            let mut hashed = Table::hashed(cap);
+            absorb_all(&mut dense, &keys);
+            absorb_all(&mut hashed, &keys);
             prop_assert_eq!(dense.g_columns(), hashed.g_columns());
             prop_assert_eq!(dense.sorted_columns(), hashed.sorted_columns());
             prop_assert_eq!(dense.samples(), hashed.samples());
@@ -540,8 +592,8 @@ mod tests {
                 .iter()
                 .map(|&(key, group)| ((key as u128) & 0xff, group as usize))
                 .collect();
-            let mut table = Table::hashed();
-            table.absorb_runs(&runs_of(&keys), cap);
+            let mut table = Table::hashed(cap);
+            absorb_all(&mut table, &keys);
             prop_assert!(table.distinct_keys() <= cap);
             let tallied: u64 = table
                 .g_columns()
@@ -550,6 +602,47 @@ mod tests {
                 .sum();
             prop_assert_eq!(tallied, keys.len() as u64);
             prop_assert_eq!(table.samples(), keys.len() as u64);
+        }
+
+        /// The hashed store's final state depends only on the multiset
+        /// of observations: any arrival order, and any split into
+        /// shards joined by `merge_from`, gives the same table — with
+        /// caps both below and above the number of distinct keys.
+        #[test]
+        fn hashed_tables_do_not_depend_on_order_or_sharding(
+            raw in prop::collection::vec((0u64..48, any::<bool>()), 1..300),
+            cap in 1usize..64,
+            seed in any::<u64>(),
+            shards in 1usize..6,
+        ) {
+            let keys: Vec<(u128, usize)> = raw
+                .iter()
+                .map(|&(key, group)| (key as u128, group as usize))
+                .collect();
+            let mut reference = Table::hashed(cap);
+            absorb_all(&mut reference, &keys);
+            prop_assert!(reference.distinct_keys() <= cap);
+
+            let shuffled = permuted(&keys, seed);
+            let mut reordered = Table::hashed(cap);
+            absorb_all(&mut reordered, &shuffled);
+
+            let mut merged = Table::hashed(cap);
+            for shard in 0..shards {
+                let mut local = merged.empty_like();
+                let part: Vec<(u128, usize)> =
+                    shuffled.iter().skip(shard).step_by(shards).copied().collect();
+                absorb_all(&mut local, &part);
+                prop_assert!(local.distinct_keys() <= cap);
+                merged.merge_from(&mut local);
+                prop_assert_eq!(local.samples(), 0);
+            }
+
+            for table in [&mut reordered, &mut merged] {
+                prop_assert_eq!(table.sorted_columns(), reference.sorted_columns());
+                prop_assert_eq!(table.overflow(), reference.overflow());
+                prop_assert_eq!(table.samples(), reference.samples());
+            }
         }
     }
 }

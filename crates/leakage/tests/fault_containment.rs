@@ -62,9 +62,8 @@ fn worker_panics_leave_the_report_byte_identical_at_every_thread_count() {
         run_eq6(1, None).expect("fault-free campaign")
     };
     // Both table stores retry panicked batches mid-chunk without
-    // perturbing the statistics: the dense path re-runs phase A (pure
-    // simulation) in place, the hashed path replays through the
-    // batch-ordered retry queue.
+    // perturbing the statistics: the attempt re-runs in place on a
+    // rebuilt simulator, and nothing is absorbed until it succeeds.
     for tabulator in [TabulatorMode::Dense, TabulatorMode::Hashed] {
         for threads in [1usize, 2, 4] {
             let _guard = failpoint::scoped("worker=panic@3x2;worker=stall(20)@5");
@@ -76,6 +75,47 @@ fn worker_panics_leave_the_report_byte_identical_at_every_thread_count() {
                 tabulator.name()
             );
         }
+    }
+}
+
+#[test]
+fn overflowing_hashed_tables_survive_worker_panics_byte_identically() {
+    // A 16-key cap makes the wide cones' hashed tables overflow, so
+    // which keys they retain must not depend on the order batches are
+    // absorbed in. Retried batches at any thread count must leave both
+    // the CSV and the final snapshot untouched.
+    let run = |threads: usize, path: &Path| {
+        let circuit = build_kronecker(&KroneckerRandomness::de_meyer_eq6()).expect("valid circuit");
+        let config = EvaluationConfig {
+            traces: 2048,
+            threads,
+            warmup_cycles: 6,
+            checkpoints: 4,
+            max_table_keys: 16,
+            durability: Durability {
+                snapshot_path: Some(path.to_path_buf()),
+                ..Durability::default()
+            },
+            ..EvaluationConfig::default()
+        };
+        let report = FixedVsRandom::new(&circuit.netlist, config)
+            .try_run()
+            .expect("faults must be contained");
+        let snapshot = std::fs::read(path).expect("snapshot written");
+        let _ = std::fs::remove_file(path);
+        (report.to_csv(), snapshot)
+    };
+    let path = temp_path("overflow.snapshot");
+    let baseline = {
+        let _guard = failpoint::scoped("");
+        run(1, &path)
+    };
+    for threads in [1usize, 2, 4] {
+        let _guard = failpoint::scoped("worker=panic@3x2");
+        assert!(
+            run(threads, &path) == baseline,
+            "threads={threads}: retried batches perturbed an overflowing campaign"
+        );
     }
 }
 

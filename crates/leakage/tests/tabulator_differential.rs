@@ -1,9 +1,10 @@
-//! Differential tests for the two contingency-table stores: the dense
-//! direct-indexed fast path and the hashed fallback must produce
-//! byte-identical reports, CSVs and trajectories — across thread
-//! counts, across a resume leg that switches stores mid-campaign, and
-//! in mixed campaigns where a narrow key cap sends only some probing
-//! sets down the dense path.
+//! Differential tests for the two contingency-table stores, driven
+//! through [`EvaluationConfig::tabulator`]: the dense direct-indexed
+//! fast path and the hashed store must produce byte-identical reports,
+//! CSVs and trajectories — across thread counts, across a resume leg
+//! that switches stores mid-campaign, and in mixed campaigns where a
+//! narrow key cap sends only some probing sets down the dense path and
+//! makes the hashed tables overflow.
 
 use std::path::PathBuf;
 
@@ -72,27 +73,91 @@ fn dense_and_hashed_reports_are_byte_identical_across_thread_counts() {
     }
 }
 
+/// The Eq. 6 campaign with a 16-key cap, snapshotting to `path`:
+/// probing sets observing ≤4 bits qualify for the dense store, wider
+/// cones fall back to hashed tables — and those overflow.
+fn narrow_cap_run(
+    threads: usize,
+    tabulator: TabulatorMode,
+    path: &PathBuf,
+    durability: Durability,
+) -> (LeakageReport, Vec<u8>) {
+    let mut config = eq6_config(threads, tabulator);
+    config.max_table_keys = 16;
+    config.durability = Durability {
+        snapshot_path: Some(path.clone()),
+        ..durability
+    };
+    let report = run_eq6(config);
+    let snapshot = std::fs::read(path).expect("snapshot written");
+    (report, snapshot)
+}
+
 #[test]
 fn a_narrow_key_cap_mixes_stores_without_changing_the_statistics() {
-    // With the cap at 16 keys, probing sets observing ≤4 bits qualify
-    // for the dense store while wider cones fall back to hashed — a
-    // mixed campaign. The statistics must not notice.
-    let mixed = |threads: usize, tabulator: TabulatorMode| {
-        let mut config = eq6_config(threads, tabulator);
-        config.max_table_keys = 16;
-        run_eq6(config)
-    };
-    let reference = mixed(1, TabulatorMode::Hashed);
+    let circuit = build_kronecker(&KroneckerRandomness::de_meyer_eq6()).expect("valid circuit");
+    let (_, tables) = FixedVsRandom::new(
+        &circuit.netlist,
+        EvaluationConfig {
+            max_table_keys: 16,
+            ..eq6_config(1, TabulatorMode::Dense)
+        },
+    )
+    .try_run_with_tables()
+    .expect("campaign");
+    assert!(
+        tables.iter().any(|table| table.overflow != [0, 0]),
+        "the narrow cap must make some hashed tables overflow"
+    );
+
+    // The hashed store keeps each table's 16 smallest keys whatever
+    // order batches arrive in, so neither the store mix, the thread
+    // count nor an interrupt at 4 threads resumed at 1 may change a
+    // byte of the CSV or the snapshot.
+    let path = resume_path("narrow-cap");
+    let _ = std::fs::remove_file(&path);
+    let (reference, reference_snapshot) =
+        narrow_cap_run(1, TabulatorMode::Hashed, &path, Durability::default());
     assert!(reference.table_bytes > 0);
-    for threads in [1usize, 2] {
-        let report = mixed(threads, TabulatorMode::Dense);
+    for threads in [1usize, 2, 4] {
+        let _ = std::fs::remove_file(&path);
+        let (report, snapshot) =
+            narrow_cap_run(threads, TabulatorMode::Dense, &path, Durability::default());
         assert!(report.table_bytes > 0);
         assert_eq!(
             surface(&report),
             surface(&reference),
             "threads={threads}: mixed-store campaign diverged from all-hashed"
         );
+        assert_eq!(
+            snapshot, reference_snapshot,
+            "threads={threads}: snapshot bytes diverged"
+        );
     }
+
+    let _ = std::fs::remove_file(&path);
+    let interrupted = Durability {
+        stop_after_batches: Some(13),
+        ..Durability::default()
+    };
+    let (first_leg, _) = narrow_cap_run(4, TabulatorMode::Dense, &path, interrupted);
+    assert!(first_leg.interrupted);
+    let resume = Durability {
+        resume: true,
+        ..Durability::default()
+    };
+    let (resumed, resumed_snapshot) = narrow_cap_run(1, TabulatorMode::Dense, &path, resume);
+    let _ = std::fs::remove_file(&path);
+    assert!(!resumed.interrupted);
+    assert_eq!(
+        surface(&resumed),
+        surface(&reference),
+        "interrupted at 4 threads and resumed at 1, the campaign diverged"
+    );
+    assert_eq!(
+        resumed_snapshot, reference_snapshot,
+        "the resumed final snapshot diverged"
+    );
 }
 
 fn resume_path(tag: &str) -> PathBuf {
@@ -107,7 +172,7 @@ fn resume_path(tag: &str) -> PathBuf {
 /// byte. The snapshot stores plain sorted (key, counts) columns, so the
 /// store that wrote it places no constraint on the store that restores
 /// it — switching tabulators across a resume leg is supported exactly
-/// like switching `--threads` or `--evaluator`.
+/// like switching `--threads`.
 fn assert_resume_switches_stores(first: TabulatorMode, second: TabulatorMode) {
     let netlist = leaky_design();
     let config = |tabulator: TabulatorMode| EvaluationConfig {

@@ -52,43 +52,6 @@ use mmaes_netlist::{CellProgram, Netlist, NetlistError, WireId, WireOrigin};
 /// Number of independent traces simulated in parallel (one per bit).
 pub const LANES: usize = 64;
 
-/// Which combinational-evaluation engine a [`Simulator`] uses.
-///
-/// Both engines are bit-exact on every wire; the interpreter exists for
-/// differential testing of the compiled instruction stream (and as a
-/// reference when debugging a lowering change). [`Simulator::new`]
-/// defaults to [`EvaluatorMode::Compiled`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvaluatorMode {
-    /// The netlist's topological cell order is compiled once into a flat
-    /// fixed-arity instruction stream ([`CellProgram`]) and each `eval`
-    /// is a single allocation-free pass over it.
-    #[default]
-    Compiled,
-    /// Each `eval` walks the cells, gathers inputs and dispatches on
-    /// [`mmaes_netlist::CellKind`] — the original reference engine.
-    Interpreted,
-}
-
-impl EvaluatorMode {
-    /// Stable lower-case name, as recorded in bench documents.
-    pub fn name(self) -> &'static str {
-        match self {
-            EvaluatorMode::Compiled => "compiled",
-            EvaluatorMode::Interpreted => "interpreted",
-        }
-    }
-
-    /// Parses the [`EvaluatorMode::name`] spelling.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "compiled" => Some(EvaluatorMode::Compiled),
-            "interpreted" => Some(EvaluatorMode::Interpreted),
-            _ => None,
-        }
-    }
-}
-
 /// Typed error for the fallible simulator entry points.
 ///
 /// The panicking methods ([`Simulator::set_input`] and friends) delegate
@@ -231,23 +194,23 @@ pub struct Simulator<'a> {
 
 impl<'a> Simulator<'a> {
     /// Creates a simulator with registers at their initial values and all
-    /// inputs at 0, using the default [`EvaluatorMode::Compiled`] engine.
+    /// inputs at 0. The netlist's topological cell order is compiled once
+    /// into a flat fixed-arity instruction stream ([`CellProgram`]) and
+    /// each `eval` is a single allocation-free pass over it.
     pub fn new(netlist: &'a Netlist) -> Self {
-        Simulator::with_evaluator(netlist, EvaluatorMode::Compiled)
+        Simulator::with_program(netlist, Some(CellProgram::compile(netlist)))
     }
 
-    /// Creates a simulator on the interpreted reference engine — for
-    /// differential tests against the compiled instruction stream.
+    /// Creates a simulator on the interpreted reference engine: each
+    /// `eval` walks the cells, gathers inputs and dispatches on
+    /// [`mmaes_netlist::CellKind`]. Bit-exact with [`Simulator::new`] on
+    /// every wire; it exists for differential tests against the
+    /// compiled instruction stream.
     pub fn interpreted(netlist: &'a Netlist) -> Self {
-        Simulator::with_evaluator(netlist, EvaluatorMode::Interpreted)
+        Simulator::with_program(netlist, None)
     }
 
-    /// Creates a simulator with an explicit evaluation engine.
-    pub fn with_evaluator(netlist: &'a Netlist, mode: EvaluatorMode) -> Self {
-        let program = match mode {
-            EvaluatorMode::Compiled => Some(CellProgram::compile(netlist)),
-            EvaluatorMode::Interpreted => None,
-        };
+    fn with_program(netlist: &'a Netlist, program: Option<CellProgram>) -> Self {
         let mut simulator = Simulator {
             netlist,
             values: vec![0; netlist.wire_count()],
@@ -259,15 +222,6 @@ impl<'a> Simulator<'a> {
         };
         simulator.reset();
         simulator
-    }
-
-    /// Which evaluation engine this simulator runs on.
-    pub fn evaluator_mode(&self) -> EvaluatorMode {
-        if self.program.is_some() {
-            EvaluatorMode::Compiled
-        } else {
-            EvaluatorMode::Interpreted
-        }
     }
 
     /// Like [`Simulator::new`], but validates the netlist's structural
@@ -420,7 +374,7 @@ impl<'a> Simulator<'a> {
     /// Propagates inputs and register state through the combinational
     /// cells. Idempotent until inputs or register state change.
     ///
-    /// On the default [`EvaluatorMode::Compiled`] engine this is one
+    /// On a [`Simulator::new`] simulator this is one
     /// pass over a pre-lowered instruction stream; the interpreted
     /// engine walks the cells and dispatches per kind. Both engines are
     /// bit-exact on every wire and account the same `cell_evals`.
@@ -765,8 +719,6 @@ mod tests {
         let (netlist, inputs, _) = full_adder();
         let mut compiled = Simulator::new(&netlist);
         let mut interpreted = Simulator::interpreted(&netlist);
-        assert_eq!(compiled.evaluator_mode(), EvaluatorMode::Compiled);
-        assert_eq!(interpreted.evaluator_mode(), EvaluatorMode::Interpreted);
         let mut state = 0x9c01_ead0_f00d_5eedu64;
         for _ in 0..16 {
             for &wire in &inputs {
@@ -784,14 +736,6 @@ mod tests {
             }
         }
         assert_eq!(compiled.counters(), interpreted.counters());
-    }
-
-    #[test]
-    fn evaluator_mode_names_roundtrip() {
-        for mode in [EvaluatorMode::Compiled, EvaluatorMode::Interpreted] {
-            assert_eq!(EvaluatorMode::parse(mode.name()), Some(mode));
-        }
-        assert_eq!(EvaluatorMode::parse("jit"), None);
     }
 
     #[test]

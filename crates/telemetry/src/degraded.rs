@@ -22,7 +22,7 @@ use crate::json::{array, JsonObject};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegradedEntry {
     /// The degraded subsystem: `"snapshot"`, `"status-file"`,
-    /// `"metrics"`, or `"worker"` (stalled / quarantined shards).
+    /// `"metrics"`, or `"worker"` (stalled shards).
     pub subsystem: String,
     /// The most recent failure, human-readable.
     pub detail: String,
