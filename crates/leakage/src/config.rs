@@ -137,9 +137,10 @@ pub struct EvaluationConfig {
     /// `max_table_keys` (see
     /// [`crate::probe::ProbeSet::dense_index_width`]), the hashed store
     /// otherwise. [`TabulatorMode::Hashed`] forces the hashed store on
-    /// every set; it is the hook the campaign-level differential suites
-    /// use and is not a user option. Both give byte-identical reports
-    /// and snapshots, so this is not part of the snapshot fingerprint.
+    /// every set; it is not a user option, only the hook of the
+    /// campaign-level differential suites (`tabulator_differential.rs`,
+    /// `fault_containment.rs`). Both give byte-identical reports and
+    /// snapshots, so this is not part of the snapshot fingerprint.
     pub tabulator: TabulatorMode,
     /// The detection statistic each probing set's contingency table is
     /// tested with ([`StatisticKind::GTest`] by default — the

@@ -10,11 +10,10 @@
 //!   [`MAX_DENSE_WIDTH`]): absorption is then a bounds-checked array
 //!   increment — no lookup, no sorting, no per-batch allocation — and
 //!   the table can never overflow its cap.
-//! * **Hashed** — a sparse key-ordered map for sets wider than the
-//!   dense rule admits (named as in [`TabulatorMode::Hashed`] and the
-//!   `hashed_tables` perf counter). It keeps at most `cap` keys: the
-//!   **`cap` smallest keys it has seen**, by key value, with every
-//!   other key's counts pooled into one overflow bucket. An arriving key larger than every retained key
+//! * **Hashed** — a `HashMap<u128, [u64; 2]>` for sets wider than the
+//!   dense rule admits. It keeps at most `cap` keys: the **`cap`
+//!   smallest keys it has seen**, by key value, with every other key's
+//!   counts pooled into one overflow bucket. An arriving key larger than every retained key
 //!   of a full table goes to overflow; a smaller one evicts the largest
 //!   retained key, whose counts move to overflow. A key in the `cap`
 //!   smallest is therefore never pooled, and any other key ends up
@@ -37,7 +36,7 @@
 //! serialization and the final report all share one collection pass
 //! instead of re-collecting per consumer.
 
-use std::collections::BTreeMap;
+use std::collections::{BinaryHeap, HashMap};
 
 use mmaes_sim::LANES;
 
@@ -55,7 +54,7 @@ const TABLE_OVERHEAD_BYTES: u64 = 48;
 const DENSE_CELL_BYTES: u64 = 16;
 
 /// Estimated resident bytes per hashed entry: 32 bytes of payload
-/// (`u128` key + `[u64; 2]` cell) plus map node overhead.
+/// (`u128` key + `[u64; 2]` cell) plus hash-table bucket overhead.
 const HASHED_ENTRY_BYTES: u64 = 48;
 
 /// Which contingency-table store a campaign uses.
@@ -91,11 +90,61 @@ impl TabulatorMode {
 /// keys).
 #[derive(Debug, Clone)]
 enum Store {
-    Hashed {
-        counts: BTreeMap<u128, [u64; 2]>,
-        cap: usize,
-    },
+    Hashed(Sparse),
     Dense(Vec<[u64; 2]>),
+}
+
+/// The hashed store: the `cap` smallest keys seen, with their counts.
+#[derive(Debug, Clone)]
+struct Sparse {
+    counts: HashMap<u128, [u64; 2]>,
+    cap: usize,
+    /// Max-heap over the retained keys, built the first time the table
+    /// is full and kept in step with `counts` from then on. Empty until
+    /// then, so a table that never reaches its cap pays nothing for the
+    /// eviction order.
+    retained: BinaryHeap<u128>,
+}
+
+impl Sparse {
+    fn new(cap: usize) -> Self {
+        Sparse {
+            counts: HashMap::new(),
+            cap,
+            retained: BinaryHeap::new(),
+        }
+    }
+
+    /// The smallest-keys rule: adds `cell` to `key` while keeping at
+    /// most `cap` keys, and returns the counts that must be pooled into
+    /// overflow instead (the arriving cell, or the evicted largest
+    /// key's cell).
+    fn absorb(&mut self, key: u128, cell: [u64; 2]) -> Option<[u64; 2]> {
+        if let Some(slot) = self.counts.get_mut(&key) {
+            add(slot, cell);
+            return None;
+        }
+        if self.counts.len() < self.cap {
+            self.counts.insert(key, cell);
+            return None;
+        }
+        if self.retained.is_empty() {
+            self.retained.extend(self.counts.keys().copied());
+        }
+        match self.retained.peek() {
+            Some(&largest) if key < largest => {
+                self.retained.pop();
+                self.retained.push(key);
+                let evicted = self
+                    .counts
+                    .remove(&largest)
+                    .expect("heap mirrors the table");
+                self.counts.insert(key, cell);
+                Some(evicted)
+            }
+            _ => Some(cell),
+        }
+    }
 }
 
 /// A contingency table over observation keys for one probing set:
@@ -125,10 +174,7 @@ impl Table {
 
     /// An empty hashed table retaining at most `cap` keys.
     pub fn hashed(cap: usize) -> Self {
-        Table::with_store(Store::Hashed {
-            counts: BTreeMap::new(),
-            cap,
-        })
+        Table::with_store(Store::Hashed(Sparse::new(cap)))
     }
 
     /// An empty dense table of `2^width` cells.
@@ -145,7 +191,7 @@ impl Table {
     /// An empty table with this table's store layout — a worker's shard.
     pub fn empty_like(&self) -> Self {
         match &self.store {
-            Store::Hashed { cap, .. } => Table::hashed(*cap),
+            Store::Hashed(sparse) => Table::hashed(sparse.cap),
             Store::Dense(cells) => Table::with_store(Store::Dense(vec![[0, 0]; cells.len()])),
         }
     }
@@ -176,8 +222,8 @@ impl Table {
         self.samples += cell[0] + cell[1];
         match &mut self.store {
             Store::Dense(cells) => add(&mut cells[usize::try_from(key).expect("dense key")], cell),
-            Store::Hashed { counts, cap } => {
-                if let Some(pooled) = retain_smallest(counts, *cap, key, cell) {
+            Store::Hashed(sparse) => {
+                if let Some(pooled) = sparse.absorb(key, cell) {
                     add(&mut self.overflow, pooled);
                 }
             }
@@ -236,9 +282,10 @@ impl Table {
                     add(into, std::mem::take(from));
                 }
             }
-            (Store::Hashed { counts: into, cap }, Store::Hashed { counts: from, .. }) => {
-                for (key, cell) in std::mem::take(from) {
-                    if let Some(pooled) = retain_smallest(into, *cap, key, cell) {
+            (Store::Hashed(into), Store::Hashed(from)) => {
+                let from = std::mem::replace(from, Sparse::new(from.cap));
+                for (key, cell) in from.counts {
+                    if let Some(pooled) = into.absorb(key, cell) {
                         add(&mut self.overflow, pooled);
                     }
                 }
@@ -253,7 +300,7 @@ impl Table {
     /// falls back to a hashed store with the dense key space as its cap
     /// rather than failing; a hashed table past its cap pools its
     /// largest keys into overflow.
-    pub fn restore(&mut self, counts: Vec<(u128, [u64; 2])>, overflow: [u64; 2], samples: u64) {
+    pub fn restore(&mut self, mut counts: Vec<(u128, [u64; 2])>, overflow: [u64; 2], samples: u64) {
         self.sorted = None;
         self.overflow = overflow;
         self.samples = samples;
@@ -265,20 +312,18 @@ impl Table {
                 }
                 return;
             }
-            let cap = cells.len();
-            self.store = Store::Hashed {
-                counts: BTreeMap::new(),
-                cap,
-            };
+            self.store = Store::Hashed(Sparse::new(cells.len()));
         }
-        let Store::Hashed { counts: map, cap } = &mut self.store else {
+        let Store::Hashed(sparse) = &mut self.store else {
             unreachable!("dense handled above");
         };
-        *map = counts.into_iter().collect();
-        while map.len() > *cap {
-            let (_, cell) = map.pop_last().expect("non-empty past the cap");
+        *sparse = Sparse::new(sparse.cap);
+        counts.sort_unstable_by_key(|&(key, _)| key);
+        let kept = counts.len().min(sparse.cap);
+        for &(_, cell) in &counts[kept..] {
             add(&mut self.overflow, cell);
         }
+        sparse.counts = counts.into_iter().take(kept).collect();
     }
 
     /// The `(key, cell)` columns in sorted key order, memoized until
@@ -289,8 +334,14 @@ impl Table {
     /// the packed index equals the key.
     pub fn sorted_columns(&mut self) -> &[(u128, [u64; 2])] {
         self.sorted.get_or_insert_with(|| match &self.store {
-            Store::Hashed { counts, .. } => {
-                counts.iter().map(|(&key, &cell)| (key, cell)).collect()
+            Store::Hashed(sparse) => {
+                let mut entries: Vec<(u128, [u64; 2])> = sparse
+                    .counts
+                    .iter()
+                    .map(|(&key, &cell)| (key, cell))
+                    .collect();
+                entries.sort_unstable_by_key(|&(key, _)| key);
+                entries
             }
             Store::Dense(cells) => cells
                 .iter()
@@ -323,14 +374,14 @@ impl Table {
 
     /// Actual resident bytes of the table store: exact for dense (the
     /// cell array is fully allocated up front), a per-entry estimate
-    /// including node overhead for hashed. Deterministic across thread
+    /// including bucket overhead for hashed. Deterministic across thread
     /// counts and resume legs (it depends on logical content, never on
     /// allocator state).
     pub fn resident_bytes(&self) -> u64 {
         match &self.store {
             Store::Dense(cells) => TABLE_OVERHEAD_BYTES + DENSE_CELL_BYTES * cells.len() as u64,
-            Store::Hashed { counts, .. } => {
-                TABLE_OVERHEAD_BYTES + HASHED_ENTRY_BYTES * counts.len() as u64
+            Store::Hashed(sparse) => {
+                TABLE_OVERHEAD_BYTES + HASHED_ENTRY_BYTES * sparse.counts.len() as u64
             }
         }
     }
@@ -339,34 +390,6 @@ impl Table {
 fn add(into: &mut [u64; 2], cell: [u64; 2]) {
     into[0] += cell[0];
     into[1] += cell[1];
-}
-
-/// The smallest-keys rule: adds `cell` to `key` in `counts` while
-/// keeping at most `cap` keys, and returns the counts that must be
-/// pooled into overflow instead (the arriving cell, or the evicted
-/// largest key's cell).
-fn retain_smallest(
-    counts: &mut BTreeMap<u128, [u64; 2]>,
-    cap: usize,
-    key: u128,
-    cell: [u64; 2],
-) -> Option<[u64; 2]> {
-    if let Some(slot) = counts.get_mut(&key) {
-        add(slot, cell);
-        return None;
-    }
-    if counts.len() < cap {
-        counts.insert(key, cell);
-        return None;
-    }
-    match counts.last_key_value() {
-        Some((&largest, _)) if key < largest => {
-            let (_, evicted) = counts.pop_last().expect("full table");
-            counts.insert(key, cell);
-            Some(evicted)
-        }
-        _ => Some(cell),
-    }
 }
 
 #[cfg(test)]
