@@ -414,8 +414,8 @@ impl<'a> FixedVsRandom<'a> {
         // simulated are never lost.
         if let Some(path) = &durability.snapshot_path {
             let _span = perf.span("snapshot");
-            let saved = state.snapshot(&context, config.statistic);
-            if let Err(error) = snapshot::save_with_retry(&saved, path) {
+            let bytes = state.encode_snapshot(&context, config.statistic);
+            if let Err(error) = snapshot::save_bytes_with_retry(&bytes, path) {
                 if run_result.is_ok() {
                     // A healthy run whose final state cannot be
                     // persisted is a typed error: the caller asked for
@@ -600,6 +600,15 @@ mod tests {
     use super::*;
     use crate::probe::ProbeModel;
     use mmaes_netlist::{NetlistBuilder, SignalRole};
+    use mmaes_telemetry::failpoint::{self, ScopedFailpoints};
+
+    /// Holds the failpoint gate with no schedule installed. Every batch
+    /// passes the `worker` site of the process-global registry, so a
+    /// campaign running beside a fault test would consume that test's
+    /// hits (`worker=panic@3x2` in `supervisor::tests`).
+    fn no_failpoints() -> ScopedFailpoints {
+        failpoint::scoped("")
+    }
 
     fn share_role(share: u8) -> SignalRole {
         SignalRole::Share {
@@ -645,6 +654,7 @@ mod tests {
 
     #[test]
     fn unmasked_recombination_is_flagged() {
+        let _failpoints = no_failpoints();
         let netlist = blatantly_leaky();
         let report = FixedVsRandom::new(&netlist, config(20_000))
             .try_run()
@@ -655,6 +665,7 @@ mod tests {
 
     #[test]
     fn independent_shares_pass() {
+        let _failpoints = no_failpoints();
         let netlist = properly_masked();
         let report = FixedVsRandom::new(&netlist, config(20_000))
             .try_run()
@@ -664,6 +675,7 @@ mod tests {
 
     #[test]
     fn sparse_share_matrix_is_a_typed_error() {
+        let _failpoints = no_failpoints();
         // share 1 only declares bit 1 while share 0 declares bit 0: the
         // share × bit matrix has holes at (0,1) and (1,0). This must be
         // a typed CampaignError (exit 2 at the CLI), not a panic.
@@ -706,6 +718,7 @@ mod tests {
 
     #[test]
     fn retained_tables_reproduce_the_reported_statistics() {
+        let _failpoints = no_failpoints();
         let netlist = blatantly_leaky();
         let (report, tables) = FixedVsRandom::new(&netlist, config(20_000))
             .try_run_with_tables()
@@ -740,6 +753,7 @@ mod tests {
 
     #[test]
     fn first_order_masked_and_gate_without_refresh_leaks_through_glitches() {
+        let _failpoints = no_failpoints();
         // A "masked" AND computed combinationally in one step:
         // out = (s0 & t0) ⊕ ... — probe on out sees all four share inputs
         // under glitch extension → distribution depends on the secrets.
@@ -762,6 +776,7 @@ mod tests {
 
     #[test]
     fn transition_model_catches_cross_cycle_recombination() {
+        let _failpoints = no_failpoints();
         // share0 of the *same* secret is emitted in consecutive cycles
         // while share1 changes: under transitions a probe on the register
         // output sees (share0(t-1), share0(t)); with a fixed secret and
@@ -797,6 +812,7 @@ mod tests {
 
     #[test]
     fn fixed_secret_value_is_respected() {
+        let _failpoints = no_failpoints();
         // Fixing a non-zero secret in a design that leaks δ(x)=(x==0)
         // only when x can be zero: out = NOR of all shares recombined...
         // Simpler: recombined secret registered — fixed=1 vs random still
@@ -818,6 +834,7 @@ mod tests {
 
     #[test]
     fn report_metadata_is_populated() {
+        let _failpoints = no_failpoints();
         let netlist = properly_masked();
         let report = FixedVsRandom::new(&netlist, config(1_000))
             .try_run()
@@ -830,6 +847,7 @@ mod tests {
 
     #[test]
     fn retained_tables_are_identical_across_thread_counts() {
+        let _failpoints = no_failpoints();
         let netlist = blatantly_leaky();
         let run = |threads: usize| {
             let (_, tables) = FixedVsRandom::new(
@@ -857,6 +875,7 @@ mod tests {
     #[test]
     fn checkpoints_record_trajectories_and_emit_events() {
         use mmaes_telemetry::MemorySink;
+        let _failpoints = no_failpoints();
         let netlist = blatantly_leaky();
         let sink = MemorySink::new();
         let collected = sink.events();
@@ -902,6 +921,7 @@ mod tests {
 
     #[test]
     fn early_stop_cuts_the_trace_budget_on_decisive_leak() {
+        let _failpoints = no_failpoints();
         let netlist = blatantly_leaky();
         let report = FixedVsRandom::new(
             &netlist,
@@ -926,6 +946,7 @@ mod tests {
 
     #[test]
     fn default_config_keeps_the_fast_path_trajectory_free() {
+        let _failpoints = no_failpoints();
         let netlist = properly_masked();
         let report = FixedVsRandom::new(&netlist, config(1_000))
             .try_run()
@@ -939,6 +960,7 @@ mod tests {
 
     #[test]
     fn trajectory_of_a_strong_leak_is_monotone_for_a_deterministic_seed() {
+        let _failpoints = no_failpoints();
         // The G statistic of a genuine leak accumulates with the sample
         // count, so the running -log10(p) of the worst probe must grow
         // checkpoint over checkpoint (the seed fixes the sampling, so
@@ -970,6 +992,7 @@ mod tests {
 
     #[test]
     fn tiny_table_cap_pools_overflow_without_losing_the_leak() {
+        let _failpoints = no_failpoints();
         // max_table_keys bounds per-probe memory; once the cap is hit,
         // further keys land in the overflow bucket. The bucket is one
         // more contingency column, so a blatant leak survives even an
@@ -994,6 +1017,7 @@ mod tests {
 
     #[test]
     fn sharded_campaign_is_byte_identical_to_single_threaded() {
+        let _failpoints = no_failpoints();
         let netlist = blatantly_leaky();
         let base = EvaluationConfig {
             traces: 20_000,
@@ -1015,6 +1039,7 @@ mod tests {
 
     #[test]
     fn sharded_overflow_tables_match_single_threaded() {
+        let _failpoints = no_failpoints();
         // With a one-key cap every table overflows. The hashed store
         // keeps the smallest key whatever order the shards finish in,
         // so the overflowing tables match too.
@@ -1036,6 +1061,7 @@ mod tests {
 
     #[test]
     fn sharded_early_stop_matches_single_threaded() {
+        let _failpoints = no_failpoints();
         // Early stop is decided at a fold-side checkpoint, so the
         // stopping batch — and therefore the reported trace count — is
         // identical no matter how many workers were still simulating.
@@ -1061,6 +1087,7 @@ mod tests {
     #[test]
     fn ttest_statistic_produces_a_report_across_thread_counts() {
         use crate::stats::StatisticKind;
+        let _failpoints = no_failpoints();
         let netlist = blatantly_leaky();
         let base = EvaluationConfig {
             statistic: StatisticKind::TTest,

@@ -45,7 +45,7 @@ use crate::campaign::CampaignError;
 use crate::config::{CampaignMode, EvaluationConfig, SecretDomain, DECISIVE_MARGIN};
 use crate::health;
 use crate::probe::ProbeSet;
-use crate::snapshot::{self, CampaignSnapshot, TableSnapshot};
+use crate::snapshot::{self, TableView};
 use crate::stats::{pooling_summary, StatisticKind};
 use crate::supervisor::{self, Heartbeats};
 use crate::tabulate::{Table, TabulatorMode};
@@ -178,37 +178,40 @@ impl CampaignState {
         }
     }
 
-    /// Assembles the serializable campaign state from the live tables.
-    /// Takes the tables `&mut` so the serialized columns come from (and
-    /// prime) each table's memoized sorted snapshot: a checkpoint's
-    /// statistic sweep and its snapshot share one pass per table.
-    pub(crate) fn snapshot(
+    /// Encodes the campaign state in the snapshot format straight from
+    /// the live tables. Takes the tables `&mut` so the encoder reads
+    /// (and primes) each table's memoized sorted columns in place: a
+    /// checkpoint's statistic sweep and its snapshot share one pass per
+    /// table, and no column is copied.
+    pub(crate) fn encode_snapshot(
         &mut self,
         context: &FoldContext<'_>,
         statistic: StatisticKind,
-    ) -> CampaignSnapshot {
-        CampaignSnapshot {
+    ) -> Vec<u8> {
+        let header = snapshot::Header {
             config_fingerprint: context.fingerprint,
             statistic,
             batches_done: self.batches_done,
             total_batches: context.batches,
             cell_evals: context.prior_cell_evals + self.folded.cell_evals,
-            tables: self
-                .tables
-                .iter_mut()
-                .zip(&self.flagged)
-                .zip(&self.trajectories)
-                .map(|((table, &flagged), trajectory)| {
-                    TableSnapshot::from_sorted(
-                        table.sorted_columns().to_vec(),
-                        table.overflow(),
-                        table.samples(),
-                        flagged,
-                        trajectory,
-                    )
-                })
-                .collect(),
-        }
+        };
+        let tables: Vec<TableView<'_>> = self
+            .tables
+            .iter_mut()
+            .zip(&self.flagged)
+            .zip(&self.trajectories)
+            .map(|((table, &flagged), trajectory)| {
+                let (samples, overflow) = (table.samples(), table.overflow());
+                TableView {
+                    samples,
+                    overflow,
+                    flagged,
+                    counts: table.sorted_columns(),
+                    trajectory,
+                }
+            })
+            .collect();
+        snapshot::encode(&header, &tables)
     }
 }
 
@@ -810,8 +813,8 @@ impl<'a> Engine<'a> {
             if let Some(path) = &config.durability.snapshot_path {
                 if !state.snapshot_degraded {
                     let _span = perf.span("snapshot");
-                    let saved = state.snapshot(context, config.statistic);
-                    if let Err(error) = snapshot::save_with_retry(&saved, path) {
+                    let bytes = state.encode_snapshot(context, config.statistic);
+                    if let Err(error) = snapshot::save_bytes_with_retry(&bytes, path) {
                         // Interim saves are an amenity; losing them must
                         // not kill a healthy campaign. Degrade: skip
                         // further interim saves (the final save is still

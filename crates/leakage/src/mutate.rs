@@ -245,6 +245,10 @@ mod tests {
         // decorrelates its output becomes leaky once that mask is stuck
         // at 0 — the detector must notice the difference.
         use crate::{EvaluationConfig, FixedVsRandom};
+        // Holds the failpoint gate: these campaigns pass batch 3 through
+        // the process-global registry and would otherwise consume a
+        // concurrent fault test's hits.
+        let _failpoints = mmaes_telemetry::failpoint::scoped("");
         let mut builder = NetlistBuilder::new("one_time_pad");
         let s0 = builder.input("s0", share(0, 0));
         let s1 = builder.input("s1", share(1, 0));

@@ -28,6 +28,15 @@
 //! a temporary file, fsyncs and renames, so a crash mid-write leaves
 //! either the previous snapshot or a `.tmp` file — never a torn one.
 //!
+//! One encoder renders the format: it appends every record into one
+//! byte buffer, formatting the numbers by hand. A running campaign
+//! encodes straight from its live tables' memoized sorted columns (no
+//! [`CampaignSnapshot`] in between) and then writes those bytes, so a
+//! retried save rewrites the same buffer; [`CampaignSnapshot::to_text`]
+//! and [`save`] render a materialized snapshot through the same
+//! encoder. [`load`] parses the file's bytes directly, reading numbers
+//! exactly as `str::parse` and `from_str_radix` read them.
+//!
 //! # Versioning
 //!
 //! v2 added the `statistic` record. A G-test campaign serializes in the
@@ -90,26 +99,6 @@ impl TableSnapshot {
             overflow,
             flagged,
             counts: sorted,
-            trajectory: trajectory.to_vec(),
-        }
-    }
-
-    /// Builds a snapshot from already-sorted columns (as
-    /// [`crate::tabulate::Table::sorted_columns`] memoizes them), so a
-    /// checkpoint's G-test sweep and its snapshot share one sort.
-    pub fn from_sorted(
-        counts: Vec<(u128, [u64; 2])>,
-        overflow: [u64; 2],
-        samples: u64,
-        flagged: bool,
-        trajectory: &[(u64, f64)],
-    ) -> Self {
-        debug_assert!(counts.windows(2).all(|pair| pair[0].0 < pair[1].0));
-        TableSnapshot {
-            samples,
-            overflow,
-            flagged,
-            counts,
             trajectory: trajectory.to_vec(),
         }
     }
@@ -189,43 +178,149 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+/// The campaign-level records ahead of the tables.
+pub(crate) struct Header {
+    pub(crate) config_fingerprint: u64,
+    pub(crate) statistic: StatisticKind,
+    pub(crate) batches_done: u64,
+    pub(crate) total_batches: u64,
+    pub(crate) cell_evals: u64,
+}
+
+/// One table's state as the encoder reads it. Borrowed, so a campaign
+/// encodes straight from its live tables' memoized sorted columns
+/// without copying them into a [`TableSnapshot`] first.
+pub(crate) struct TableView<'a> {
+    pub(crate) samples: u64,
+    pub(crate) overflow: [u64; 2],
+    pub(crate) flagged: bool,
+    /// Sorted by key.
+    pub(crate) counts: &'a [(u128, [u64; 2])],
+    pub(crate) trajectory: &'a [(u64, f64)],
+}
+
+/// Renders the versioned text format into one byte buffer, formatting
+/// every number by hand: the format's only encoder. A G-test snapshot
+/// serializes in the v1 layout (no `statistic` record), so its bytes
+/// are identical to pre-v2 snapshots; a non-default statistic opts
+/// into v2.
+pub(crate) fn encode(header: &Header, tables: &[TableView<'_>]) -> Vec<u8> {
+    // Generous for the typical line; pages the estimate overshoots are
+    // never touched.
+    let capacity = 128
+        + tables
+            .iter()
+            .map(|table| 64 + 24 * table.counts.len() + 48 * table.trajectory.len())
+            .sum::<usize>();
+    let mut out = Vec::with_capacity(capacity);
+    out.extend_from_slice(MAGIC.as_bytes());
+    if header.statistic == StatisticKind::GTest {
+        out.extend_from_slice(b" v1\nconfig ");
+        push_hex(&mut out, header.config_fingerprint.into(), 16);
+    } else {
+        out.extend_from_slice(b" v");
+        push_decimal(&mut out, SNAPSHOT_SCHEMA_VERSION);
+        out.extend_from_slice(b"\nconfig ");
+        push_hex(&mut out, header.config_fingerprint.into(), 16);
+        out.extend_from_slice(b"\nstatistic ");
+        out.extend_from_slice(header.statistic.name().as_bytes());
+    }
+    out.extend_from_slice(b"\nprogress ");
+    push_decimal(&mut out, header.batches_done);
+    out.push(b' ');
+    push_decimal(&mut out, header.total_batches);
+    out.extend_from_slice(b"\ncell_evals ");
+    push_decimal(&mut out, header.cell_evals);
+    out.push(b'\n');
+    for (index, table) in tables.iter().enumerate() {
+        out.extend_from_slice(b"table ");
+        push_decimal(&mut out, index as u64);
+        for value in [table.samples, table.overflow[0], table.overflow[1]] {
+            out.push(b' ');
+            push_decimal(&mut out, value);
+        }
+        out.extend_from_slice(if table.flagged { b" 1\n" } else { b" 0\n" });
+        for &(key, cell) in table.counts {
+            out.extend_from_slice(b"k ");
+            push_hex(&mut out, key, 1);
+            out.push(b' ');
+            push_decimal(&mut out, cell[0]);
+            out.push(b' ');
+            push_decimal(&mut out, cell[1]);
+            out.push(b'\n');
+        }
+        for &(traces, value) in table.trajectory {
+            out.extend_from_slice(b"traj ");
+            push_decimal(&mut out, traces);
+            out.push(b' ');
+            push_hex(&mut out, value.to_bits().into(), 16);
+            out.push(b'\n');
+        }
+    }
+    out.extend_from_slice(b"end\n");
+    out
+}
+
+/// Appends `value` in decimal (as `{}` formats it).
+fn push_decimal(out: &mut Vec<u8>, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
+}
+
+/// Appends `value` in lower-case hex, zero-padded to at least
+/// `min_digits` digits (as `{:x}` formats it for 1, `{:016x}` for 16).
+fn push_hex(out: &mut Vec<u8>, value: u128, min_digits: usize) {
+    const NIBBLES: &[u8; 16] = b"0123456789abcdef";
+    let significant = (128 - value.leading_zeros() as usize).div_ceil(4);
+    let mut digits = [0u8; 32];
+    let count = significant.max(min_digits);
+    for (place, digit) in digits[..count].iter_mut().rev().enumerate() {
+        *digit = NIBBLES[(value >> (4 * place)) as usize & 0xf];
+    }
+    out.extend_from_slice(&digits[..count]);
+}
+
+impl TableSnapshot {
+    fn view(&self) -> TableView<'_> {
+        TableView {
+            samples: self.samples,
+            overflow: self.overflow,
+            flagged: self.flagged,
+            counts: &self.counts,
+            trajectory: &self.trajectory,
+        }
+    }
+}
+
 impl CampaignSnapshot {
+    /// The snapshot in the versioned text format, as bytes.
+    fn encode(&self) -> Vec<u8> {
+        let header = Header {
+            config_fingerprint: self.config_fingerprint,
+            statistic: self.statistic,
+            batches_done: self.batches_done,
+            total_batches: self.total_batches,
+            cell_evals: self.cell_evals,
+        };
+        let tables: Vec<TableView<'_>> = self.tables.iter().map(TableSnapshot::view).collect();
+        encode(&header, &tables)
+    }
+
     /// Renders the snapshot in the versioned text format. A G-test
     /// snapshot serializes in the v1 layout (no `statistic` record), so
     /// its bytes are identical to pre-v2 snapshots; a non-default
     /// statistic opts into v2.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        if self.statistic == StatisticKind::GTest {
-            out.push_str(&format!("{MAGIC} v1\n"));
-            out.push_str(&format!("config {:016x}\n", self.config_fingerprint));
-        } else {
-            out.push_str(&format!("{MAGIC} v{SNAPSHOT_SCHEMA_VERSION}\n"));
-            out.push_str(&format!("config {:016x}\n", self.config_fingerprint));
-            out.push_str(&format!("statistic {}\n", self.statistic.name()));
-        }
-        out.push_str(&format!(
-            "progress {} {}\n",
-            self.batches_done, self.total_batches
-        ));
-        out.push_str(&format!("cell_evals {}\n", self.cell_evals));
-        for (index, table) in self.tables.iter().enumerate() {
-            out.push_str(&format!(
-                "table {index} {} {} {} {}\n",
-                table.samples,
-                table.overflow[0],
-                table.overflow[1],
-                u8::from(table.flagged)
-            ));
-            for &(key, cell) in &table.counts {
-                out.push_str(&format!("k {key:x} {} {}\n", cell[0], cell[1]));
-            }
-            for &(traces, value) in &table.trajectory {
-                out.push_str(&format!("traj {traces} {:016x}\n", value.to_bits()));
-            }
-        }
-        out.push_str("end\n");
-        out
+        String::from_utf8(self.encode()).expect("the snapshot format is ASCII")
     }
 
     /// Parses the text format.
@@ -235,130 +330,232 @@ impl CampaignSnapshot {
     /// [`SnapshotError::Corrupt`], [`SnapshotError::VersionMismatch`] or
     /// [`SnapshotError::Truncated`] as appropriate.
     pub fn from_text(text: &str) -> Result<Self, SnapshotError> {
-        let corrupt = |line: usize, reason: &str| SnapshotError::Corrupt {
-            line,
-            reason: reason.to_owned(),
-        };
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or(SnapshotError::Truncated)?;
-        let version = header
-            .strip_prefix(MAGIC)
-            .and_then(|rest| rest.trim().strip_prefix('v'))
-            .ok_or_else(|| corrupt(1, "missing snapshot header"))?
-            .parse::<u64>()
-            .map_err(|_| corrupt(1, "unparsable version"))?;
-        if version == 0 || version > SNAPSHOT_SCHEMA_VERSION {
-            return Err(SnapshotError::VersionMismatch { found: version });
+        parse(text.as_bytes())
+    }
+}
+
+/// A [`SnapshotError::Corrupt`] at 1-based `line`.
+fn corrupt(line: usize, reason: &str) -> SnapshotError {
+    SnapshotError::Corrupt {
+        line,
+        reason: reason.to_owned(),
+    }
+}
+
+/// A read position in the snapshot bytes: the current line's number
+/// and the next unread byte. Records are lines; fields are separated by
+/// ASCII whitespace, as `split_ascii_whitespace` separates them.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    at: usize,
+    line: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// The current line's next field, if it has one.
+    fn field(&mut self) -> Option<&'a [u8]> {
+        let separator = |byte: &u8| *byte != b'\n' && byte.is_ascii_whitespace();
+        while self.bytes.get(self.at).is_some_and(separator) {
+            self.at += 1;
         }
-        let mut snapshot = CampaignSnapshot::default();
-        let mut saw_end = false;
-        for (index, line) in lines {
-            let number = index + 1;
-            let mut fields = line.split_ascii_whitespace();
-            match fields.next() {
-                Some("config") => {
-                    snapshot.config_fingerprint = fields
-                        .next()
-                        .and_then(|value| u64::from_str_radix(value, 16).ok())
-                        .ok_or_else(|| corrupt(number, "bad config fingerprint"))?;
-                }
-                Some("statistic") => {
-                    snapshot.statistic = fields
-                        .next()
-                        .and_then(StatisticKind::parse)
-                        .ok_or_else(|| corrupt(number, "unknown statistic"))?;
-                }
-                Some("progress") => {
-                    snapshot.batches_done = fields
-                        .next()
-                        .and_then(|value| value.parse().ok())
-                        .ok_or_else(|| corrupt(number, "bad batches_done"))?;
-                    snapshot.total_batches = fields
-                        .next()
-                        .and_then(|value| value.parse().ok())
-                        .ok_or_else(|| corrupt(number, "bad total_batches"))?;
-                }
-                Some("cell_evals") => {
-                    snapshot.cell_evals = fields
-                        .next()
-                        .and_then(|value| value.parse().ok())
-                        .ok_or_else(|| corrupt(number, "bad cell_evals"))?;
-                }
-                Some("table") => {
-                    let expected_index: usize = fields
-                        .next()
-                        .and_then(|value| value.parse().ok())
-                        .ok_or_else(|| corrupt(number, "bad table index"))?;
-                    if expected_index != snapshot.tables.len() {
-                        return Err(corrupt(number, "table index out of order"));
-                    }
-                    let mut parse = |what: &str| {
-                        fields
-                            .next()
-                            .and_then(|value| value.parse::<u64>().ok())
-                            .ok_or_else(|| corrupt(number, what))
-                    };
-                    let samples = parse("bad samples")?;
-                    let overflow0 = parse("bad overflow")?;
-                    let overflow1 = parse("bad overflow")?;
-                    let flagged = parse("bad flagged")?;
-                    snapshot.tables.push(TableSnapshot {
-                        samples,
-                        overflow: [overflow0, overflow1],
-                        flagged: flagged != 0,
-                        counts: Vec::new(),
-                        trajectory: Vec::new(),
-                    });
-                }
-                Some("k") => {
-                    let table = snapshot
-                        .tables
-                        .last_mut()
-                        .ok_or_else(|| corrupt(number, "count before any table"))?;
-                    let key = fields
-                        .next()
-                        .and_then(|value| u128::from_str_radix(value, 16).ok())
-                        .ok_or_else(|| corrupt(number, "bad key"))?;
-                    let count0 = fields
-                        .next()
-                        .and_then(|value| value.parse().ok())
-                        .ok_or_else(|| corrupt(number, "bad count"))?;
-                    let count1 = fields
-                        .next()
-                        .and_then(|value| value.parse().ok())
-                        .ok_or_else(|| corrupt(number, "bad count"))?;
-                    table.counts.push((key, [count0, count1]));
-                }
-                Some("traj") => {
-                    let table = snapshot
-                        .tables
-                        .last_mut()
-                        .ok_or_else(|| corrupt(number, "trajectory before any table"))?;
-                    let traces = fields
-                        .next()
-                        .and_then(|value| value.parse().ok())
-                        .ok_or_else(|| corrupt(number, "bad trajectory traces"))?;
-                    let bits = fields
-                        .next()
-                        .and_then(|value| u64::from_str_radix(value, 16).ok())
-                        .ok_or_else(|| corrupt(number, "bad trajectory value"))?;
-                    table.trajectory.push((traces, f64::from_bits(bits)));
-                }
-                Some("end") => {
-                    saw_end = true;
-                    break;
-                }
-                Some(other) => {
-                    return Err(corrupt(number, &format!("unknown record `{other}`")));
-                }
-                None => {} // blank line
+        let start = self.at;
+        while self
+            .bytes
+            .get(self.at)
+            .is_some_and(|byte| !byte.is_ascii_whitespace())
+        {
+            self.at += 1;
+        }
+        (self.at > start).then(|| &self.bytes[start..self.at])
+    }
+
+    /// Skips the rest of the current line; `false` when no line follows
+    /// (as `str::lines` sees it: a final newline starts no new line).
+    fn next_line(&mut self) -> bool {
+        match self.bytes[self.at..].iter().position(|&byte| byte == b'\n') {
+            Some(offset) => {
+                self.at += offset + 1;
+                self.line += 1;
+                self.at < self.bytes.len()
+            }
+            None => {
+                self.at = self.bytes.len();
+                false
             }
         }
-        if !saw_end {
-            return Err(SnapshotError::Truncated);
-        }
-        Ok(snapshot)
     }
+
+    /// The next field as a decimal `u64`, or `Corrupt` saying `what`.
+    fn decimal(&mut self, what: &str) -> Result<u64, SnapshotError> {
+        self.field()
+            .and_then(parse_decimal)
+            .ok_or_else(|| corrupt(self.line, what))
+    }
+
+    /// The next field as a hex `u128`, or `Corrupt` saying `what`.
+    fn hex(&mut self, what: &str) -> Result<u128, SnapshotError> {
+        self.field()
+            .and_then(parse_hex)
+            .ok_or_else(|| corrupt(self.line, what))
+    }
+
+    /// The next field as a hex `u64`, or `Corrupt` saying `what`.
+    fn hex_u64(&mut self, what: &str) -> Result<u64, SnapshotError> {
+        u64::try_from(self.hex(what)?).map_err(|_| corrupt(self.line, what))
+    }
+}
+
+/// Digit values by byte (`0`–`9`, `a`–`f`, `A`–`F`); `0xff` marks a
+/// byte that is no digit.
+const HEX_DIGITS: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut digit = 0;
+    while digit < 16 {
+        table[b"0123456789abcdef"[digit] as usize] = digit as u8;
+        table[b"0123456789ABCDEF"[digit] as usize] = digit as u8;
+        digit += 1;
+    }
+    table
+};
+
+/// A decimal `u64` as `str::parse` reads one: an optional `+`, then at
+/// least one digit, without overflow.
+fn parse_decimal(field: &[u8]) -> Option<u64> {
+    let digits = field.strip_prefix(b"+").unwrap_or(field);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |value, &byte| {
+        let digit = HEX_DIGITS[usize::from(byte)];
+        if digit >= 10 {
+            return None;
+        }
+        value.checked_mul(10)?.checked_add(u64::from(digit))
+    })
+}
+
+/// A hex `u128` as `u128::from_str_radix(_, 16)` reads one: an optional
+/// `+`, then at least one digit of either case, without overflow. The
+/// first 16 digits accumulate in a `u64`: `u128` arithmetic per digit
+/// was the parser's largest cost, and every dense-table key fits.
+fn parse_hex(field: &[u8]) -> Option<u128> {
+    let digits = field.strip_prefix(b"+").unwrap_or(field);
+    if digits.is_empty() {
+        return None;
+    }
+    let (head, tail) = digits.split_at(digits.len().min(16));
+    let head = head.iter().try_fold(0u64, |value, &byte| {
+        let digit = HEX_DIGITS[usize::from(byte)];
+        (digit < 16).then(|| value << 4 | u64::from(digit))
+    })?;
+    tail.iter().try_fold(u128::from(head), |value, &byte| {
+        let digit = HEX_DIGITS[usize::from(byte)];
+        (digit < 16 && value >> 124 == 0).then(|| value << 4 | u128::from(digit))
+    })
+}
+
+/// Parses the text format straight from its bytes. Numbers read as
+/// `str::parse` and `from_str_radix` read them, so every file the
+/// format admits parses as it always has; a byte that belongs to no
+/// valid field — a non-ASCII one included — makes its line corrupt.
+fn parse(bytes: &[u8]) -> Result<CampaignSnapshot, SnapshotError> {
+    if bytes.is_empty() {
+        return Err(SnapshotError::Truncated);
+    }
+    let header_end = bytes
+        .iter()
+        .position(|&byte| byte == b'\n')
+        .unwrap_or(bytes.len());
+    let version = std::str::from_utf8(&bytes[..header_end])
+        .ok()
+        .and_then(|header| header.strip_prefix(MAGIC))
+        .and_then(|rest| rest.trim().strip_prefix('v'))
+        .ok_or_else(|| corrupt(1, "missing snapshot header"))?
+        .parse::<u64>()
+        .map_err(|_| corrupt(1, "unparsable version"))?;
+    if version == 0 || version > SNAPSHOT_SCHEMA_VERSION {
+        return Err(SnapshotError::VersionMismatch { found: version });
+    }
+    let mut snapshot = CampaignSnapshot::default();
+    let mut saw_end = false;
+    let mut cursor = Cursor {
+        bytes,
+        at: 0,
+        line: 1,
+    };
+    while cursor.next_line() {
+        let number = cursor.line;
+        match cursor.field() {
+            Some(b"k") => {
+                let table = snapshot
+                    .tables
+                    .last_mut()
+                    .ok_or_else(|| corrupt(number, "count before any table"))?;
+                let key = cursor.hex("bad key")?;
+                let count0 = cursor.decimal("bad count")?;
+                let count1 = cursor.decimal("bad count")?;
+                table.counts.push((key, [count0, count1]));
+            }
+            Some(b"traj") => {
+                let table = snapshot
+                    .tables
+                    .last_mut()
+                    .ok_or_else(|| corrupt(number, "trajectory before any table"))?;
+                let traces = cursor.decimal("bad trajectory traces")?;
+                let bits = cursor.hex_u64("bad trajectory value")?;
+                table.trajectory.push((traces, f64::from_bits(bits)));
+            }
+            Some(b"table") => {
+                let expected_index = cursor.decimal("bad table index")?;
+                if expected_index != snapshot.tables.len() as u64 {
+                    return Err(corrupt(number, "table index out of order"));
+                }
+                let samples = cursor.decimal("bad samples")?;
+                let overflow0 = cursor.decimal("bad overflow")?;
+                let overflow1 = cursor.decimal("bad overflow")?;
+                let flagged = cursor.decimal("bad flagged")?;
+                snapshot.tables.push(TableSnapshot {
+                    samples,
+                    overflow: [overflow0, overflow1],
+                    flagged: flagged != 0,
+                    counts: Vec::new(),
+                    trajectory: Vec::new(),
+                });
+            }
+            Some(b"config") => {
+                snapshot.config_fingerprint = cursor.hex_u64("bad config fingerprint")?;
+            }
+            Some(b"statistic") => {
+                snapshot.statistic = cursor
+                    .field()
+                    .and_then(|name| std::str::from_utf8(name).ok())
+                    .and_then(StatisticKind::parse)
+                    .ok_or_else(|| corrupt(number, "unknown statistic"))?;
+            }
+            Some(b"progress") => {
+                snapshot.batches_done = cursor.decimal("bad batches_done")?;
+                snapshot.total_batches = cursor.decimal("bad total_batches")?;
+            }
+            Some(b"cell_evals") => {
+                snapshot.cell_evals = cursor.decimal("bad cell_evals")?;
+            }
+            Some(b"end") => {
+                saw_end = true;
+                break;
+            }
+            Some(other) => {
+                return Err(corrupt(
+                    number,
+                    &format!("unknown record `{}`", String::from_utf8_lossy(other)),
+                ));
+            }
+            None => {} // blank line
+        }
+    }
+    if !saw_end {
+        return Err(SnapshotError::Truncated);
+    }
+    Ok(snapshot)
 }
 
 /// Writes the snapshot atomically: temporary file in the same
@@ -370,6 +567,12 @@ impl CampaignSnapshot {
 ///
 /// [`SnapshotError::Io`] with the failing path in the message.
 pub fn save(snapshot: &CampaignSnapshot, path: &Path) -> Result<(), SnapshotError> {
+    save_bytes(&snapshot.encode(), path)
+}
+
+/// [`save`] for already-encoded bytes: what a running campaign writes
+/// after encoding straight from its tables.
+pub(crate) fn save_bytes(bytes: &[u8], path: &Path) -> Result<(), SnapshotError> {
     let io_error = |context: &str, error: std::io::Error| {
         SnapshotError::Io(format!("{context} {}: {error}", path.display()))
     };
@@ -377,18 +580,11 @@ pub fn save(snapshot: &CampaignSnapshot, path: &Path) -> Result<(), SnapshotErro
     // Deterministic fault injection (`--failpoints snapshot.save=...`):
     // the chaos harness strikes here, before the real write, so an
     // injected ENOSPC or truncation never corrupts the destination.
-    // Guarded on `active()` so the inactive fast path never pays for
-    // the serialized payload.
-    if mmaes_telemetry::failpoint::active() {
-        mmaes_telemetry::failpoint::inject_io(
-            "snapshot.save",
-            Some((&tmp, snapshot.to_text().as_bytes())),
-        )
+    mmaes_telemetry::failpoint::inject_io("snapshot.save", Some((&tmp, bytes)))
         .map_err(|error| io_error("write", error))?;
-    }
     {
         let mut file = fs::File::create(&tmp).map_err(|error| io_error("create", error))?;
-        file.write_all(snapshot.to_text().as_bytes())
+        file.write_all(bytes)
             .map_err(|error| io_error("write", error))?;
         file.sync_all().map_err(|error| io_error("fsync", error))?;
     }
@@ -402,12 +598,13 @@ pub fn save(snapshot: &CampaignSnapshot, path: &Path) -> Result<(), SnapshotErro
     Ok(())
 }
 
-/// [`save`] with the bounded retry-with-backoff budget of
+/// [`save_bytes`] with the bounded retry-with-backoff budget of
 /// [`mmaes_telemetry::degraded::retry`]: transient failures (or a
 /// bounded fault schedule) recover invisibly; persistent ones surface
-/// the last error so the caller can degrade or propagate.
-pub fn save_with_retry(snapshot: &CampaignSnapshot, path: &Path) -> Result<(), SnapshotError> {
-    mmaes_telemetry::degraded::retry(|| save(snapshot, path))
+/// the last error so the caller can degrade or propagate. Every attempt
+/// writes the same bytes; nothing is re-encoded.
+pub(crate) fn save_bytes_with_retry(bytes: &[u8], path: &Path) -> Result<(), SnapshotError> {
+    mmaes_telemetry::degraded::retry(|| save_bytes(bytes, path))
 }
 
 /// Removes a stale `.tmp` sibling left next to `path` by a crash
@@ -428,9 +625,9 @@ pub fn reap_stale_tmp(path: &Path) {
 /// [`SnapshotError::Io`] if the file cannot be read, otherwise the
 /// parse errors of [`CampaignSnapshot::from_text`].
 pub fn load(path: &Path) -> Result<CampaignSnapshot, SnapshotError> {
-    let text = fs::read_to_string(path)
+    let bytes = fs::read(path)
         .map_err(|error| SnapshotError::Io(format!("read {}: {error}", path.display())))?;
-    CampaignSnapshot::from_text(&text)
+    parse(&bytes)
 }
 
 #[cfg(test)]
@@ -463,6 +660,75 @@ mod tests {
         let text = snapshot.to_text();
         let parsed = CampaignSnapshot::from_text(&text).expect("parses");
         assert_eq!(parsed, snapshot);
+    }
+
+    /// Edge values for the golden layout test: a fingerprint with
+    /// leading zero nibbles, `u64::MAX` counts, keys `0` and
+    /// `u128::MAX`, a key past 64 bits, zero, negative-zero and
+    /// infinite trajectory values, and an empty table.
+    fn edge_values(statistic: StatisticKind) -> CampaignSnapshot {
+        CampaignSnapshot {
+            config_fingerprint: 0x0000_0abc_0000_0001,
+            statistic,
+            batches_done: 3,
+            total_batches: u64::MAX,
+            cell_evals: u64::MAX,
+            tables: vec![
+                TableSnapshot {
+                    samples: u64::MAX,
+                    overflow: [0, u64::MAX],
+                    flagged: true,
+                    counts: vec![
+                        (0, [u64::MAX, 0]),
+                        (0xff, [1, 2]),
+                        (u128::MAX, [3, u64::MAX]),
+                    ],
+                    trajectory: vec![(64, 0.0), (128, 1.5), (u64::MAX, f64::INFINITY)],
+                },
+                TableSnapshot::default(),
+                TableSnapshot {
+                    samples: 10,
+                    overflow: [0, 0],
+                    flagged: false,
+                    counts: vec![(1 << 64, [4, 6])],
+                    trajectory: vec![(0, -0.0)],
+                },
+            ],
+        }
+    }
+
+    /// The tables of [`edge_values`], as the format renders them.
+    const GOLDEN_TABLES: &str = "\
+progress 3 18446744073709551615
+cell_evals 18446744073709551615
+table 0 18446744073709551615 0 18446744073709551615 1
+k 0 18446744073709551615 0
+k ff 1 2
+k ffffffffffffffffffffffffffffffff 3 18446744073709551615
+traj 64 0000000000000000
+traj 128 3ff8000000000000
+traj 18446744073709551615 7ff0000000000000
+table 1 0 0 0 0
+table 2 10 0 0 0
+k 10000000000000000 4 6
+traj 0 8000000000000000
+end
+";
+
+    #[test]
+    fn to_text_matches_the_golden_bytes_in_both_layouts() {
+        let v1 = edge_values(StatisticKind::GTest);
+        let expected_v1 =
+            format!("mmaes-campaign-snapshot v1\nconfig 00000abc00000001\n{GOLDEN_TABLES}");
+        assert_eq!(v1.to_text(), expected_v1);
+        assert_eq!(CampaignSnapshot::from_text(&expected_v1), Ok(v1));
+
+        let v2 = edge_values(StatisticKind::TTest);
+        let expected_v2 = format!(
+            "mmaes-campaign-snapshot v2\nconfig 00000abc00000001\nstatistic ttest\n{GOLDEN_TABLES}"
+        );
+        assert_eq!(v2.to_text(), expected_v2);
+        assert_eq!(CampaignSnapshot::from_text(&expected_v2), Ok(v2));
     }
 
     #[test]
@@ -580,7 +846,7 @@ mod tests {
         let directory = std::env::temp_dir().join("mmaes-snapshot-enospc-test");
         fs::create_dir_all(&directory).expect("mkdir");
         let path = directory.join("full-disk.snapshot");
-        let error = save_with_retry(&sample(), &path).expect_err("injected ENOSPC");
+        let error = save_bytes_with_retry(&sample().encode(), &path).expect_err("injected ENOSPC");
         assert!(matches!(error, SnapshotError::Io(_)), "{error}");
         assert!(error.to_string().contains("injected"), "{error}");
         assert!(!path.exists(), "no snapshot file under persistent ENOSPC");
@@ -595,7 +861,7 @@ mod tests {
         let directory = std::env::temp_dir().join("mmaes-snapshot-retry-test");
         fs::create_dir_all(&directory).expect("mkdir");
         let path = directory.join("transient.snapshot");
-        save_with_retry(&sample(), &path).expect("third attempt lands");
+        save_bytes_with_retry(&sample().encode(), &path).expect("third attempt lands");
         assert_eq!(load(&path).expect("loads"), sample());
         fs::remove_file(&path).ok();
     }
@@ -638,7 +904,8 @@ mod tests {
             .join("mmaes-snapshot-missing-dir-test")
             .join("nonexistent")
             .join("x.snapshot");
-        let error = save_with_retry(&sample(), &path).expect_err("unwritable directory");
+        let error =
+            save_bytes_with_retry(&sample().encode(), &path).expect_err("unwritable directory");
         assert!(matches!(error, SnapshotError::Io(_)), "{error}");
         assert!(error.to_string().contains("create"), "{error}");
     }
@@ -662,5 +929,94 @@ mod tests {
         let trajectory = &parsed.tables[0].trajectory;
         assert_eq!(trajectory[0].1.to_bits(), f64::NAN.to_bits());
         assert_eq!(trajectory[1].1, f64::INFINITY);
+    }
+
+    #[test]
+    fn lines_and_fields_split_as_str_lines_splits_them() {
+        // CRLF endings, blank lines, extra fields, runs of separators,
+        // signs, upper-case hex and a missing final newline all read
+        // as `str::lines` + `split_ascii_whitespace` + `parse` read them.
+        let canonical = edge_values(StatisticKind::TTest);
+        let text = canonical.to_text();
+        let variants = [
+            text.replace('\n', "\r\n"),
+            text.replace("\ntable", "\n\n  \t\ntable"),
+            text.replace("k ff 1 2", "k\t+FF  +1\x0c2 trailing fields"),
+            text.trim_end().to_owned(),
+            format!("{text}garbage after the end marker\n"),
+        ];
+        for variant in variants {
+            assert_eq!(
+                CampaignSnapshot::from_text(&variant),
+                Ok(canonical.clone()),
+                "{variant:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_non_ascii_byte_makes_its_line_corrupt() {
+        let mut bytes = sample().to_text().into_bytes();
+        let at = bytes
+            .windows(4)
+            .position(|window| window == b"k 1 ")
+            .expect("a k line");
+        bytes[at + 2] = 0xff;
+        assert!(
+            matches!(parse(&bytes), Err(SnapshotError::Corrupt { line: 7, .. })),
+            "{:?}",
+            parse(&bytes)
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn encoded_numbers_match_format(
+            halves in (proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
+            small in 0u64..70_000,
+        ) {
+            let wide = u128::from(halves.0) << 64 | u128::from(halves.1);
+            for number in [halves.0, halves.1, small] {
+                let mut out = Vec::new();
+                push_decimal(&mut out, number);
+                proptest::prop_assert_eq!(out, number.to_string().into_bytes());
+                let mut out = Vec::new();
+                push_hex(&mut out, number.into(), 16);
+                proptest::prop_assert_eq!(out, format!("{number:016x}").into_bytes());
+            }
+            for key in [wide, wide >> 64, small.into()] {
+                let mut out = Vec::new();
+                push_hex(&mut out, key, 1);
+                proptest::prop_assert_eq!(out, format!("{key:x}").into_bytes());
+            }
+        }
+
+        /// Fields parse as `str::parse` and `from_str_radix` parse them:
+        /// plain decimal, plain hex and mixed fields, at lengths around
+        /// the `u64` head of the hex parser and the overflow lengths.
+        #[test]
+        fn fields_parse_as_std_parses_them(
+            kind in 0usize..3,
+            length in 0usize..12,
+            picks in proptest::prelude::prop::collection::vec(0usize..20, 33),
+        ) {
+            const ALPHABET: &[u8; 20] = b"0123456789abcdefA-F+";
+            const LENGTHS: [usize; 12] = [1, 2, 3, 15, 16, 17, 18, 19, 20, 21, 32, 33];
+            let modulus = [10, 16, 20][kind];
+            let field: String = picks[..LENGTHS[length]]
+                .iter()
+                .map(|&pick| char::from(ALPHABET[pick % modulus]))
+                .collect();
+            let line = format!("x {field} {field}\n");
+            let mut cursor = Cursor { bytes: line.as_bytes(), at: 0, line: 1 };
+            cursor.field();
+            proptest::prop_assert_eq!(cursor.decimal("decimal").ok(), field.parse::<u64>().ok());
+            proptest::prop_assert_eq!(
+                cursor.hex("hex").ok(),
+                u128::from_str_radix(&field, 16).ok()
+            );
+        }
     }
 }

@@ -7,9 +7,12 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
+use mmaes_circuits::build_kronecker;
 use mmaes_leakage::{
-    CampaignError, Durability, EvaluationConfig, FixedVsRandom, LeakageReport, SnapshotError,
+    snapshot, CampaignError, Durability, EvaluationConfig, FixedVsRandom, LeakageReport,
+    SnapshotError,
 };
+use mmaes_masking::KroneckerRandomness;
 use mmaes_netlist::{Netlist, NetlistBuilder, SecretId, SignalRole};
 use proptest::prelude::*;
 
@@ -301,6 +304,53 @@ fn interrupt_flag_stops_the_campaign_cooperatively() {
         .expect("interrupted run");
     assert!(report.interrupted);
     assert_eq!(report.traces, 64, "stops after the first batch");
+}
+
+/// A campaign writes its snapshots straight from its live tables;
+/// `CampaignSnapshot::to_text` renders a loaded one. Both must be the
+/// same encoder: every file on disk equals `load(path).to_text()` byte
+/// for byte. The Eq. 6 core under a 16-key cap mixes dense tables with
+/// overflowing hashed ones; each thread count writes an interrupted
+/// snapshot (the frontier a `stop_after_batches` cap leaves) and a
+/// completed one.
+#[test]
+fn snapshots_on_disk_are_what_to_text_renders() {
+    let circuit = build_kronecker(&KroneckerRandomness::de_meyer_eq6()).expect("valid circuit");
+    for threads in [1usize, 2] {
+        for stop_after_batches in [Some(20), None] {
+            let path = snapshot_path("encoder");
+            let config = EvaluationConfig {
+                traces: 2048,
+                threads,
+                warmup_cycles: 6,
+                checkpoints: 4,
+                max_table_keys: 16,
+                durability: Durability {
+                    snapshot_path: Some(path.clone()),
+                    resume: false,
+                    interrupt: None,
+                    stop_after_batches,
+                },
+                ..EvaluationConfig::default()
+            };
+            let report = FixedVsRandom::new(&circuit.netlist, config)
+                .try_run()
+                .expect("campaign");
+            assert_eq!(report.interrupted, stop_after_batches.is_some());
+            let on_disk = std::fs::read(&path).expect("snapshot written");
+            let loaded = snapshot::load(&path).expect("snapshot loads");
+            let _ = std::fs::remove_file(&path);
+            assert!(
+                loaded.tables.iter().any(|table| table.overflow != [0, 0]),
+                "the narrow cap must leave overflowing hashed tables"
+            );
+            assert!(
+                on_disk == loaded.to_text().into_bytes(),
+                "threads={threads}, stop_after_batches={stop_after_batches:?}: \
+                 the campaign's snapshot differs from its to_text rendering"
+            );
+        }
+    }
 }
 
 proptest! {
