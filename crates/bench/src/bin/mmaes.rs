@@ -10,7 +10,6 @@
 //! mmaes verify   <design> [options]        exhaustive (SILVER-style) proof
 //! mmaes selftest [options]                 fault-injection detector check
 //! mmaes chaos    [options]                 fault-containment chaos harness
-//! mmaes bench    [options]                 performance-regression workload
 //! mmaes top      <status.json | --addr A>  live campaign dashboard
 //! ```
 //!
@@ -70,19 +69,14 @@
 //! — sites `worker` (keyed by batch index), `snapshot.save`,
 //! `status.write`, `metrics.write`; actions `ioerr`, `truncate`,
 //! `panic`, `stall[(MS)]`.
-//! Bench options: `--quick`, `--label NAME`, `--baseline FILE`,
-//! `--threshold PCT`, `--out FILE`, `--trace FILE`, `--quiet`,
-//! `--threads N`, `--statistic gtest|ttest` (the last two apply to the
-//! campaign workloads).
 //!
 //! `evaluate` and `verify` always end with one machine-readable JSON
-//! summary line on stdout (schema v4: includes `elapsed_ms`,
-//! `traces_per_sec`, `cell_evals`, `interrupted`, `threads`); `--metrics`
+//! summary line on stdout (versioned by `EVENT_SCHEMA_VERSION`; it
+//! includes `elapsed_ms`, `traces_per_sec`, `cell_evals`, `interrupted`,
+//! `threads`); `--metrics`
 //! additionally records the full event stream (campaign checkpoints with
 //! per-probe-set `-log10(p)` trajectories, threshold crossings, `--perf`
-//! phase snapshots, the final verdict) as JSON lines. `bench` writes a
-//! schema-versioned `BENCH_<label>.json` and exits non-zero when
-//! `--baseline` reveals a throughput regression.
+//! phase snapshots, the final verdict) as JSON lines.
 //!
 //! Long campaigns are crash-safe: `--snapshot FILE` persists the full
 //! campaign state atomically at every checkpoint, SIGINT/SIGTERM stops
@@ -135,7 +129,6 @@ fn main() {
         "verify" => verify(&arguments[1..]),
         "selftest" => selftest(&arguments[1..]),
         "chaos" => chaos(&arguments[1..]),
-        "bench" => mmaes_bench::bench::run(&arguments[1..]),
         "top" => mmaes_bench::top::run(&arguments[1..]),
         "--help" | "-h" | "help" => usage(),
         other => {
@@ -170,9 +163,6 @@ fn usage() {
          mmaes selftest [--traces N] [--per-kind N] [--metrics FILE] [--quiet]\n\
          mmaes chaos    [--traces N] [--seed N] [--threads N]\n\
          \u{20}                  [--statistic gtest|ttest] [--failpoints SPEC] [--quiet]\n\
-         mmaes bench    [--quick] [--label NAME] [--baseline FILE]\n\
-         \u{20}                  [--threshold PCT] [--out FILE] [--trace FILE] [--quiet]\n\
-         \u{20}                  [--threads N] [--statistic gtest|ttest]\n\
          mmaes top      <status.json> | --addr HOST:PORT\n\
          \u{20}                  [--interval SECS] [--once]\n\
          \n\
@@ -401,6 +391,10 @@ fn evaluate(arguments: &[String]) {
             "--order" => {
                 let mut order = 0u64;
                 numeric(&mut order);
+                if !(1..=2).contains(&order) {
+                    eprintln!("flag --order: supported probing orders are 1 and 2");
+                    exit(exit_code::INVALID_INPUT);
+                }
                 config.order = order as usize;
             }
             "--traces" => numeric(&mut config.traces),
@@ -612,6 +606,10 @@ fn explain(arguments: &[String]) {
             "--order" => {
                 let mut order = 0u64;
                 numeric(&mut order);
+                if !(1..=2).contains(&order) {
+                    eprintln!("flag --order: supported probing orders are 1 and 2");
+                    exit(exit_code::INVALID_INPUT);
+                }
                 config.order = order as usize;
             }
             "--traces" => numeric(&mut config.traces),
@@ -1334,7 +1332,12 @@ fn verify(arguments: &[String]) {
                 let scope = value();
                 config.probe_scope_filter = if scope == "all" { None } else { Some(scope) };
             }
-            "--max-bits" => config.max_support_bits = value().parse().expect("numeric"),
+            "--max-bits" => {
+                config.max_support_bits = value().parse().unwrap_or_else(|error| {
+                    eprintln!("flag {flag}: {error}");
+                    exit(exit_code::INVALID_INPUT);
+                })
+            }
             "--transition" => config.model = ProbeModel::GlitchTransition,
             "--metrics" => metrics_path = Some(value()),
             "--progress" => progress = true,

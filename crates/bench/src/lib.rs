@@ -36,13 +36,13 @@
 //! follow [`exit_code`]: 0 reproduced/clean, 1 mismatch/leakage,
 //! 2 invalid input, 3 interrupted.
 //!
-//! The [`bench`] module implements the `mmaes bench` regression harness;
-//! the [`html`] module renders the `mmaes explain --report` document.
+//! The [`html`] module renders the `mmaes explain --report` document;
+//! the [`top`] module is the `mmaes top` live dashboard. Performance is
+//! measured by the separate `perfbench` harness (see `BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod html;
 pub mod top;
 
@@ -75,7 +75,6 @@ use mmaes_telemetry::{
 /// renderer; this lists the artifact formats layered on top.
 pub fn schema_versions() -> Vec<(String, u64)> {
     vec![
-        ("bench_schema".to_owned(), bench::BENCH_SCHEMA_VERSION),
         (
             "snapshot_schema".to_owned(),
             mmaes_leakage::SNAPSHOT_SCHEMA_VERSION,

@@ -104,3 +104,43 @@ fn evaluate_passes_a_secure_schedule_and_reports_success() {
     let stdout = String::from_utf8(output.stdout).expect("utf8");
     assert!(stdout.trim().contains("\"passed\":true"), "{stdout}");
 }
+
+#[test]
+fn evaluate_with_perf_records_a_snapshot_and_keeps_the_summary_last() {
+    let jsonl_path = temp_path("perf.jsonl");
+    let output = Command::new(env!("CARGO_BIN_EXE_mmaes"))
+        .args([
+            "evaluate",
+            "kronecker:proposed-eq9",
+            "--traces",
+            "5000",
+            "--perf",
+            "--metrics",
+            jsonl_path.to_str().unwrap(),
+        ])
+        .output()
+        .expect("mmaes runs");
+    assert_eq!(output.status.code(), Some(0), "{output:?}");
+
+    // The summary (with the v2 perf fields) is the last stdout line even
+    // without --quiet, i.e. after the prose report.
+    let stdout = String::from_utf8(output.stdout).expect("utf8");
+    let last = stdout.trim().lines().last().expect("nonempty stdout");
+    assert!(last.starts_with("{\"type\":\"summary\""), "{last}");
+    assert!(last.contains("\"elapsed_ms\":"), "{last}");
+    assert!(last.contains("\"traces_per_sec\":"), "{last}");
+    assert!(last.contains("\"cell_evals\":"), "{last}");
+
+    // --perf routes a campaign-scoped snapshot into the event stream and
+    // a phase table onto stderr.
+    let jsonl = std::fs::read_to_string(&jsonl_path).expect("metrics written");
+    let _ = std::fs::remove_file(&jsonl_path);
+    let snapshot = jsonl
+        .lines()
+        .find(|line| line.contains("\"type\":\"perf_snapshot\""))
+        .expect("perf_snapshot event recorded");
+    assert!(snapshot.contains("\"scope\":\"campaign\""), "{snapshot}");
+    assert!(snapshot.contains("\"phases\":["), "{snapshot}");
+    let stderr = String::from_utf8(output.stderr).expect("utf8");
+    assert!(stderr.contains("g_test"), "{stderr}");
+}

@@ -225,6 +225,17 @@ fn clean_design_exits_zero_and_unknown_flag_exits_two() {
     let bad_value = mmaes(&["evaluate", "kronecker", "--traces", "many"]);
     assert_eq!(bad_value.status.code(), Some(2));
 
+    for bad_input in [
+        &["verify", "kronecker", "--max-bits", "many"][..],
+        &["evaluate", "kronecker", "--order", "0"],
+        &["evaluate", "kronecker", "--order", "3"],
+        &["explain", "kronecker", "--order", "3"],
+        &["bench"],
+    ] {
+        let output = mmaes(bad_input);
+        assert_eq!(output.status.code(), Some(2), "{bad_input:?}: {output:?}");
+    }
+
     let resume_without_snapshot = mmaes(&["evaluate", "kronecker", "--resume"]);
     assert_eq!(resume_without_snapshot.status.code(), Some(2));
 

@@ -9,7 +9,7 @@
 //! sharded campaign's phase breakdown becomes visually inspectable.
 //!
 //! Because only aggregates exist, the exporter *synthesizes* a
-//! deterministic timeline: within each scope (one trace "thread"),
+//! deterministic timeline: within the run's scope (one trace "thread"),
 //! phases are laid end to end in name order, each as one complete
 //! (`"ph":"X"`) event whose duration is the phase's total time and
 //! whose `args` carry the real statistics (count, min/max/mean).
@@ -20,105 +20,76 @@
 use crate::json::{array, JsonObject};
 use crate::perf::PerfSnapshot;
 
-/// Accumulates scopes (one per campaign, workload, or worker) into a
-/// single Chrome-trace document.
-#[derive(Debug, Default)]
-pub struct ChromeTraceBuilder {
-    events: Vec<String>,
-    next_tid: u64,
-}
-
-impl ChromeTraceBuilder {
-    /// An empty trace.
-    pub fn new() -> Self {
-        ChromeTraceBuilder {
-            events: vec![JsonObject::new()
-                .string("name", "process_name")
-                .string("ph", "M")
-                .unsigned("pid", 1)
-                .raw("args", &JsonObject::new().string("name", "mmaes").finish())
-                .finish()],
-            next_tid: 0,
-        }
-    }
-
-    /// Adds one snapshot as its own trace thread named `scope`. Phases
-    /// (already sorted by name) are laid end to end; counters sample at
-    /// the scope origin.
-    pub fn add_scope(&mut self, scope: &str, snapshot: &PerfSnapshot) {
-        self.next_tid += 1;
-        let tid = self.next_tid;
-        self.events.push(
+/// Renders one snapshot as a complete trace document with a single
+/// trace thread named `scope` (`mmaes evaluate --perf --trace FILE`).
+/// Phases (already sorted by name) are laid end to end; counters sample
+/// at the scope origin.
+pub fn chrome_trace(scope: &str, snapshot: &PerfSnapshot) -> String {
+    const TID: u64 = 1;
+    let mut events = vec![
+        JsonObject::new()
+            .string("name", "process_name")
+            .string("ph", "M")
+            .unsigned("pid", 1)
+            .raw("args", &JsonObject::new().string("name", "mmaes").finish())
+            .finish(),
+        JsonObject::new()
+            .string("name", "thread_name")
+            .string("ph", "M")
+            .unsigned("pid", 1)
+            .unsigned("tid", TID)
+            .raw("args", &JsonObject::new().string("name", scope).finish())
+            .finish(),
+    ];
+    let mut offset_us = 0.0f64;
+    for phase in &snapshot.phases {
+        let duration_us = phase.total_ns as f64 / 1e3;
+        events.push(
             JsonObject::new()
-                .string("name", "thread_name")
-                .string("ph", "M")
+                .string("name", &phase.name)
+                .string("cat", scope)
+                .string("ph", "X")
                 .unsigned("pid", 1)
-                .unsigned("tid", tid)
-                .raw("args", &JsonObject::new().string("name", scope).finish())
+                .unsigned("tid", TID)
+                .float("ts", offset_us)
+                .float("dur", duration_us)
+                .raw(
+                    "args",
+                    &JsonObject::new()
+                        .unsigned("count", phase.count)
+                        .unsigned("total_ns", phase.total_ns)
+                        .unsigned("min_ns", phase.min_ns)
+                        .unsigned("max_ns", phase.max_ns)
+                        .float("mean_us", phase.mean_ns() / 1e3)
+                        .finish(),
+                )
                 .finish(),
         );
-        let mut offset_us = 0.0f64;
-        for phase in &snapshot.phases {
-            let duration_us = phase.total_ns as f64 / 1e3;
-            self.events.push(
-                JsonObject::new()
-                    .string("name", &phase.name)
-                    .string("cat", scope)
-                    .string("ph", "X")
-                    .unsigned("pid", 1)
-                    .unsigned("tid", tid)
-                    .float("ts", offset_us)
-                    .float("dur", duration_us)
-                    .raw(
-                        "args",
-                        &JsonObject::new()
-                            .unsigned("count", phase.count)
-                            .unsigned("total_ns", phase.total_ns)
-                            .unsigned("min_ns", phase.min_ns)
-                            .unsigned("max_ns", phase.max_ns)
-                            .float("mean_us", phase.mean_ns() / 1e3)
-                            .finish(),
-                    )
-                    .finish(),
-            );
-            offset_us += duration_us;
-        }
-        for (name, value) in &snapshot.counters {
-            self.events.push(
-                JsonObject::new()
-                    .string("name", name)
-                    .string("ph", "C")
-                    .unsigned("pid", 1)
-                    .unsigned("tid", tid)
-                    .float("ts", 0.0)
-                    .raw("args", &JsonObject::new().unsigned(name, *value).finish())
-                    .finish(),
-            );
-        }
+        offset_us += duration_us;
     }
-
-    /// Closes the trace and returns the JSON document.
-    pub fn finish(self) -> String {
-        JsonObject::new()
-            .raw("traceEvents", &array(self.events))
-            .string("displayTimeUnit", "ms")
-            .finish()
+    for (name, value) in &snapshot.counters {
+        events.push(
+            JsonObject::new()
+                .string("name", name)
+                .string("ph", "C")
+                .unsigned("pid", 1)
+                .unsigned("tid", TID)
+                .float("ts", 0.0)
+                .raw("args", &JsonObject::new().unsigned(name, *value).finish())
+                .finish(),
+        );
     }
-}
-
-/// Renders one snapshot as a complete single-scope trace document —
-/// the common case (`mmaes evaluate --perf --trace FILE`).
-pub fn chrome_trace(scope: &str, snapshot: &PerfSnapshot) -> String {
-    let mut builder = ChromeTraceBuilder::new();
-    builder.add_scope(scope, snapshot);
-    builder.finish()
+    JsonObject::new()
+        .raw("traceEvents", &array(events))
+        .string("displayTimeUnit", "ms")
+        .finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::{parse, JsonValue};
-    use crate::perf::PerfRecorder;
+    use crate::perf::{PerfRecorder, PhaseStats};
     use std::time::Duration;
 
     fn sample_snapshot() -> PerfSnapshot {
@@ -170,29 +141,43 @@ mod tests {
     }
 
     #[test]
+    fn export_matches_the_golden_document() {
+        let phase = |name: &str, count, total_ns, min_ns, max_ns| PhaseStats {
+            name: name.to_owned(),
+            count,
+            total_ns,
+            min_ns,
+            max_ns,
+            buckets: [0; crate::perf::BUCKET_COUNT],
+        };
+        let snapshot = PerfSnapshot {
+            phases: vec![
+                phase("g_test", 3, 1_000_500, 200_000, 500_500),
+                phase("simulate", 1, 2_500, 2_500, 2_500),
+            ],
+            counters: vec![("traces".to_owned(), 12_800)],
+        };
+        let golden = concat!(
+            r#"{"traceEvents":["#,
+            r#"{"name":"process_name","ph":"M","pid":1,"args":{"name":"mmaes"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"campaign"}},"#,
+            r#"{"name":"g_test","cat":"campaign","ph":"X","pid":1,"tid":1,"ts":0,"dur":1000.5000,"#,
+            r#""args":{"count":3,"total_ns":1000500,"min_ns":200000,"max_ns":500500,"mean_us":333.5000}},"#,
+            r#"{"name":"simulate","cat":"campaign","ph":"X","pid":1,"tid":1,"ts":1000.5000,"dur":2.5000,"#,
+            r#""args":{"count":1,"total_ns":2500,"min_ns":2500,"max_ns":2500,"mean_us":2.5000}},"#,
+            r#"{"name":"traces","ph":"C","pid":1,"tid":1,"ts":0,"args":{"traces":12800}}],"#,
+            r#""displayTimeUnit":"ms"}"#,
+        );
+        assert_eq!(chrome_trace("campaign", &snapshot), golden);
+    }
+
+    #[test]
     fn export_is_deterministic_for_equal_snapshots() {
         let snapshot = sample_snapshot();
         assert_eq!(
             chrome_trace("campaign", &snapshot),
             chrome_trace("campaign", &snapshot)
         );
-    }
-
-    #[test]
-    fn multi_scope_traces_use_distinct_thread_ids() {
-        let snapshot = sample_snapshot();
-        let mut builder = ChromeTraceBuilder::new();
-        builder.add_scope("shard-0", &snapshot);
-        builder.add_scope("shard-1", &snapshot);
-        let parsed = parse(&builder.finish()).expect("valid JSON");
-        let tids: std::collections::BTreeSet<u64> = parsed
-            .get("traceEvents")
-            .and_then(JsonValue::as_array)
-            .expect("array")
-            .iter()
-            .filter_map(|event| event.get("tid").and_then(JsonValue::as_u64))
-            .collect();
-        assert_eq!(tids, [1u64, 2].into_iter().collect());
     }
 
     #[test]

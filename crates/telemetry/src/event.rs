@@ -25,10 +25,12 @@ use crate::perf::PerfSnapshot;
 /// v8: a `statistic` field on `health`/`health_summary` and on
 /// `summary` naming the leakage test that produced the `-log10(p)`
 /// values — `"gtest"` or `"ttest"`, empty on summaries of runs that
-/// never sampled). The campaign *snapshot* file carries its own
+/// never sampled; v9: `build_info` on `summary` no longer carries a
+/// `bench_schema` entry — the `mmaes bench` record it versioned is
+/// gone). The campaign *snapshot* file carries its own
 /// independent version
 /// (`mmaes_leakage::snapshot::SNAPSHOT_SCHEMA_VERSION`, currently 2).
-pub const EVENT_SCHEMA_VERSION: u64 = 8;
+pub const EVENT_SCHEMA_VERSION: u64 = 9;
 
 /// One probing set's running statistic at a checkpoint.
 #[derive(Debug, Clone, PartialEq)]
@@ -228,7 +230,7 @@ pub struct RunSummary {
     pub threads: u64,
     /// Additional artifact schema versions rendered into `build_info`
     /// (schema v6) beyond the always-present event schema — e.g.
-    /// `("bench_schema", 2)`, `("snapshot_schema", 1)`. The producing
+    /// `("snapshot_schema", 2)`, `("status_schema", 1)`. The producing
     /// binary lists the schemas of every artifact it can write.
     pub schemas: Vec<(String, u64)>,
     /// Subsystems that degraded to in-memory operation during the run
@@ -266,7 +268,7 @@ impl RunSummary {
             .unsigned("wall_ms", self.wall_ms)
             // `elapsed_ms` aliases `wall_ms` (schema v2): downstream
             // perf tooling reads one canonical duration key across
-            // summaries, checkpoints, and bench records.
+            // summaries and checkpoints.
             .unsigned("elapsed_ms", self.wall_ms)
             .float("traces_per_sec", self.traces_per_sec)
             .unsigned("cell_evals", self.cell_evals)
@@ -383,10 +385,9 @@ pub enum Event {
     },
     /// A per-phase timing/counter snapshot from an enabled
     /// [`crate::PerfRecorder`] (emitted at the end of an instrumented
-    /// run, and by `mmaes bench` per workload).
+    /// run).
     PerfSnapshot {
-        /// What was instrumented (`"campaign"`, `"exact"`, a bench
-        /// workload id, …).
+        /// What was instrumented (`"campaign"`, `"exact"`, …).
         scope: String,
         /// The frozen per-phase stats and counters.
         snapshot: PerfSnapshot,
@@ -818,12 +819,12 @@ mod tests {
             Some(EVENT_SCHEMA_VERSION)
         );
         let line = RunSummary {
-            schemas: vec![("bench_schema".into(), 2), ("snapshot_schema".into(), 1)],
+            schemas: vec![("snapshot_schema".into(), 2), ("status_schema".into(), 1)],
             ..RunSummary::default()
         }
         .to_json_line();
-        assert!(line.contains("\"bench_schema\":2"), "{line}");
-        assert!(line.contains("\"snapshot_schema\":1"), "{line}");
+        assert!(line.contains("\"snapshot_schema\":2"), "{line}");
+        assert!(line.contains("\"status_schema\":1"), "{line}");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! The writer covers what the event schema needs: flat objects, nested
 //! arrays of objects, strings, numbers, booleans. Field order is
 //! insertion order, so run records diff cleanly. The reader ([`parse`])
-//! is a small recursive-descent parser used to load `BENCH_*.json`
-//! baselines and to validate emitted records in tests.
+//! is a small recursive-descent parser used by `mmaes top` to read
+//! status documents and by tests to validate emitted records.
 
 use std::fmt::Write as _;
 
@@ -429,7 +429,7 @@ mod tests {
     #[test]
     fn parser_reads_what_the_writer_writes() {
         let json = JsonObject::new()
-            .string("type", "bench")
+            .string("type", "status")
             .unsigned("schema_version", 1)
             .float("rate", 1234.5)
             .boolean("quick", true)
@@ -437,7 +437,10 @@ mod tests {
             .raw("rows", &array(["{\"x\":-2}".to_owned()]))
             .finish();
         let value = parse(&json).expect("valid");
-        assert_eq!(value.get("type").and_then(JsonValue::as_str), Some("bench"));
+        assert_eq!(
+            value.get("type").and_then(JsonValue::as_str),
+            Some("status")
+        );
         assert_eq!(
             value.get("schema_version").and_then(JsonValue::as_u64),
             Some(1)

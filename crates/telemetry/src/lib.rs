@@ -21,9 +21,9 @@
 //! * a performance-observability layer ([`perf`]): scoped [`Span`]
 //!   timers, named counters, and fixed-bucket duration histograms in a
 //!   [`PerfRecorder`] carried by the [`Observer`] — near-zero overhead
-//!   when disabled, `perf_snapshot` events and `BENCH_*.json` records
-//!   when enabled; [`chrome_trace`] renders frozen snapshots into
-//!   deterministic `chrome://tracing` JSON timelines;
+//!   when disabled, `perf_snapshot` events when enabled;
+//!   [`chrome_trace`] renders a frozen snapshot into a deterministic
+//!   `chrome://tracing` JSON timeline;
 //! * a live-status layer ([`metrics`], [`status`]): a lock-cheap
 //!   metrics registry with deterministic Prometheus text exposition
 //!   and an optional `--metrics-addr` server on `std::net` serving
@@ -55,7 +55,7 @@ pub mod perf;
 mod sink;
 pub mod status;
 
-pub use chrome_trace::{chrome_trace, ChromeTraceBuilder};
+pub use chrome_trace::chrome_trace;
 pub use counters::{interval_rate, Counter, Stopwatch};
 pub use degraded::DegradedEntry;
 pub use event::{

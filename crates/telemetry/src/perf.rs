@@ -23,8 +23,8 @@
 //!
 //! [`PerfRecorder::snapshot`] freezes everything into a
 //! [`PerfSnapshot`], which serializes into the `perf_snapshot` event
-//! (see `DESIGN.md § Observability`) and into `mmaes bench`'s
-//! `BENCH_*.json` records.
+//! (see `DESIGN.md § Observability`) and renders as a Chrome trace
+//! ([`crate::chrome_trace`]).
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
