@@ -144,3 +144,81 @@ fn evaluate_with_perf_records_a_snapshot_and_keeps_the_summary_last() {
     let stderr = String::from_utf8(output.stderr).expect("utf8");
     assert!(stderr.contains("g_test"), "{stderr}");
 }
+
+/// FNV-1a (64-bit) of `bytes`: a compact pin for files too large to
+/// commit as goldens.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Runs `mmaes evaluate` with `args` (which must leak, exit 1) and
+/// returns the FNV-1a digests of the files it wrote to `outputs`.
+fn evaluate_digests(args: &[&str], outputs: &[&std::path::Path]) -> Vec<u64> {
+    let output = Command::new(env!("CARGO_BIN_EXE_mmaes"))
+        .arg("evaluate")
+        .args(args)
+        .arg("--quiet")
+        .output()
+        .expect("mmaes runs");
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    outputs
+        .iter()
+        .map(|path| {
+            let bytes = std::fs::read(path).expect("output written");
+            let _ = std::fs::remove_file(path);
+            fnv1a(&bytes)
+        })
+        .collect()
+}
+
+/// The trace stream is a pure function of `(seed, batch)`, so a CSV or
+/// snapshot's bytes change only when the stream, the counting or the
+/// encoders do. These digests pin the dense-only E2 path and the mixed
+/// dense/hashed store (with interim snapshots) at one and two threads.
+#[test]
+fn evaluate_csv_and_snapshot_bytes_are_pinned() {
+    let csv = temp_path("pinned-e2.csv");
+    let digests = evaluate_digests(
+        &[
+            "sbox:de-meyer-eq6",
+            "--traces",
+            "12800",
+            "--checkpoints",
+            "4",
+            "--csv",
+            csv.to_str().unwrap(),
+        ],
+        &[&csv],
+    );
+    assert_eq!(digests, [0x2d9002be41909758], "E2 CSV digest");
+
+    for threads in ["1", "2"] {
+        let csv = temp_path(&format!("pinned-mixed-{threads}.csv"));
+        let snapshot = temp_path(&format!("pinned-mixed-{threads}.snap"));
+        let digests = evaluate_digests(
+            &[
+                "sbox:proposed-eq9",
+                "--model",
+                "transition",
+                "--traces",
+                "6400",
+                "--checkpoints",
+                "2",
+                "--threads",
+                threads,
+                "--snapshot",
+                snapshot.to_str().unwrap(),
+                "--csv",
+                csv.to_str().unwrap(),
+            ],
+            &[&csv, &snapshot],
+        );
+        assert_eq!(
+            digests,
+            [0x6dc97cfa54a62afe, 0x3c4b2758cbada223],
+            "mixed-store CSV and snapshot digests, threads {threads}"
+        );
+    }
+}

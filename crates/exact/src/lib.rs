@@ -27,6 +27,17 @@
 //! bit-parallel simulator. Probes whose support exceeds a configurable
 //! bound are reported as [`ProbeVerdict::TooWide`] rather than silently
 //! skipped.
+//!
+//! Counting stays bit-sliced too. Each batch's observation is read as
+//! bit-planes (`ProbeSet::observation_planes`, one `u64` per observed
+//! bit). For observations of up to `MAX_MINTERM_WIDTH` bits (every
+//! Kronecker G7 probe), the 64 lanes are split by minterm and counted
+//! by popcount into a flat `2^width` histogram. Wider observations are
+//! packed per lane into a hashed histogram. Only two histograms are
+//! alive at a time: secret assignment 0's and the current one. Each
+//! finished assignment is compared with the first by ascending
+//! observation, so the reported counterexample is the first differing
+//! assignment's smallest differing observation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,7 +2,8 @@
 
 use std::collections::HashMap;
 
-use mmaes_leakage::{enumerate_probe_sets, ProbeModel, ProbeSet};
+use mmaes_leakage::tabulate::for_each_minterm;
+use mmaes_leakage::{enumerate_probe_sets, ProbeModel, ProbeSet, MAX_MINTERM_WIDTH};
 use mmaes_netlist::{Netlist, SecretId, SignalRole, StableCones, WireId};
 use mmaes_sim::{Simulator, LANES};
 use mmaes_telemetry::{Event, Observer, Stopwatch};
@@ -278,18 +279,37 @@ impl<'a> ExactVerifier<'a> {
             }
         }
 
+        // Count each secret assignment's observations and compare them
+        // with assignment 0's as soon as they are complete: the first
+        // assignment, then the smallest observation, whose counts differ
+        // is the counterexample. Enumeration runs to the end either way,
+        // so `cell_evals` does not depend on where a leak shows.
+        let model = self.config.model;
+        let mut planes = vec![0u64; set.observation_bits(model)];
+        let lanes = u64::MAX >> (LANES - lanes_used);
         let mut simulator = Simulator::new(self.netlist);
-        let mut histograms: Vec<HashMap<u128, u64>> = (0..(1u64 << conditioning.len()))
-            .map(|_| HashMap::new())
-            .collect();
-
-        for (secret_assignment, histogram) in histograms.iter_mut().enumerate() {
+        let mut baseline = Histogram::new(planes.len());
+        let mut current = Histogram::new(planes.len());
+        let mut first_difference: Option<(usize, u128, u64, u64)> = None;
+        for secret_assignment in 0..1usize << conditioning.len() {
+            let histogram = if secret_assignment == 0 {
+                &mut baseline
+            } else {
+                current.clear();
+                &mut current
+            };
             for batch in 0..batches {
                 simulator.reset();
                 for cycle in 0..=observe {
-                    // All inputs default to 0 each cycle.
-                    for &input in self.netlist.inputs() {
-                        simulator.set_input(input, 0);
+                    // Inputs not driven this cycle are 0: `reset` clears
+                    // them all, so only last cycle's need clearing.
+                    if let Some(previous) = cycle.checked_sub(1) {
+                        for &(_, wire) in free_by_cycle[previous]
+                            .iter()
+                            .chain(&share0_by_cycle[previous])
+                        {
+                            simulator.set_input(wire, 0);
+                        }
                     }
                     for &(var_index, wire) in &free_by_cycle[cycle] {
                         simulator.set_input(wire, variable_word(var_index, batch, lanes_used));
@@ -308,26 +328,18 @@ impl<'a> ExactVerifier<'a> {
                         simulator.eval();
                     }
                 }
-                // Pack each lane's observation and count it.
-                for lane in 0..lanes_used {
-                    let mut key: u128 = 0;
-                    let mut position = 0u32;
-                    for &wire in &set.observed {
-                        key |= (((simulator.value(wire) >> lane) & 1) as u128) << position;
-                        position += 1;
-                        if matches!(self.config.model, ProbeModel::GlitchTransition) {
-                            key |= (((simulator.prev_value(wire) >> lane) & 1) as u128) << position;
-                            position += 1;
-                        }
-                    }
-                    *histogram.entry(key).or_insert(0) += 1;
-                }
+                set.observation_planes(&simulator, model, &mut planes);
+                histogram.absorb(&planes, lanes);
+            }
+            if secret_assignment > 0 && first_difference.is_none() {
+                first_difference = baseline
+                    .first_difference(&current)
+                    .map(|(key, count_a, count_b)| (secret_assignment, key, count_a, count_b));
             }
         }
 
         *cell_evals += simulator.counters().cell_evals;
 
-        // Compare every conditional distribution against the first.
         let total = (batches * lanes_used as u64) as f64;
         let describe = |assignment: usize| -> String {
             conditioning
@@ -343,31 +355,91 @@ impl<'a> ExactVerifier<'a> {
                 .collect::<Vec<_>>()
                 .join(",")
         };
-        for (assignment, histogram) in histograms.iter().enumerate().skip(1) {
-            let baseline = &histograms[0];
-            let mut keys: Vec<u128> = baseline.keys().chain(histogram.keys()).copied().collect();
-            keys.sort_unstable();
-            keys.dedup();
-            for key in keys {
-                let count_a = baseline.get(&key).copied().unwrap_or(0);
-                let count_b = histogram.get(&key).copied().unwrap_or(0);
-                if count_a != count_b {
-                    return ProbeVerdict::Leaky {
-                        counterexample: Counterexample {
-                            secret_a: describe(0),
-                            secret_b: describe(assignment),
-                            observation: key,
-                            probability_a: count_a as f64 / total,
-                            probability_b: count_b as f64 / total,
-                        },
-                        support_bits,
-                    };
-                }
-            }
+        if let Some((assignment, key, count_a, count_b)) = first_difference {
+            return ProbeVerdict::Leaky {
+                counterexample: Counterexample {
+                    secret_a: describe(0),
+                    secret_b: describe(assignment),
+                    observation: key,
+                    probability_a: count_a as f64 / total,
+                    probability_b: count_b as f64 / total,
+                },
+                support_bits,
+            };
         }
         ProbeVerdict::Secure {
             support_bits,
             enumerated: (1u64 << conditioning.len()) * batches * lanes_used as u64,
+        }
+    }
+}
+
+/// One secret assignment's observation counts.
+enum Histogram {
+    /// Observations at most [`MAX_MINTERM_WIDTH`] bits wide: a count per
+    /// key, filled by minterm popcount.
+    Flat(Vec<u64>),
+    /// Wider observations: a count per key seen.
+    Keyed(HashMap<u128, u64>),
+}
+
+impl Histogram {
+    fn new(width: usize) -> Self {
+        if width <= MAX_MINTERM_WIDTH {
+            Histogram::Flat(vec![0; 1 << width])
+        } else {
+            Histogram::Keyed(HashMap::new())
+        }
+    }
+
+    fn clear(&mut self) {
+        match self {
+            Histogram::Flat(counts) => counts.fill(0),
+            Histogram::Keyed(counts) => counts.clear(),
+        }
+    }
+
+    /// Counts one batch's observations ([`ProbeSet::observation_planes`])
+    /// on the lanes set in `lanes`. Observed bit `i` is key bit `i`.
+    fn absorb(&mut self, planes: &[u64], lanes: u64) {
+        match self {
+            Histogram::Flat(counts) => for_each_minterm(planes, lanes, |key, minterm| {
+                counts[key] += u64::from(minterm.count_ones());
+            }),
+            Histogram::Keyed(counts) => {
+                for lane in (0..LANES).filter(|&lane| (lanes >> lane) & 1 == 1) {
+                    let key = planes
+                        .iter()
+                        .enumerate()
+                        .fold(0u128, |key, (position, &plane)| {
+                            key | (((plane >> lane) & 1) as u128) << position
+                        });
+                    *counts.entry(key).or_insert(0) += 1;
+                }
+            }
+        }
+    }
+
+    /// The smallest key whose counts differ between `self` and `other`
+    /// (built with the same width), with both counts.
+    fn first_difference(&self, other: &Histogram) -> Option<(u128, u64, u64)> {
+        match (self, other) {
+            (Histogram::Flat(a), Histogram::Flat(b)) => a
+                .iter()
+                .zip(b)
+                .position(|(count_a, count_b)| count_a != count_b)
+                .map(|key| (key as u128, a[key], b[key])),
+            (Histogram::Keyed(a), Histogram::Keyed(b)) => {
+                let mut keys: Vec<u128> = a.keys().chain(b.keys()).copied().collect();
+                keys.sort_unstable();
+                keys.dedup();
+                keys.into_iter().find_map(|key| {
+                    let count_a = a.get(&key).copied().unwrap_or(0);
+                    let count_b = b.get(&key).copied().unwrap_or(0);
+                    (count_a != count_b).then_some((key, count_a, count_b))
+                })
+            }
+            _ => unreachable!("histograms of one set share a width"),
         }
     }
 }

@@ -10,8 +10,9 @@
 //! at each checkpoint multiple, at `stop_after_batches` and at the end.
 //! Within a window, workers claim chunks of batches from a shared
 //! counter, simulate each batch under supervision and absorb its
-//! observations into their tables: dense tables take packed `u32`
-//! indices, hashed tables take `u128` keys. Both stores absorb
+//! observations into their tables: narrow dense tables take bit-planes
+//! (counted by minterm), wider dense tables packed `u32` indices,
+//! hashed tables `u128` keys. Both stores absorb
 //! commutatively (a hashed table keeps the cap smallest keys it has
 //! seen, see [`crate::tabulate`]), so the order in which batches finish
 //! cannot change a table. At one thread the worker runs on the calling
@@ -44,11 +45,11 @@ use rand::{Rng, RngCore, SeedableRng};
 use crate::campaign::CampaignError;
 use crate::config::{CampaignMode, EvaluationConfig, SecretDomain, DECISIVE_MARGIN};
 use crate::health;
-use crate::probe::ProbeSet;
+use crate::probe::{ProbeModel, ProbeSet};
 use crate::snapshot::{self, TableView};
 use crate::stats::{pooling_summary, StatisticKind};
 use crate::supervisor::{self, Heartbeats};
-use crate::tabulate::{Table, TabulatorMode};
+use crate::tabulate::{Table, TabulatorMode, MAX_MINTERM_WIDTH};
 
 /// Probing sets carried per checkpoint event: the top sets by running
 /// `-log10(p)` plus every set over the threshold.
@@ -229,12 +230,15 @@ pub(crate) struct FoldContext<'a> {
     pub(crate) fresh_bits_per_trace: u64,
 }
 
-/// One batch's per-lane observations of one probing set, in the form
-/// its table absorbs. The keys are boxed so the dense sets, nearly
-/// always the majority, keep a compact scratch.
+/// One batch's observations of one probing set, in the form its table
+/// absorbs. The keys are boxed so the dense sets, nearly always the
+/// majority, keep a compact scratch.
 #[allow(clippy::large_enum_variant)]
 enum Lanes {
-    /// Packed indices for a dense table
+    /// Bit-planes for a dense table at most [`MAX_MINTERM_WIDTH`] bits
+    /// wide ([`ProbeSet::observation_planes`]), counted by minterm.
+    Planes(Vec<u64>),
+    /// Packed indices for a wider dense table
     /// ([`ProbeSet::observation_indices`]).
     Indices([u32; LANES]),
     /// Observation keys for a hashed table ([`ProbeSet::observation_keys`]).
@@ -242,15 +246,19 @@ enum Lanes {
 }
 
 impl Lanes {
-    /// Extraction scratch matching each table's store.
-    fn for_tables(tables: &[Table]) -> Vec<Lanes> {
+    /// Extraction scratch matching each table's store and width.
+    fn for_tables(tables: &[Table], probe_sets: &[ProbeSet], model: ProbeModel) -> Vec<Lanes> {
         tables
             .iter()
-            .map(|table| {
-                if table.is_dense() {
-                    Lanes::Indices([0; LANES])
-                } else {
+            .zip(probe_sets)
+            .map(|(table, set)| {
+                let width = set.observation_bits(model);
+                if !table.is_dense() {
                     Lanes::Keys(Box::new([0; LANES]))
+                } else if width <= MAX_MINTERM_WIDTH {
+                    Lanes::Planes(vec![0; width])
+                } else {
+                    Lanes::Indices([0; LANES])
                 }
             })
             .collect()
@@ -334,7 +342,7 @@ impl<'a> Engine<'a> {
         let mut workers: Vec<Worker> = (0..threads)
             .map(|_| Worker {
                 sim: Simulator::new(self.netlist),
-                lanes: Lanes::for_tables(&state.tables),
+                lanes: Lanes::for_tables(&state.tables, self.probe_sets, self.config.model),
                 shard: if threads > 1 {
                     state.tables.iter().map(Table::empty_like).collect()
                 } else {
@@ -538,6 +546,7 @@ impl<'a> Engine<'a> {
                 let _span = perf.span("tabulate");
                 for (lanes, table) in lanes.iter().zip(tables.iter_mut()) {
                     match lanes {
+                        Lanes::Planes(planes) => table.absorb_planes(planes, lane_groups),
                         Lanes::Indices(indices) => table.absorb_indices(indices, lane_groups),
                         Lanes::Keys(keys) => table.absorb_keys(keys, lane_groups),
                     }
@@ -628,6 +637,7 @@ impl<'a> Engine<'a> {
         let _span = perf.span("tabulate");
         for (set, lanes) in self.probe_sets.iter().zip(lanes.iter_mut()) {
             match lanes {
+                Lanes::Planes(planes) => set.observation_planes(sim, config.model, planes),
                 Lanes::Indices(indices) => set.observation_indices(sim, config.model, indices),
                 Lanes::Keys(keys) => **keys = set.observation_keys(sim, config.model),
             }

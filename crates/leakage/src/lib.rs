@@ -54,4 +54,4 @@ pub use report::{LeakageReport, ProbeResult};
 pub use snapshot::{CampaignSnapshot, SnapshotError, TableSnapshot, SNAPSHOT_SCHEMA_VERSION};
 pub use stats::{Statistic, StatisticKind, TestOutcome};
 pub use supervisor::WorkerFault;
-pub use tabulate::{TabulatorMode, MAX_DENSE_WIDTH};
+pub use tabulate::{TabulatorMode, MAX_DENSE_WIDTH, MAX_MINTERM_WIDTH};

@@ -5,6 +5,8 @@ use std::collections::HashMap;
 use mmaes_netlist::{Netlist, StableCones, WireId};
 use mmaes_sim::{Simulator, LANES};
 
+use crate::tabulate::{planes_to_indices, MAX_DENSE_WIDTH};
+
 /// The adversarial model used to extend probes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ProbeModel {
@@ -56,11 +58,10 @@ impl ProbeSet {
     /// full key space (`2^bits`) must fit within `max_table_keys` (so
     /// the dense table can never overflow the cap the hashed fallback
     /// enforces) and the packed key must fit the per-lane `u32` index
-    /// ([`crate::tabulate::MAX_DENSE_WIDTH`]). `None` selects the
-    /// hashed fallback.
+    /// ([`MAX_DENSE_WIDTH`]). `None` selects the hashed fallback.
     pub fn dense_index_width(&self, model: ProbeModel, max_table_keys: usize) -> Option<usize> {
         let bits = self.observation_bits(model);
-        if bits > crate::tabulate::MAX_DENSE_WIDTH {
+        if bits > MAX_DENSE_WIDTH {
             return None;
         }
         ((1u64 << bits) <= max_table_keys as u64).then_some(bits)
@@ -101,35 +102,53 @@ impl ProbeSet {
         keys
     }
 
+    /// Writes this set's extended observation as bit-planes:
+    /// `planes[i]` holds observed bit `i` of all 64 lanes, in key-bit
+    /// order (a wire's current value, then — under transitions — its
+    /// previous one). Both evaluators count from planes: the campaign's
+    /// narrow tables and the exact verifier by minterm popcount
+    /// ([`crate::tabulate::for_each_minterm`]), wider dense tables after
+    /// a bit transpose into per-lane indices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `planes` is not [`ProbeSet::observation_bits`] long.
+    pub fn observation_planes(&self, sim: &Simulator, model: ProbeModel, planes: &mut [u64]) {
+        assert_eq!(planes.len(), self.observation_bits(model), "plane count");
+        match model {
+            ProbeModel::Glitch => {
+                for (plane, &wire) in planes.iter_mut().zip(&self.observed) {
+                    *plane = sim.value(wire);
+                }
+            }
+            ProbeModel::GlitchTransition => {
+                for (pair, &wire) in planes.chunks_exact_mut(2).zip(&self.observed) {
+                    pair[0] = sim.value(wire);
+                    pair[1] = sim.prev_value(wire);
+                }
+            }
+        }
+    }
+
     /// [`ProbeSet::observation_keys`] specialized to dense-eligible
     /// sets: packs each lane's observation into a `u32` index using the
     /// *same* bit layout, so the index is bit-for-bit the zero-extended
     /// `u128` key — which is why a dense table's linear scan serializes
-    /// in the exact sorted-key order the hashed store emits. Only called
-    /// for sets whose [`ProbeSet::dense_index_width`] fits `u32`, so no
-    /// overflow-mix arm exists here.
+    /// in the exact sorted-key order the hashed store emits. The
+    /// [`ProbeSet::observation_planes`] are transposed into indices
+    /// whole. Only called for sets whose
+    /// [`ProbeSet::dense_index_width`] fits `u32`, so no overflow-mix arm
+    /// exists here.
     pub(crate) fn observation_indices(
         &self,
         sim: &Simulator,
         model: ProbeModel,
         indices: &mut [u32; LANES],
     ) {
-        debug_assert!(self.observation_bits(model) <= crate::tabulate::MAX_DENSE_WIDTH);
-        indices.fill(0);
-        let mut position = 0u32;
-        let mut push_word = |indices: &mut [u32; LANES], word: u64| {
-            for (lane, index) in indices.iter_mut().enumerate() {
-                *index |= (((word >> lane) & 1) as u32) << position;
-            }
-            position += 1;
-        };
-        for &wire in &self.observed {
-            push_word(indices, sim.value(wire));
-            if matches!(model, ProbeModel::GlitchTransition) {
-                push_word(indices, sim.prev_value(wire));
-            }
-        }
-        debug_assert_eq!(position as usize, self.observation_bits(model));
+        let mut planes = [0u64; MAX_DENSE_WIDTH];
+        let width = self.observation_bits(model);
+        self.observation_planes(sim, model, &mut planes[..width]);
+        planes_to_indices(&planes, indices);
     }
 }
 
@@ -298,6 +317,71 @@ mod tests {
         let cones = StableCones::new(&netlist);
         let sets = enumerate_probe_sets(&netlist, &cones, 2, None, 2);
         assert_eq!(sets.len(), 2);
+    }
+
+    #[test]
+    fn observation_indices_match_per_lane_packing_up_to_32_bits() {
+        let mut builder = NetlistBuilder::new("wide");
+        let inputs: Vec<WireId> = (0..32)
+            .map(|index| builder.input(format!("i{index}"), SignalRole::Mask))
+            .collect();
+        let folded = inputs[1..]
+            .iter()
+            .fold(inputs[0], |acc, &input| builder.xor2(acc, input));
+        builder.output("folded", folded);
+        let netlist = builder.build().expect("valid");
+        let mut sim = Simulator::new(&netlist);
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(0x5851_f42d_4c95_7f2d)
+                .wrapping_add(0x1405_7b7e_f767_814f);
+            state ^ (state >> 29)
+        };
+        // Two cycles of fresh inputs, so current and previous values differ.
+        for &input in &inputs {
+            sim.set_input(input, next());
+        }
+        sim.step();
+        for &input in &inputs {
+            sim.set_input(input, next());
+        }
+        sim.eval();
+        for model in [ProbeModel::Glitch, ProbeModel::GlitchTransition] {
+            for count in 0..=32 {
+                let set = ProbeSet {
+                    wires: vec![folded],
+                    observed: inputs[..count].to_vec(),
+                    label: format!("{count} wires"),
+                };
+                let width = set.observation_bits(model);
+                if width > crate::tabulate::MAX_DENSE_WIDTH {
+                    continue;
+                }
+                let mut indices = [0u32; LANES];
+                set.observation_indices(&sim, model, &mut indices);
+                let keys = set.observation_keys(&sim, model);
+                for lane in 0..LANES {
+                    let mut packed = 0u32;
+                    let mut bit = 0;
+                    for &wire in &set.observed {
+                        packed |= (((sim.value(wire) >> lane) & 1) as u32) << bit;
+                        bit += 1;
+                        if model == ProbeModel::GlitchTransition {
+                            packed |= (((sim.prev_value(wire) >> lane) & 1) as u32) << bit;
+                            bit += 1;
+                        }
+                    }
+                    assert_eq!(indices[lane], packed, "{} bits, lane {lane}", width);
+                    assert_eq!(
+                        keys[lane],
+                        u128::from(packed),
+                        "{} bits, lane {lane}",
+                        width
+                    );
+                }
+            }
+        }
     }
 
     #[test]

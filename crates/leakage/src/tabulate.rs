@@ -20,6 +20,17 @@
 //!   pooled, so the final state depends only on the multiset of
 //!   observations — not on arrival order, batching or sharding.
 //!
+//! A dense table absorbs a batch in one of two forms, picked by width.
+//! Sets at most [`MAX_MINTERM_WIDTH`] bits wide hand over the
+//! observation's bit-planes ([`Table::absorb_planes`]): a shared AND tree
+//! ([`for_each_minterm`]) splits the 64 lanes by key, and each cell grows
+//! by two popcounts, so no lane is visited. Wider dense sets hand over
+//! per-lane `u32` indices, built by two 32×32 bit-matrix transposes of
+//! the planes ([`Table::absorb_indices`]). Hashed tables take per-lane
+//! `u128` keys ([`Table::absorb_keys`]). All three forms count exactly
+//! the same cells, since a minterm's popcount is the number of lanes
+//! whose packed key is that minterm's key.
+//!
 //! Both stores absorb **commutatively**, which is what lets the campaign
 //! engine run one windowed driver: workers absorb into their own shard
 //! tables and [`Table::merge_from`] folds them under the same rule.
@@ -45,6 +56,13 @@ use mmaes_sim::LANES;
 /// gate is [`EvaluationConfig::max_table_keys`](crate::EvaluationConfig::max_table_keys),
 /// which bounds `2^width` cells of 16 bytes each.
 pub const MAX_DENSE_WIDTH: usize = 32;
+
+/// Widest observation counted by minterm popcount
+/// ([`Table::absorb_planes`], [`for_each_minterm`]) instead of by
+/// visiting lanes: a batch then costs `2^width` minterms, each two ANDs
+/// and two popcounts, against `64 · width` bit gathers plus 64 scattered
+/// increments. DESIGN.md §5a records how the cut-over was measured.
+pub const MAX_MINTERM_WIDTH: usize = 6;
 
 /// Fixed per-table bookkeeping bytes (struct header, overflow, cache
 /// slot) counted by [`Table::resident_bytes`].
@@ -260,6 +278,32 @@ impl Table {
         }
     }
 
+    /// Absorbs one batch given as bit-planes — the narrow dense path:
+    /// `planes[i]` holds observed bit `i` of every lane
+    /// ([`ProbeSet::observation_planes`](crate::ProbeSet::observation_planes)),
+    /// and each key's cell grows by the popcounts of its minterm split
+    /// by population, so no lane is visited. Lane populations as in
+    /// [`Table::absorb_keys`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a hashed table, if the table is not `2^planes.len()`
+    /// cells, or if `planes` is wider than [`MAX_MINTERM_WIDTH`].
+    pub fn absorb_planes(&mut self, planes: &[u64], lane_groups: u64) {
+        let Store::Dense(cells) = &mut self.store else {
+            unreachable!("absorb_planes on a hashed table");
+        };
+        assert_eq!(cells.len(), 1 << planes.len(), "plane count != width");
+        self.sorted = None;
+        self.samples += LANES as u64;
+        for_each_minterm(planes, u64::MAX, |key, lanes| {
+            let random = u64::from((lanes & lane_groups).count_ones());
+            let cell = &mut cells[key];
+            cell[0] += u64::from(lanes.count_ones()) - random;
+            cell[1] += random;
+        });
+    }
+
     /// Folds `other` into `self` and drains `other` back to empty — the
     /// merge a multi-threaded campaign runs once per checkpoint window
     /// over each worker's shard tables. Hashed tables merge under the
@@ -392,6 +436,66 @@ fn add(into: &mut [u64; 2], cell: [u64; 2]) {
     into[1] += cell[1];
 }
 
+/// Calls `visit(key, minterm)` for every key of a `planes.len()`-bit
+/// observation, in ascending key order, where `minterm` masks the lanes
+/// among `lanes` whose observation equals `key` (bit `i` of a lane's
+/// key is that lane's bit in `planes[i]`). The `2^width` minterms come
+/// from a shared AND tree over the planes: each plane splits every
+/// minterm built so far into its 0 and 1 halves.
+///
+/// # Panics
+///
+/// Panics if `planes` is wider than [`MAX_MINTERM_WIDTH`].
+pub fn for_each_minterm(planes: &[u64], lanes: u64, mut visit: impl FnMut(usize, u64)) {
+    assert!(planes.len() <= MAX_MINTERM_WIDTH, "{} planes", planes.len());
+    let mut minterms = [0u64; 1 << MAX_MINTERM_WIDTH];
+    minterms[0] = lanes;
+    for (bit, &plane) in planes.iter().enumerate() {
+        let (zeros, ones) = minterms.split_at_mut(1 << bit);
+        for (zero, one) in zeros.iter_mut().zip(ones.iter_mut()) {
+            *one = *zero & plane;
+            *zero &= !plane;
+        }
+    }
+    for (key, &minterm) in minterms[..1 << planes.len()].iter().enumerate() {
+        visit(key, minterm);
+    }
+}
+
+/// Packs up to 32 bit-planes into per-lane `u32` indices (bit `i` of
+/// lane `l`'s index is bit `l` of `planes[i]`): the 32×64 bit matrix is
+/// transposed as two 32×32 blocks, lanes 0–31 and 32–63 (Hacker's
+/// Delight §7-3), which costs the same at every width instead of a
+/// shift and OR per lane per plane.
+pub(crate) fn planes_to_indices(planes: &[u64; MAX_DENSE_WIDTH], indices: &mut [u32; LANES]) {
+    let (low, high) = indices.split_at_mut(32);
+    for ((low, high), &plane) in low.iter_mut().zip(high.iter_mut()).zip(planes) {
+        *low = plane as u32;
+        *high = (plane >> 32) as u32;
+    }
+    transpose32(low.try_into().expect("32 rows"));
+    transpose32(high.try_into().expect("32 rows"));
+}
+
+/// Transposes a 32×32 bit matrix in place: bit `j` of row `i` swaps
+/// with bit `i` of row `j`. Each round swaps the off-diagonal blocks of
+/// every `2·width`-square, halving `width` from 16 to 1.
+fn transpose32(rows: &mut [u32; 32]) {
+    let mut width = 16;
+    let mut mask: u32 = 0x0000_ffff;
+    while width != 0 {
+        let mut row = 0;
+        while row < 32 {
+            let swap = ((rows[row] >> width) ^ rows[row + width]) & mask;
+            rows[row + width] ^= swap;
+            rows[row] ^= swap << width;
+            row = (row + width + 1) & !width;
+        }
+        width >>= 1;
+        mask ^= mask << width;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,16 +515,18 @@ mod tests {
     fn permuted<T: Clone>(items: &[T], mut seed: u64) -> Vec<T> {
         let mut out = items.to_vec();
         for index in (1..out.len()).rev() {
-            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut mixed = seed;
-            mixed = (mixed ^ (mixed >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            mixed = (mixed ^ (mixed >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            out.swap(
-                index,
-                ((mixed ^ (mixed >> 31)) % (index as u64 + 1)) as usize,
-            );
+            out.swap(index, (splitmix(&mut seed) % (index as u64 + 1)) as usize);
         }
         out
+    }
+
+    /// The next word of a splitmix64 stream.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut mixed = *state;
+        mixed = (mixed ^ (mixed >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        mixed = (mixed ^ (mixed >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        mixed ^ (mixed >> 31)
     }
 
     #[test]
@@ -435,6 +541,69 @@ mod tests {
         assert_eq!(dense.samples(), hashed.samples());
         assert_eq!(dense.distinct_keys(), 3);
         assert_eq!(dense.overflow(), [0, 0]);
+    }
+
+    /// Lane `lane`'s observation packed bit by bit: bit `i` from
+    /// `planes[i]` — the reference every absorption form must match.
+    fn lane_key(planes: &[u64], lane: usize) -> u128 {
+        planes.iter().enumerate().fold(0, |key, (bit, &plane)| {
+            key | (((plane >> lane) & 1) as u128) << bit
+        })
+    }
+
+    #[test]
+    fn transpose32_matches_the_naive_transpose() {
+        let mut state = 7;
+        let rows: [u32; 32] = std::array::from_fn(|_| splitmix(&mut state) as u32);
+        let mut transposed = rows;
+        transpose32(&mut transposed);
+        for (column, &row) in transposed.iter().enumerate() {
+            for (bit, &source) in rows.iter().enumerate() {
+                assert_eq!(
+                    (row >> bit) & 1,
+                    (source >> column) & 1,
+                    "({bit}, {column})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn planes_to_indices_matches_per_lane_packing_at_every_width() {
+        let mut state = 11;
+        for width in 0..=MAX_DENSE_WIDTH {
+            let mut planes = [0u64; MAX_DENSE_WIDTH];
+            for plane in &mut planes[..width] {
+                *plane = splitmix(&mut state);
+            }
+            let mut indices = [u32::MAX; LANES];
+            planes_to_indices(&planes, &mut indices);
+            for (lane, &index) in indices.iter().enumerate() {
+                assert_eq!(
+                    u128::from(index),
+                    lane_key(&planes[..width], lane),
+                    "width {width}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn minterms_partition_the_lanes_by_key() {
+        let planes = [0xdead_beef_0bad_f00d, 0x0123_4567_89ab_cdef, u64::MAX, 0];
+        let lanes = 0x0000_ffff_ffff_0f0f;
+        let mut seen = 0u64;
+        let mut keys = Vec::new();
+        for_each_minterm(&planes, lanes, |key, minterm| {
+            keys.push(key);
+            assert_eq!(seen & minterm, 0, "minterms overlap");
+            seen |= minterm;
+            for lane in (0..LANES).filter(|&lane| (minterm >> lane) & 1 == 1) {
+                assert_eq!(lane_key(&planes, lane), key as u128);
+            }
+        });
+        assert_eq!(seen, lanes, "minterms cover exactly the given lanes");
+        assert_eq!(keys, (0..16).collect::<Vec<_>>(), "ascending key order");
     }
 
     #[test]
@@ -602,6 +771,45 @@ mod tests {
             prop_assert_eq!(dense.samples(), hashed.samples());
             prop_assert_eq!(dense.overflow(), [0, 0]);
             prop_assert_eq!(hashed.overflow(), [0, 0]);
+        }
+
+        /// The three absorption forms count the same batch identically:
+        /// minterm popcounts over bit-planes, transposed `u32` indices
+        /// and per-lane `u128` keys (on both stores), for every narrow
+        /// width and for all-fixed, all-random and mixed populations.
+        #[test]
+        fn plane_index_and_key_absorption_agree(
+            width in 1usize..=MAX_MINTERM_WIDTH,
+            batches in prop::collection::vec(
+                (prop::collection::vec(any::<u64>(), MAX_MINTERM_WIDTH), any::<u64>()),
+                1..4,
+            ),
+        ) {
+            for population in [Some(0), Some(u64::MAX), None] {
+                let mut by_planes = Table::dense(width);
+                let mut by_indices = Table::dense(width);
+                let mut by_keys = Table::dense(width);
+                let mut hashed = Table::hashed(1 << width);
+                for (planes, random_groups) in &batches {
+                    let lane_groups = population.unwrap_or(*random_groups);
+                    let planes = &planes[..width];
+                    by_planes.absorb_planes(planes, lane_groups);
+                    let mut padded = [0u64; MAX_DENSE_WIDTH];
+                    padded[..width].copy_from_slice(planes);
+                    let mut indices = [0u32; LANES];
+                    planes_to_indices(&padded, &mut indices);
+                    by_indices.absorb_indices(&indices, lane_groups);
+                    let keys: [u128; LANES] = std::array::from_fn(|lane| lane_key(planes, lane));
+                    by_keys.absorb_keys(&keys, lane_groups);
+                    hashed.absorb_keys(&keys, lane_groups);
+                }
+                let expected = by_keys.sorted_columns().to_vec();
+                for table in [&mut by_planes, &mut by_indices, &mut hashed] {
+                    prop_assert_eq!(table.sorted_columns(), expected.as_slice());
+                    prop_assert_eq!(table.samples(), (LANES * batches.len()) as u64);
+                    prop_assert_eq!(table.overflow(), [0, 0]);
+                }
+            }
         }
 
         /// Below the dense threshold the hashed store pools overflow:

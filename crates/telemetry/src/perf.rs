@@ -221,9 +221,10 @@ impl PerfRecorder {
         }
     }
 
-    /// Records an already-measured duration for `phase` (for call sites
-    /// where a guard is awkward).
-    pub fn record_duration(&self, phase: &'static str, duration: Duration) {
+    /// Records an already-measured duration for `phase`: the tests' way
+    /// to build a recorder with known totals.
+    #[cfg(test)]
+    pub(crate) fn record_duration(&self, phase: &'static str, duration: Duration) {
         if let Some(inner) = &self.inner {
             inner
                 .phases

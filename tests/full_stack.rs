@@ -3,7 +3,7 @@
 use mult_masked_aes::aes::{Aes128, MaskedAes, SboxBackend};
 use mult_masked_aes::circuits::{build_masked_sbox, SboxOptions};
 use mult_masked_aes::gf256::{sbox::sbox, Gf256};
-use mult_masked_aes::leakage::{EvaluationConfig, FixedVsRandom};
+use mult_masked_aes::leakage::{Durability, EvaluationConfig, FixedVsRandom, ProbeModel};
 use mult_masked_aes::masking::KroneckerRandomness;
 use mult_masked_aes::netlist::NetlistStats;
 use mult_masked_aes::sim::Simulator;
@@ -78,4 +78,70 @@ fn leakage_campaign_runs_against_facade_built_designs() {
     // Full-randomness default schedule: no leak expected even at this
     // small budget.
     assert!(report.passed(), "{report}");
+}
+
+/// FNV-1a (64-bit) of `bytes`: a compact pin for outputs too large to
+/// commit as goldens.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The trace stream is a pure function of `(seed, batch)`, and the
+/// report CSV and snapshot are functions of the counts it produces, so
+/// their bytes change only when the stream, the counting or the encoders
+/// do. Pinned on the all-dense Eq. 6 glitch campaign and on the Eq. 9
+/// transition campaign, whose widest sets use the hashed store.
+#[test]
+fn campaign_csv_and_snapshot_bytes_are_pinned() {
+    let cases = [
+        (
+            KroneckerRandomness::de_meyer_eq6(),
+            ProbeModel::Glitch,
+            [0x7e33bf10244a5237, 0xc10de76f28f11078],
+        ),
+        (
+            KroneckerRandomness::proposed_eq9(),
+            ProbeModel::GlitchTransition,
+            [0x6dc97cfa54a62afe, 0x3c4b2758cbada223],
+        ),
+    ];
+    for (schedule, model, expected) in cases {
+        let circuit = build_masked_sbox(SboxOptions {
+            schedule,
+            ..SboxOptions::default()
+        })
+        .expect("valid");
+        let snapshot = std::env::temp_dir().join(format!(
+            "mmaes-full-stack-{}-{}.snap",
+            std::process::id(),
+            model.name()
+        ));
+        let report = FixedVsRandom::new(
+            &circuit.netlist,
+            EvaluationConfig {
+                model,
+                traces: 6_400,
+                warmup_cycles: 8,
+                checkpoints: 2,
+                durability: Durability {
+                    snapshot_path: Some(snapshot.clone()),
+                    ..Durability::default()
+                },
+                ..EvaluationConfig::default()
+            },
+        )
+        .require_nonzero_bus(circuit.r_bus.clone())
+        .try_run()
+        .expect("campaign");
+        let snapshot_bytes = std::fs::read(&snapshot).expect("snapshot written");
+        let _ = std::fs::remove_file(&snapshot);
+        assert_eq!(
+            [fnv1a(report.to_csv().as_bytes()), fnv1a(&snapshot_bytes)],
+            expected,
+            "{} CSV and snapshot digests",
+            model.name()
+        );
+    }
 }
