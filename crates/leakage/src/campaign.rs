@@ -30,8 +30,8 @@ use crate::health;
 use crate::probe::{enumerate_probe_sets, ProbeSet};
 use crate::report::{LeakageReport, ProbeResult};
 use crate::snapshot::{self, SnapshotError};
-use crate::stats::pooling_summary;
-use crate::tabulate::Table;
+use crate::stats::{g_columns, pooling_summary};
+use crate::tabulate::{Columns, Table};
 
 /// FNV-1a over the canonical description of every sampling-relevant
 /// configuration field — the snapshot compatibility fingerprint.
@@ -70,18 +70,10 @@ pub struct ProbeTable {
 impl ProbeTable {
     /// The `(fixed, random)` columns exactly as the campaign's final
     /// G-test sweep consumed them: key-sorted counts, then the overflow
-    /// bucket if any — `g_test(&table.g_columns())` reproduces the
+    /// bucket if any — `g_test(table.g_columns())` reproduces the
     /// reported statistic.
     pub fn g_columns(&self) -> Vec<(u64, u64)> {
-        let mut columns: Vec<(u64, u64)> = self
-            .columns
-            .iter()
-            .map(|&(_, cell)| (cell[0], cell[1]))
-            .collect();
-        if self.overflow[0] + self.overflow[1] > 0 {
-            columns.push((self.overflow[0], self.overflow[1]));
-        }
-        columns
+        g_columns(Columns::from(self.columns.as_slice()), self.overflow).collect()
     }
 }
 
@@ -439,11 +431,11 @@ impl<'a> FixedVsRandom<'a> {
         let mut probe_healths: Vec<ProbeHealth> = Vec::new();
         let mut results: Vec<ProbeResult> = probe_sets
             .iter()
-            .zip(&mut state.tables)
+            .zip(&state.tables)
             .enumerate()
             .map(|(index, (set, table))| {
-                let columns = table.g_columns();
-                let summary = pooling_summary(&columns);
+                let overflow = table.overflow();
+                let summary = pooling_summary(g_columns(table.columns(), overflow));
                 let pooled_fraction = if summary.total_mass > 0 {
                     summary.pooled_mass as f64 / summary.total_mass as f64
                 } else {
@@ -451,8 +443,7 @@ impl<'a> FixedVsRandom<'a> {
                 };
                 let distinct_keys = table.distinct_keys();
                 let trajectory = std::mem::take(&mut state.trajectories[index]);
-                let overflow = table.overflow();
-                let result = match statistic.evaluate(table.sorted_columns(), overflow) {
+                let result = match statistic.evaluate_columns(table.columns(), overflow) {
                     Some(test) => ProbeResult {
                         label: set.label.clone(),
                         probe_count: set.wires.len(),
@@ -576,16 +567,16 @@ impl<'a> FixedVsRandom<'a> {
                 early_stopped: state.early_stopped,
             });
         }
+        // Each table is dropped as soon as its columns are collected, so
+        // the hand-back never holds a second copy of every table.
         let tables = keep_tables.then(|| {
             probe_sets
                 .iter()
-                .zip(&mut state.tables)
+                .zip(std::mem::take(&mut state.tables))
                 .map(|(set, table)| ProbeTable {
                     label: set.label.clone(),
                     set: set.clone(),
-                    // The final sweep already memoized the sorted
-                    // snapshot; this re-serves it without a second sort.
-                    columns: table.sorted_columns().to_vec(),
+                    columns: table.columns().collect(),
                     overflow: table.overflow(),
                     samples: table.samples(),
                 })
@@ -740,7 +731,7 @@ mod tests {
                 + table.overflow[0]
                 + table.overflow[1];
             assert_eq!(tabulated, table.samples);
-            match crate::stats::g_test(&table.g_columns()) {
+            match crate::stats::g_test(table.g_columns()) {
                 Some(test) => {
                     assert_eq!(test.statistic, result.g_statistic, "{}", table.label);
                     assert_eq!(test.df as f64, result.df);

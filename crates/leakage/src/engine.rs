@@ -47,7 +47,7 @@ use crate::config::{CampaignMode, EvaluationConfig, SecretDomain, DECISIVE_MARGI
 use crate::health;
 use crate::probe::{ProbeModel, ProbeSet};
 use crate::snapshot::{self, TableView};
-use crate::stats::{pooling_summary, StatisticKind};
+use crate::stats::{g_columns, pooling_summary, StatisticKind};
 use crate::supervisor::{self, Heartbeats};
 use crate::tabulate::{Table, TabulatorMode, MAX_MINTERM_WIDTH};
 
@@ -180,12 +180,10 @@ impl CampaignState {
     }
 
     /// Encodes the campaign state in the snapshot format straight from
-    /// the live tables. Takes the tables `&mut` so the encoder reads
-    /// (and primes) each table's memoized sorted columns in place: a
-    /// checkpoint's statistic sweep and its snapshot share one pass per
-    /// table, and no column is copied.
+    /// the live tables: the encoder walks each table's columns in place,
+    /// so no column is copied.
     pub(crate) fn encode_snapshot(
-        &mut self,
+        &self,
         context: &FoldContext<'_>,
         statistic: StatisticKind,
     ) -> Vec<u8> {
@@ -198,18 +196,15 @@ impl CampaignState {
         };
         let tables: Vec<TableView<'_>> = self
             .tables
-            .iter_mut()
+            .iter()
             .zip(&self.flagged)
             .zip(&self.trajectories)
-            .map(|((table, &flagged), trajectory)| {
-                let (samples, overflow) = (table.samples(), table.overflow());
-                TableView {
-                    samples,
-                    overflow,
-                    flagged,
-                    counts: table.sorted_columns(),
-                    trajectory,
-                }
+            .map(|((table, &flagged), trajectory)| TableView {
+                samples: table.samples(),
+                overflow: table.overflow(),
+                flagged,
+                counts: table.columns(),
+                trajectory,
             })
             .collect();
         snapshot::encode(&header, &tables)
@@ -738,10 +733,9 @@ impl<'a> Engine<'a> {
             let health_enabled = self.observer.enabled();
             let mut probe_healths: Vec<ProbeHealth> = Vec::new();
             let mut running: Vec<(usize, f64)> = Vec::with_capacity(context.probe_sets.len());
-            for (index, table) in state.tables.iter_mut().enumerate() {
-                let overflow = table.overflow();
+            for (index, table) in state.tables.iter().enumerate() {
                 let minus_log10_p = statistic
-                    .evaluate(table.sorted_columns(), overflow)
+                    .evaluate_columns(table.columns(), table.overflow())
                     .map(|test| test.minus_log10_p)
                     .unwrap_or(0.0);
                 state.trajectories[index].push((traces_so_far, minus_log10_p));
@@ -749,7 +743,7 @@ impl<'a> Engine<'a> {
                 if health_enabled {
                     probe_healths.push(health::probe_health(
                         &context.probe_sets[index].label,
-                        &pooling_summary(&table.g_columns()),
+                        &pooling_summary(g_columns(table.columns(), table.overflow())),
                         minus_log10_p,
                         &state.trajectories[index],
                         traces_so_far,

@@ -178,7 +178,7 @@ mod tests {
     use crate::stats::pooling_summary;
 
     fn summary_for(columns: &[(u64, u64)]) -> PoolingSummary {
-        pooling_summary(columns)
+        pooling_summary(columns.iter().copied())
     }
 
     #[test]

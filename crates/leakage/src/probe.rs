@@ -133,8 +133,8 @@ impl ProbeSet {
     /// [`ProbeSet::observation_keys`] specialized to dense-eligible
     /// sets: packs each lane's observation into a `u32` index using the
     /// *same* bit layout, so the index is bit-for-bit the zero-extended
-    /// `u128` key — which is why a dense table's linear scan serializes
-    /// in the exact sorted-key order the hashed store emits. The
+    /// `u128` key — which is why a dense table's walk in index order
+    /// serializes in the exact sorted-key order the hashed store emits. The
     /// [`ProbeSet::observation_planes`] are transposed into indices
     /// whole. Only called for sets whose
     /// [`ProbeSet::dense_index_width`] fits `u32`, so no overflow-mix arm

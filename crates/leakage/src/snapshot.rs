@@ -58,6 +58,7 @@ use std::io::Write as _;
 use std::path::Path;
 
 use crate::stats::StatisticKind;
+use crate::tabulate::Columns;
 
 /// Newest version of the snapshot file format. Bumped on any layout
 /// change; [`load`] accepts every version up to this one and rejects
@@ -188,16 +189,22 @@ pub(crate) struct Header {
 }
 
 /// One table's state as the encoder reads it. Borrowed, so a campaign
-/// encodes straight from its live tables' memoized sorted columns
-/// without copying them into a [`TableSnapshot`] first.
+/// encodes straight from its live tables' columns without copying them
+/// into a [`TableSnapshot`] first.
 pub(crate) struct TableView<'a> {
     pub(crate) samples: u64,
     pub(crate) overflow: [u64; 2],
     pub(crate) flagged: bool,
     /// Sorted by key.
-    pub(crate) counts: &'a [(u128, [u64; 2])],
+    pub(crate) counts: Columns<'a>,
     pub(crate) trajectory: &'a [(u64, f64)],
 }
+
+/// Columns the encoder gathers from a table before formatting any of
+/// them. A dense table's occupied cells lie far apart, so reading each
+/// one misses the cache; a tight gathering loop overlaps those misses,
+/// where the formatting between them would serialize them.
+const GATHER: usize = 64;
 
 /// Renders the versioned text format into one byte buffer, formatting
 /// every number by hand: the format's only encoder. A G-test snapshot
@@ -206,7 +213,8 @@ pub(crate) struct TableView<'a> {
 /// into v2.
 pub(crate) fn encode(header: &Header, tables: &[TableView<'_>]) -> Vec<u8> {
     // Generous for the typical line; pages the estimate overshoots are
-    // never touched.
+    // never touched. A dense table's column count is its bitmap's
+    // popcount.
     let capacity = 128
         + tables
             .iter()
@@ -240,14 +248,26 @@ pub(crate) fn encode(header: &Header, tables: &[TableView<'_>]) -> Vec<u8> {
             push_decimal(&mut out, value);
         }
         out.extend_from_slice(if table.flagged { b" 1\n" } else { b" 0\n" });
-        for &(key, cell) in table.counts {
-            out.extend_from_slice(b"k ");
-            push_hex(&mut out, key, 1);
-            out.push(b' ');
-            push_decimal(&mut out, cell[0]);
-            out.push(b' ');
-            push_decimal(&mut out, cell[1]);
-            out.push(b'\n');
+        let mut columns = table.counts.clone();
+        let mut gathered = [(0u128, [0u64; 2]); GATHER];
+        loop {
+            let mut filled = 0;
+            for (slot, column) in gathered.iter_mut().zip(&mut columns) {
+                *slot = column;
+                filled += 1;
+            }
+            if filled == 0 {
+                break;
+            }
+            for &(key, cell) in &gathered[..filled] {
+                out.extend_from_slice(b"k ");
+                push_hex(&mut out, key, 1);
+                out.push(b' ');
+                push_decimal(&mut out, cell[0]);
+                out.push(b' ');
+                push_decimal(&mut out, cell[1]);
+                out.push(b'\n');
+            }
         }
         for &(traces, value) in table.trajectory {
             out.extend_from_slice(b"traj ");
@@ -295,7 +315,7 @@ impl TableSnapshot {
             samples: self.samples,
             overflow: self.overflow,
             flagged: self.flagged,
-            counts: &self.counts,
+            counts: Columns::from(self.counts.as_slice()),
             trajectory: &self.trajectory,
         }
     }

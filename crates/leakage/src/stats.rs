@@ -7,6 +7,8 @@
 //! of heavy numeric dependencies; accuracy is validated in tests against
 //! known values.
 
+use crate::tabulate::Columns;
+
 /// Natural log of the gamma function (Lanczos approximation, g = 7).
 ///
 /// Accurate to ~1e-13 over the positive reals.
@@ -145,6 +147,81 @@ pub struct GTest {
 /// 4-bit cones).
 pub const POOLING_THRESHOLD: u64 = 32;
 
+/// The `(fixed, random)` columns exactly as the G-test consumes a
+/// table: its key-sorted counts, then the overflow bucket if any (one
+/// more contingency column). Read in place, so the statistic, the
+/// pooling self-audit and the health layer share the table's own walk.
+pub(crate) fn g_columns(
+    columns: Columns<'_>,
+    overflow: [u64; 2],
+) -> impl Iterator<Item = (u64, u64)> + Clone + '_ {
+    columns
+        .map(|(_, cell)| (cell[0], cell[1]))
+        .chain((overflow[0] + overflow[1] > 0).then_some((overflow[0], overflow[1])))
+}
+
+/// The first pass shared by [`g_test`] and [`pooling_summary`]: splits
+/// the non-empty columns into kept ones (total at least
+/// [`POOLING_THRESHOLD`]) and the rare-events bucket, with row totals
+/// over the pooled table.
+#[derive(Debug, Clone, Copy, Default)]
+struct Pooling {
+    /// Non-empty columns kept as their own contingency cells.
+    kept: u64,
+    /// Non-empty columns pooled into `rare`.
+    pooled: u64,
+    /// The rare-events bucket.
+    rare: (u64, u64),
+    /// Row totals over the kept columns and the bucket.
+    rows: (u64, u64),
+}
+
+impl Pooling {
+    fn of(columns: impl Iterator<Item = (u64, u64)>) -> Self {
+        let mut pooling = Pooling::default();
+        for (a, b) in columns {
+            if a + b == 0 {
+                continue;
+            }
+            if a + b < POOLING_THRESHOLD {
+                pooling.rare.0 += a;
+                pooling.rare.1 += b;
+                pooling.pooled += 1;
+            } else {
+                pooling.kept += 1;
+            }
+            pooling.rows.0 += a;
+            pooling.rows.1 += b;
+        }
+        pooling
+    }
+
+    /// Columns left after pooling: the kept ones and the bucket, if any.
+    fn len(&self) -> u64 {
+        self.kept + u64::from(self.rare.0 + self.rare.1 > 0)
+    }
+
+    /// Whether the pooled table supports a G-test: at least two columns
+    /// and both groups non-empty.
+    fn testable(&self) -> bool {
+        self.len() >= 2 && self.rows.0 > 0 && self.rows.1 > 0
+    }
+
+    /// Calls `visit` on each post-pooling column in the order the
+    /// G-test sums them: the kept columns in input order, then the
+    /// bucket.
+    fn for_each(&self, columns: impl Iterator<Item = (u64, u64)>, mut visit: impl FnMut(u64, u64)) {
+        for (a, b) in columns {
+            if a + b >= POOLING_THRESHOLD {
+                visit(a, b);
+            }
+        }
+        if self.rare.0 + self.rare.1 > 0 {
+            visit(self.rare.0, self.rare.1);
+        }
+    }
+}
+
 /// Performs a G-test of independence on a 2×K contingency table given as
 /// `(count_group0, count_group1)` per column.
 ///
@@ -152,34 +229,23 @@ pub const POOLING_THRESHOLD: u64 = 32;
 /// single bucket. Returns `None` when, after pooling, fewer than two
 /// columns remain or either group is empty (no test possible — treated
 /// as "no evidence of leakage" by callers).
-pub fn g_test(columns: &[(u64, u64)]) -> Option<GTest> {
-    let mut pooled: Vec<(u64, u64)> = Vec::with_capacity(columns.len());
-    let mut rare = (0u64, 0u64);
-    for &(a, b) in columns {
-        if a + b == 0 {
-            continue;
-        }
-        if a + b < POOLING_THRESHOLD {
-            rare.0 += a;
-            rare.1 += b;
-        } else {
-            pooled.push((a, b));
-        }
-    }
-    if rare.0 + rare.1 > 0 {
-        pooled.push(rare);
-    }
-    if pooled.len() < 2 {
+///
+/// Two passes over `columns` and no allocation: the first pools, the
+/// second sums the kept columns in input order, then the bucket.
+pub fn g_test<I>(columns: I) -> Option<GTest>
+where
+    I: IntoIterator<Item = (u64, u64)>,
+    I::IntoIter: Clone,
+{
+    let columns = columns.into_iter();
+    let pooling = Pooling::of(columns.clone());
+    if !pooling.testable() {
         return None;
     }
-    let row0: u64 = pooled.iter().map(|&(a, _)| a).sum();
-    let row1: u64 = pooled.iter().map(|&(_, b)| b).sum();
-    if row0 == 0 || row1 == 0 {
-        return None;
-    }
+    let (row0, row1) = pooling.rows;
     let total = (row0 + row1) as f64;
     let mut statistic = 0.0;
-    for &(a, b) in &pooled {
+    pooling.for_each(columns, |a, b| {
         let column_total = (a + b) as f64;
         let expected0 = row0 as f64 * column_total / total;
         let expected1 = row1 as f64 * column_total / total;
@@ -189,8 +255,8 @@ pub fn g_test(columns: &[(u64, u64)]) -> Option<GTest> {
         if b > 0 {
             statistic += 2.0 * b as f64 * (b as f64 / expected1).ln();
         }
-    }
-    let df = (pooled.len() - 1) as u64;
+    });
+    let df = pooling.len() - 1;
     let p_value = chi2_sf(statistic, df);
     Some(GTest {
         statistic,
@@ -241,8 +307,8 @@ pub struct GBreakdown {
 ///
 /// Pooling, degrees of freedom, and the aggregate statistic follow
 /// [`g_test`] exactly — `g_breakdown(columns).map(|b| b.test)` equals
-/// `g_test(columns)` — and returns `None` in exactly the same
-/// untestable cases. The tested columns' contributions plus
+/// `g_test(columns.iter().copied())` — and returns `None` in exactly
+/// the same untestable cases. The tested columns' contributions plus
 /// [`GBreakdown::pooled_contribution`] sum to the statistic.
 pub fn g_breakdown(columns: &[(u64, u64)]) -> Option<GBreakdown> {
     let mut fates = vec![ColumnFate::Empty; columns.len()];
@@ -342,45 +408,34 @@ pub struct PoolingSummary {
 
 /// Summarizes how [`g_test`] pooling treats `columns`: which survive,
 /// which get pooled, and the minimum expected cell count afterwards.
-pub fn pooling_summary(columns: &[(u64, u64)]) -> PoolingSummary {
-    let mut summary = PoolingSummary::default();
-    let mut pooled: Vec<(u64, u64)> = Vec::with_capacity(columns.len());
-    let mut rare = (0u64, 0u64);
-    for &(a, b) in columns {
-        if a + b == 0 {
-            continue;
-        }
-        summary.total_mass += a + b;
-        if a + b < POOLING_THRESHOLD {
-            rare.0 += a;
-            rare.1 += b;
-            summary.pooled_columns += 1;
-            summary.pooled_mass += a + b;
-        } else {
-            summary.tested_columns += 1;
-            pooled.push((a, b));
-        }
-    }
-    if rare.0 + rare.1 > 0 {
-        pooled.push(rare);
-    }
-    if pooled.len() < 2 {
-        return summary;
-    }
-    let row0: u64 = pooled.iter().map(|&(a, _)| a).sum();
-    let row1: u64 = pooled.iter().map(|&(_, b)| b).sum();
-    if row0 == 0 || row1 == 0 {
+/// Two passes and no allocation, like [`g_test`].
+pub fn pooling_summary<I>(columns: I) -> PoolingSummary
+where
+    I: IntoIterator<Item = (u64, u64)>,
+    I::IntoIter: Clone,
+{
+    let columns = columns.into_iter();
+    let pooling = Pooling::of(columns.clone());
+    let mut summary = PoolingSummary {
+        tested_columns: pooling.kept,
+        pooled_columns: pooling.pooled,
+        pooled_mass: pooling.rare.0 + pooling.rare.1,
+        total_mass: pooling.rows.0 + pooling.rows.1,
+        ..PoolingSummary::default()
+    };
+    if !pooling.testable() {
         return summary;
     }
     summary.testable = true;
+    let (row0, row1) = pooling.rows;
     let total = (row0 + row1) as f64;
     summary.min_expected = f64::INFINITY;
-    for &(a, b) in &pooled {
+    pooling.for_each(columns, |a, b| {
         let column_total = (a + b) as f64;
         let expected0 = row0 as f64 * column_total / total;
         let expected1 = row1 as f64 * column_total / total;
         summary.min_expected = summary.min_expected.min(expected0).min(expected1);
-    }
+    });
     summary
 }
 
@@ -574,7 +629,8 @@ pub struct TestOutcome {
 ///
 /// Implementations receive the table exactly as the tabulator stores
 /// it: `(observation key, [fixed count, random count])` columns sorted
-/// by key, plus the overflow bucket (counts absorbed after the table
+/// by key, read in place ([`Table::columns`](crate::tabulate::Table::columns)),
+/// plus the overflow bucket (counts absorbed after the table
 /// hit its key cap — keyless, so key-dependent statistics must decide
 /// what to do with it). Returning `None` means the table is untestable
 /// under this statistic, which callers treat as "no evidence of
@@ -584,13 +640,19 @@ pub trait Statistic: Sync {
     fn name(&self) -> &'static str;
 
     /// Tests the keyed columns + overflow bucket.
-    fn evaluate(&self, columns: &[(u128, [u64; 2])], overflow: [u64; 2]) -> Option<TestOutcome>;
+    fn evaluate_columns(&self, columns: Columns<'_>, overflow: [u64; 2]) -> Option<TestOutcome>;
+
+    /// Tests columns collected into a slice sorted by key, such as
+    /// [`ProbeTable::columns`](crate::ProbeTable::columns).
+    fn evaluate(&self, columns: &[(u128, [u64; 2])], overflow: [u64; 2]) -> Option<TestOutcome> {
+        self.evaluate_columns(Columns::from(columns), overflow)
+    }
 }
 
-/// The fixed-vs-random G-test as a [`Statistic`]: flattens the keyed
-/// columns (and the overflow bucket, which is one more contingency
-/// column) into `(fixed, random)` pairs and delegates to [`g_test`] —
-/// bit-for-bit the statistic the campaign has always computed.
+/// The fixed-vs-random G-test as a [`Statistic`]: [`g_test`] over the
+/// table's `(fixed, random)` columns, then the overflow bucket as one
+/// more column — bit-for-bit the statistic the campaign has always
+/// computed.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GTestStatistic;
 
@@ -599,15 +661,8 @@ impl Statistic for GTestStatistic {
         "gtest"
     }
 
-    fn evaluate(&self, columns: &[(u128, [u64; 2])], overflow: [u64; 2]) -> Option<TestOutcome> {
-        let mut pairs: Vec<(u64, u64)> = columns
-            .iter()
-            .map(|&(_, cell)| (cell[0], cell[1]))
-            .collect();
-        if overflow[0] + overflow[1] > 0 {
-            pairs.push((overflow[0], overflow[1]));
-        }
-        g_test(&pairs).map(|test| TestOutcome {
+    fn evaluate_columns(&self, columns: Columns<'_>, overflow: [u64; 2]) -> Option<TestOutcome> {
+        g_test(g_columns(columns, overflow)).map(|test| TestOutcome {
             statistic: test.statistic,
             df: test.df as f64,
             p_value: test.p_value,
@@ -664,13 +719,13 @@ impl Statistic for WelchTStatistic {
         "ttest"
     }
 
-    fn evaluate(&self, columns: &[(u128, [u64; 2])], _overflow: [u64; 2]) -> Option<TestOutcome> {
+    fn evaluate_columns(&self, columns: Columns<'_>, _overflow: [u64; 2]) -> Option<TestOutcome> {
         let mut count = [0u64; 2];
         // Exact raw power sums Σ hwᵏ·count, k = 1..4. hw ≤ 128 so
         // hw⁴ ≤ 2²⁸; with u64 counts the u128 accumulators cannot
         // overflow at any realistic trace budget.
         let mut power = [[0u128; 4]; 2];
-        for &(key, cell) in columns {
+        for (key, cell) in columns {
             let weight = u128::from(key.count_ones());
             for population in 0..2 {
                 let c = u128::from(cell[population]);
@@ -777,13 +832,13 @@ mod tests {
         let outcome = GTestStatistic
             .evaluate(&columns, [40, 10])
             .expect("testable");
-        let reference = g_test(&[(1000, 200), (200, 950), (400, 420), (40, 10)]).expect("testable");
+        let reference = g_test([(1000, 200), (200, 950), (400, 420), (40, 10)]).expect("testable");
         assert_eq!(outcome.statistic, reference.statistic);
         assert_eq!(outcome.df, reference.df as f64);
         assert_eq!(outcome.minus_log10_p, reference.minus_log10_p);
         // Empty overflow adds no column.
         let without = GTestStatistic.evaluate(&columns, [0, 0]).expect("testable");
-        let reference = g_test(&[(1000, 200), (200, 950), (400, 420)]).expect("testable");
+        let reference = g_test([(1000, 200), (200, 950), (400, 420)]).expect("testable");
         assert_eq!(without.statistic, reference.statistic);
     }
 
@@ -935,13 +990,13 @@ mod tests {
     #[test]
     fn g_test_detects_a_blatant_difference() {
         // Group 0 sees key A 1000×, group 1 sees key B 1000×.
-        let result = g_test(&[(1000, 0), (0, 1000)]).expect("testable");
+        let result = g_test([(1000, 0), (0, 1000)]).expect("testable");
         assert!(result.minus_log10_p > 100.0, "{result:?}");
     }
 
     #[test]
     fn g_test_accepts_identical_distributions() {
-        let result = g_test(&[(500, 510), (490, 480), (510, 505)]).expect("testable");
+        let result = g_test([(500, 510), (490, 480), (510, 505)]).expect("testable");
         assert!(result.minus_log10_p < 2.0, "{result:?}");
     }
 
@@ -968,7 +1023,7 @@ mod tests {
                 (group0, total - group0)
             })
             .collect();
-        let result = g_test(&columns).expect("testable");
+        let result = g_test(columns.iter().copied()).expect("testable");
         assert!(
             result.minus_log10_p < 4.0,
             "sparse-table inflation: {result:?}"
@@ -983,7 +1038,7 @@ mod tests {
                 (group0, total - group0)
             })
             .collect();
-        assert!(g_test(&all_sparse).is_none());
+        assert!(g_test(all_sparse.iter().copied()).is_none());
     }
 
     #[test]
@@ -999,7 +1054,7 @@ mod tests {
             }
         }
         columns.push((1000, 1000));
-        let result = g_test(&columns).expect("testable");
+        let result = g_test(columns.iter().copied()).expect("testable");
         assert_eq!(result.df, 1); // big column + pooled bucket
         assert!(result.minus_log10_p < 2.0, "{result:?}");
     }
@@ -1009,17 +1064,17 @@ mod tests {
         // The campaign's max_table_keys overflow bucket arrives here as
         // one aggregate column. Balanced overflow must not flag; overflow
         // concentrated in one group must.
-        let balanced = g_test(&[(1000, 1000), (500, 505)]).expect("testable");
+        let balanced = g_test([(1000, 1000), (500, 505)]).expect("testable");
         assert!(balanced.minus_log10_p < 2.0, "{balanced:?}");
-        let skewed = g_test(&[(1000, 1000), (900, 100)]).expect("testable");
+        let skewed = g_test([(1000, 1000), (900, 100)]).expect("testable");
         assert!(skewed.minus_log10_p > 50.0, "{skewed:?}");
     }
 
     #[test]
     fn g_test_returns_none_when_untestable() {
-        assert!(g_test(&[]).is_none());
-        assert!(g_test(&[(1000, 1000)]).is_none()); // single column
-        assert!(g_test(&[(1000, 0), (1000, 0)]).is_none()); // empty group
+        assert!(g_test([]).is_none());
+        assert!(g_test([(1000, 1000)]).is_none()); // single column
+        assert!(g_test([(1000, 0), (1000, 0)]).is_none()); // empty group
     }
 
     #[test]
@@ -1033,7 +1088,7 @@ mod tests {
             (400, 420),
         ];
         let breakdown = g_breakdown(&columns).expect("testable");
-        let reference = g_test(&columns).expect("testable");
+        let reference = g_test(columns.iter().copied()).expect("testable");
         assert_eq!(breakdown.test, reference);
 
         assert_eq!(breakdown.fates.len(), columns.len());
@@ -1071,7 +1126,7 @@ mod tests {
         for columns in cases {
             assert_eq!(
                 g_breakdown(&columns).map(|b| b.test),
-                g_test(&columns),
+                g_test(columns.iter().copied()),
                 "{columns:?}"
             );
         }
@@ -1081,7 +1136,7 @@ mod tests {
     fn pooling_summary_agrees_with_g_test() {
         // Two fat columns + three sparse ones: the sparse mass pools.
         let columns = [(100, 110), (90, 80), (3, 2), (0, 1), (4, 4)];
-        let summary = pooling_summary(&columns);
+        let summary = pooling_summary(columns);
         assert_eq!(summary.tested_columns, 2);
         assert_eq!(summary.pooled_columns, 3);
         assert_eq!(summary.pooled_mass, 14);
@@ -1100,8 +1155,8 @@ mod tests {
             vec![],
         ] {
             assert_eq!(
-                pooling_summary(&columns).testable,
-                g_test(&columns).is_some(),
+                pooling_summary(columns.iter().copied()).testable,
+                g_test(columns.iter().copied()).is_some(),
                 "{columns:?}"
             );
         }
@@ -1110,7 +1165,7 @@ mod tests {
     #[test]
     fn g_test_statistic_matches_hand_computation() {
         // Table: [[30, 10], [10, 30]].
-        let result = g_test(&[(30, 10), (10, 30)]).expect("testable");
+        let result = g_test([(30, 10), (10, 30)]).expect("testable");
         let expected: f64 = 2.0
             * (30.0 * (30.0f64 / 20.0).ln()
                 + 10.0 * (10.0f64 / 20.0).ln()
@@ -1118,5 +1173,146 @@ mod tests {
                 + 30.0 * (30.0f64 / 20.0).ln());
         assert!((result.statistic - expected).abs() < 1e-9);
         assert_eq!(result.df, 1);
+    }
+
+    /// The post-pooling columns, collected: what the allocating G-test
+    /// and pooling summary that the two-pass folds replaced summed over,
+    /// in their order.
+    fn collected_pooling(columns: &[(u64, u64)]) -> (Vec<(u64, u64)>, PoolingSummary) {
+        let mut summary = PoolingSummary::default();
+        let mut pooled: Vec<(u64, u64)> = Vec::new();
+        let mut rare = (0u64, 0u64);
+        for &(a, b) in columns {
+            if a + b == 0 {
+                continue;
+            }
+            summary.total_mass += a + b;
+            if a + b < POOLING_THRESHOLD {
+                rare.0 += a;
+                rare.1 += b;
+                summary.pooled_columns += 1;
+                summary.pooled_mass += a + b;
+            } else {
+                summary.tested_columns += 1;
+                pooled.push((a, b));
+            }
+        }
+        if rare.0 + rare.1 > 0 {
+            pooled.push(rare);
+        }
+        (pooled, summary)
+    }
+
+    /// The allocating G-test and pooling summary, kept as the oracle for
+    /// the folds' summation order.
+    fn collected_g_test(columns: &[(u64, u64)]) -> (Option<GTest>, PoolingSummary) {
+        let (pooled, mut summary) = collected_pooling(columns);
+        let row0: u64 = pooled.iter().map(|&(a, _)| a).sum();
+        let row1: u64 = pooled.iter().map(|&(_, b)| b).sum();
+        if pooled.len() < 2 || row0 == 0 || row1 == 0 {
+            return (None, summary);
+        }
+        summary.testable = true;
+        summary.min_expected = f64::INFINITY;
+        let total = (row0 + row1) as f64;
+        let mut statistic = 0.0;
+        for &(a, b) in &pooled {
+            let column_total = (a + b) as f64;
+            let expected0 = row0 as f64 * column_total / total;
+            let expected1 = row1 as f64 * column_total / total;
+            summary.min_expected = summary.min_expected.min(expected0).min(expected1);
+            if a > 0 {
+                statistic += 2.0 * a as f64 * (a as f64 / expected0).ln();
+            }
+            if b > 0 {
+                statistic += 2.0 * b as f64 * (b as f64 / expected1).ln();
+            }
+        }
+        let df = (pooled.len() - 1) as u64;
+        let p_value = chi2_sf(statistic, df);
+        let test = GTest {
+            statistic,
+            df,
+            p_value,
+            minus_log10_p: minus_log10_p(p_value),
+        };
+        (Some(test), summary)
+    }
+
+    /// Every field of an outcome as raw bits, so equality is exact.
+    fn outcome_bits(outcome: TestOutcome) -> [u64; 4] {
+        [
+            outcome.statistic.to_bits(),
+            outcome.df.to_bits(),
+            outcome.p_value.to_bits(),
+            outcome.minus_log10_p.to_bits(),
+        ]
+    }
+
+    fn g_test_bits(test: GTest) -> [u64; 4] {
+        [
+            test.statistic.to_bits(),
+            test.df,
+            test.p_value.to_bits(),
+            test.minus_log10_p.to_bits(),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The statistics read a table in place bit for bit as they read
+        /// its collected columns: both statistics with no, the table's
+        /// own and a foreign overflow bucket, on a dense table and on a
+        /// hashed one whose narrow cap pools keys into overflow; and the
+        /// streaming G-test and pooling summary against the allocating
+        /// versions they replaced.
+        #[test]
+        fn statistics_read_tables_in_place_bit_for_bit(
+            width in 1usize..=10,
+            cap in 1usize..=64,
+            raw in proptest::collection::vec(
+                (proptest::prelude::any::<u64>(), 1u64..64, proptest::prelude::any::<bool>()),
+                1..200,
+            ),
+        ) {
+            use crate::tabulate::Table;
+            let mask = (1u128 << width) - 1;
+            let mut dense = Table::dense(width);
+            let mut hashed = Table::hashed(cap);
+            for &(key, count, random) in &raw {
+                let mut cell = [0, 0];
+                cell[usize::from(random)] = count;
+                dense.absorb(u128::from(key) & mask, cell);
+                hashed.absorb(u128::from(key) & mask, cell);
+            }
+            for table in [&dense, &hashed] {
+                let collected: Vec<(u128, [u64; 2])> = table.columns().collect();
+                for overflow in [[0, 0], table.overflow(), [40, 10]] {
+                    for statistic in [&GTestStatistic as &dyn Statistic, &WelchTStatistic] {
+                        proptest::prop_assert_eq!(
+                            statistic
+                                .evaluate_columns(table.columns(), overflow)
+                                .map(outcome_bits),
+                            statistic.evaluate(&collected, overflow).map(outcome_bits)
+                        );
+                    }
+                    let pairs: Vec<(u64, u64)> =
+                        g_columns(Columns::from(collected.as_slice()), overflow).collect();
+                    let streamed = || g_columns(table.columns(), overflow);
+                    let (test, reference) = collected_g_test(&pairs);
+                    proptest::prop_assert_eq!(
+                        g_test(streamed()).map(g_test_bits),
+                        test.map(g_test_bits)
+                    );
+                    let summary = pooling_summary(streamed());
+                    proptest::prop_assert_eq!(
+                        summary.min_expected.to_bits(),
+                        reference.min_expected.to_bits()
+                    );
+                    proptest::prop_assert_eq!(summary, reference);
+                }
+            }
+        }
     }
 }

@@ -42,11 +42,17 @@
 //! dense index order *is* the sorted-u128-key order the hashed store
 //! serializes in. Same cells, same order, same bytes.
 //!
-//! [`Table::sorted_columns`] memoizes the sorted snapshot (invalidated
-//! by any absorption), so a checkpoint's G-test sweep, its snapshot
-//! serialization and the final report all share one collection pass
-//! instead of re-collecting per consumer.
+//! Readers never copy a table: [`Table::columns`] walks it in place, in
+//! key order, and the statistic sweeps, the snapshot encoder and the
+//! final hand-back all consume that walk. A dense table keeps an
+//! occupancy bitmap, one bit per cell, which every writer sets exactly
+//! when a cell becomes non-zero, so the walk reads one bitmap word per
+//! 64 cells and then only the occupied cells (`trailing_zeros`): a wide
+//! table holding few keys is cheap to read. A hashed table memoizes its
+//! sorted entries until the next absorption, so a checkpoint's
+//! statistic sweep, its snapshot and the final report share one sort.
 
+use std::cell::OnceCell;
 use std::collections::{BinaryHeap, HashMap};
 
 use mmaes_sim::LANES;
@@ -64,7 +70,7 @@ pub const MAX_DENSE_WIDTH: usize = 32;
 /// increments. DESIGN.md §5a records how the cut-over was measured.
 pub const MAX_MINTERM_WIDTH: usize = 6;
 
-/// Fixed per-table bookkeeping bytes (struct header, overflow, cache
+/// Fixed per-table bookkeeping bytes (struct header, overflow, memo
 /// slot) counted by [`Table::resident_bytes`].
 const TABLE_OVERHEAD_BYTES: u64 = 48;
 
@@ -102,14 +108,47 @@ impl TabulatorMode {
     }
 }
 
-/// The two table stores. Dense cells are indexed by the packed
-/// observation key; a cell of `[0, 0]` means the key was never seen
-/// (counts only ever increment, so zero cells are exactly the unseen
-/// keys).
+/// The two table stores.
 #[derive(Debug, Clone)]
 enum Store {
     Hashed(Sparse),
-    Dense(Vec<[u64; 2]>),
+    Dense(Dense),
+}
+
+/// The dense store: cells indexed by the packed observation key, and an
+/// occupancy bitmap whose bit `i` is set exactly when cell `i` is
+/// non-zero (counts only ever increment, so those are the keys seen).
+#[derive(Debug, Clone)]
+struct Dense {
+    cells: Vec<[u64; 2]>,
+    occupied: Vec<u64>,
+}
+
+impl Dense {
+    fn new(len: usize) -> Self {
+        Dense {
+            cells: vec![[0, 0]; len],
+            occupied: vec![0; len.div_ceil(64)],
+        }
+    }
+
+    /// Marks cell `index` occupied.
+    #[inline]
+    fn mark(&mut self, index: usize) {
+        self.occupied[index / 64] |= 1 << (index % 64);
+    }
+
+    /// Walks the occupied cells in index order.
+    fn columns(&self) -> Columns<'_> {
+        let mut words = self.occupied.iter();
+        let bits = words.next().copied().unwrap_or(0);
+        Columns(Walk::Occupied {
+            cells: &self.cells,
+            words,
+            base: 0,
+            bits,
+        })
+    }
 }
 
 /// The hashed store: the `cap` smallest keys seen, with their counts.
@@ -122,6 +161,9 @@ struct Sparse {
     /// then, so a table that never reaches its cap pays nothing for the
     /// eviction order.
     retained: BinaryHeap<u128>,
+    /// The `(key, cell)` entries sorted by key, memoized until the next
+    /// absorption.
+    sorted: OnceCell<Vec<(u128, [u64; 2])>>,
 }
 
 impl Sparse {
@@ -130,6 +172,7 @@ impl Sparse {
             counts: HashMap::new(),
             cap,
             retained: BinaryHeap::new(),
+            sorted: OnceCell::new(),
         }
     }
 
@@ -138,6 +181,7 @@ impl Sparse {
     /// overflow instead (the arriving cell, or the evicted largest
     /// key's cell).
     fn absorb(&mut self, key: u128, cell: [u64; 2]) -> Option<[u64; 2]> {
+        self.sorted.take();
         if let Some(slot) = self.counts.get_mut(&key) {
             add(slot, cell);
             return None;
@@ -163,21 +207,31 @@ impl Sparse {
             _ => Some(cell),
         }
     }
+
+    /// Walks the retained entries in key order, sorting them once per
+    /// absorption.
+    fn columns(&self) -> Columns<'_> {
+        let sorted = self.sorted.get_or_init(|| {
+            let mut entries: Vec<(u128, [u64; 2])> = self
+                .counts
+                .iter()
+                .map(|(&key, &cell)| (key, cell))
+                .collect();
+            entries.sort_unstable_by_key(|&(key, _)| key);
+            entries
+        });
+        Columns::from(sorted.as_slice())
+    }
 }
 
 /// A contingency table over observation keys for one probing set:
-/// `[fixed, random]` counts per key, an overflow bucket past the key
-/// cap (hashed store only — dense tables cannot overflow), and a
-/// memoized sorted snapshot of the columns.
+/// `[fixed, random]` counts per key, and an overflow bucket past the key
+/// cap (hashed store only — dense tables cannot overflow).
 #[derive(Debug, Clone)]
 pub struct Table {
     store: Store,
     overflow: [u64; 2],
     samples: u64,
-    /// Sorted `(key, cell)` snapshot, memoized until the next
-    /// absorption. Serves the checkpoint G-test sweep, snapshot
-    /// serialization and report assembly from one pass.
-    sorted: Option<Vec<(u128, [u64; 2])>>,
 }
 
 impl Table {
@@ -186,7 +240,6 @@ impl Table {
             store,
             overflow: [0, 0],
             samples: 0,
-            sorted: None,
         }
     }
 
@@ -203,14 +256,14 @@ impl Table {
     /// the selection rule first.
     pub fn dense(width: usize) -> Self {
         assert!(width <= MAX_DENSE_WIDTH, "dense width {width} too wide");
-        Table::with_store(Store::Dense(vec![[0, 0]; 1usize << width]))
+        Table::with_store(Store::Dense(Dense::new(1usize << width)))
     }
 
     /// An empty table with this table's store layout — a worker's shard.
     pub fn empty_like(&self) -> Self {
         match &self.store {
             Store::Hashed(sparse) => Table::hashed(sparse.cap),
-            Store::Dense(cells) => Table::with_store(Store::Dense(vec![[0, 0]; cells.len()])),
+            Store::Dense(dense) => Table::with_store(Store::Dense(Dense::new(dense.cells.len()))),
         }
     }
 
@@ -236,10 +289,15 @@ impl Table {
     ///
     /// Panics if `key` lies outside a dense table's key space.
     pub fn absorb(&mut self, key: u128, cell: [u64; 2]) {
-        self.sorted = None;
         self.samples += cell[0] + cell[1];
         match &mut self.store {
-            Store::Dense(cells) => add(&mut cells[usize::try_from(key).expect("dense key")], cell),
+            Store::Dense(dense) => {
+                let index = usize::try_from(key).expect("dense key");
+                add(&mut dense.cells[index], cell);
+                if cell[0] | cell[1] != 0 {
+                    dense.mark(index);
+                }
+            }
             Store::Hashed(sparse) => {
                 if let Some(pooled) = sparse.absorb(key, cell) {
                     add(&mut self.overflow, pooled);
@@ -268,13 +326,13 @@ impl Table {
     /// width — an internal invariant violation, since indices are
     /// packed from exactly the bits the width was computed from.
     pub fn absorb_indices(&mut self, indices: &[u32; LANES], lane_groups: u64) {
-        let Store::Dense(cells) = &mut self.store else {
+        let Store::Dense(dense) = &mut self.store else {
             unreachable!("absorb_indices on a hashed table");
         };
-        self.sorted = None;
         self.samples += LANES as u64;
         for (lane, &index) in indices.iter().enumerate() {
-            cells[index as usize][((lane_groups >> lane) & 1) as usize] += 1;
+            dense.cells[index as usize][((lane_groups >> lane) & 1) as usize] += 1;
+            dense.mark(index as usize);
         }
     }
 
@@ -290,18 +348,21 @@ impl Table {
     /// Panics on a hashed table, if the table is not `2^planes.len()`
     /// cells, or if `planes` is wider than [`MAX_MINTERM_WIDTH`].
     pub fn absorb_planes(&mut self, planes: &[u64], lane_groups: u64) {
-        let Store::Dense(cells) = &mut self.store else {
+        let Store::Dense(dense) = &mut self.store else {
             unreachable!("absorb_planes on a hashed table");
         };
-        assert_eq!(cells.len(), 1 << planes.len(), "plane count != width");
-        self.sorted = None;
+        assert_eq!(dense.cells.len(), 1 << planes.len(), "plane count != width");
         self.samples += LANES as u64;
+        // At most 2^MAX_MINTERM_WIDTH = 64 cells: one bitmap word.
+        let mut seen = 0u64;
         for_each_minterm(planes, u64::MAX, |key, lanes| {
             let random = u64::from((lanes & lane_groups).count_ones());
-            let cell = &mut cells[key];
+            let cell = &mut dense.cells[key];
             cell[0] += u64::from(lanes.count_ones()) - random;
             cell[1] += random;
+            seen |= u64::from(lanes != 0) << key;
         });
+        dense.occupied[0] |= seen;
     }
 
     /// Folds `other` into `self` and drains `other` back to empty — the
@@ -315,15 +376,29 @@ impl Table {
     /// Panics if the two tables' store layouts differ (shards are built
     /// with [`Table::empty_like`]).
     pub fn merge_from(&mut self, other: &mut Table) {
-        self.sorted = None;
-        other.sorted = None;
         self.samples += std::mem::take(&mut other.samples);
         add(&mut self.overflow, std::mem::take(&mut other.overflow));
         match (&mut self.store, &mut other.store) {
             (Store::Dense(into), Store::Dense(from)) => {
-                assert_eq!(into.len(), from.len(), "mismatched dense widths");
-                for (into, from) in into.iter_mut().zip(from.iter_mut()) {
-                    add(into, std::mem::take(from));
+                assert_eq!(
+                    into.cells.len(),
+                    from.cells.len(),
+                    "mismatched dense widths"
+                );
+                // Only the source's occupied cells are non-zero.
+                for (word, (into_bits, from_bits)) in
+                    into.occupied.iter_mut().zip(&mut from.occupied).enumerate()
+                {
+                    let mut bits = std::mem::take(from_bits);
+                    *into_bits |= bits;
+                    while bits != 0 {
+                        let index = word * 64 + bits.trailing_zeros() as usize;
+                        add(
+                            &mut into.cells[index],
+                            std::mem::take(&mut from.cells[index]),
+                        );
+                        bits &= bits - 1;
+                    }
                 }
             }
             (Store::Hashed(into), Store::Hashed(from)) => {
@@ -343,20 +418,27 @@ impl Table {
     /// layout cannot hold a key (a foreign or hand-edited snapshot)
     /// falls back to a hashed store with the dense key space as its cap
     /// rather than failing; a hashed table past its cap pools its
-    /// largest keys into overflow.
+    /// largest keys into overflow. A dense table skips zero-count
+    /// entries, which are unseen keys there.
     pub fn restore(&mut self, mut counts: Vec<(u128, [u64; 2])>, overflow: [u64; 2], samples: u64) {
-        self.sorted = None;
         self.overflow = overflow;
         self.samples = samples;
-        if let Store::Dense(cells) = &mut self.store {
-            if counts.iter().all(|&(key, _)| key < cells.len() as u128) {
-                cells.fill([0, 0]);
+        if let Store::Dense(dense) = &mut self.store {
+            if counts
+                .iter()
+                .all(|&(key, _)| key < dense.cells.len() as u128)
+            {
+                dense.cells.fill([0, 0]);
+                dense.occupied.fill(0);
                 for (key, cell) in counts {
-                    cells[key as usize] = cell;
+                    if cell[0] | cell[1] != 0 {
+                        dense.cells[key as usize] = cell;
+                        dense.mark(key as usize);
+                    }
                 }
                 return;
             }
-            self.store = Store::Hashed(Sparse::new(cells.len()));
+            self.store = Store::Hashed(Sparse::new(dense.cells.len()));
         }
         let Store::Hashed(sparse) = &mut self.store else {
             unreachable!("dense handled above");
@@ -370,60 +452,41 @@ impl Table {
         sparse.counts = counts.into_iter().take(kept).collect();
     }
 
-    /// The `(key, cell)` columns in sorted key order, memoized until
-    /// the next absorption. The G statistic is a float sum, so a
-    /// deterministic column order is what makes checkpoint trajectories
-    /// byte-identical across runs and resume legs; for the dense store
-    /// the linear scan of non-zero cells *is* sorted-key order, because
-    /// the packed index equals the key.
-    pub fn sorted_columns(&mut self) -> &[(u128, [u64; 2])] {
-        self.sorted.get_or_insert_with(|| match &self.store {
-            Store::Hashed(sparse) => {
-                let mut entries: Vec<(u128, [u64; 2])> = sparse
-                    .counts
-                    .iter()
-                    .map(|(&key, &cell)| (key, cell))
-                    .collect();
-                entries.sort_unstable_by_key(|&(key, _)| key);
-                entries
-            }
-            Store::Dense(cells) => cells
-                .iter()
-                .enumerate()
-                .filter(|&(_, cell)| cell[0] | cell[1] != 0)
-                .map(|(index, &cell)| (index as u128, cell))
-                .collect(),
-        })
-    }
-
-    /// The `(fixed, random)` columns exactly as the G-test consumes
-    /// them: key-sorted counts, then the overflow bucket if any.
-    pub fn g_columns(&mut self) -> Vec<(u64, u64)> {
-        let overflow = self.overflow;
-        let mut columns: Vec<(u64, u64)> = self
-            .sorted_columns()
-            .iter()
-            .map(|&(_, cell)| (cell[0], cell[1]))
-            .collect();
-        if overflow[0] + overflow[1] > 0 {
-            columns.push((overflow[0], overflow[1]));
+    /// The `(key, cell)` columns in sorted key order, read in place. The
+    /// G statistic is a float sum, so a deterministic column order is
+    /// what makes checkpoint trajectories byte-identical across runs and
+    /// resume legs; for the dense store the walk over the occupancy
+    /// bitmap *is* sorted-key order, because the packed index equals the
+    /// key.
+    pub fn columns(&self) -> Columns<'_> {
+        match &self.store {
+            Store::Dense(dense) => dense.columns(),
+            Store::Hashed(sparse) => sparse.columns(),
         }
-        columns
     }
 
-    /// Distinct observation keys retained (the overflow bucket excluded).
-    pub fn distinct_keys(&mut self) -> usize {
-        self.sorted_columns().len()
+    /// Distinct observation keys retained (the overflow bucket excluded):
+    /// for a dense table, its bitmap's popcount.
+    pub fn distinct_keys(&self) -> usize {
+        match &self.store {
+            Store::Dense(dense) => dense.columns().len(),
+            Store::Hashed(sparse) => sparse.counts.len(),
+        }
     }
 
-    /// Actual resident bytes of the table store: exact for dense (the
-    /// cell array is fully allocated up front), a per-entry estimate
-    /// including bucket overhead for hashed. Deterministic across thread
-    /// counts and resume legs (it depends on logical content, never on
-    /// allocator state).
+    /// Resident bytes of the table store. Dense: the cell array, fully
+    /// allocated up front. The occupancy bitmap (one bit per 16-byte
+    /// cell, 1/128 more) is not counted, so the figure stays the one
+    /// perfbench checks for E2's tables (35,884,144 bytes) until the
+    /// benchmark's expectation changes. Hashed: a per-entry estimate
+    /// including bucket overhead; the sorted memo is not counted.
+    /// Deterministic across thread counts and resume legs (it depends on
+    /// logical content, never on allocator state).
     pub fn resident_bytes(&self) -> u64 {
         match &self.store {
-            Store::Dense(cells) => TABLE_OVERHEAD_BYTES + DENSE_CELL_BYTES * cells.len() as u64,
+            Store::Dense(dense) => {
+                TABLE_OVERHEAD_BYTES + DENSE_CELL_BYTES * dense.cells.len() as u64
+            }
             Store::Hashed(sparse) => {
                 TABLE_OVERHEAD_BYTES + HASHED_ENTRY_BYTES * sparse.counts.len() as u64
             }
@@ -435,6 +498,79 @@ fn add(into: &mut [u64; 2], cell: [u64; 2]) {
     into[0] += cell[0];
     into[1] += cell[1];
 }
+
+/// A table's `(key, [fixed, random])` columns in ascending key order,
+/// read in place ([`Table::columns`]), or a borrowed sorted slice
+/// (`Columns::from`). A clone is a second, independent walk from the
+/// same position, which is what lets a statistic take two passes over
+/// one table without collecting it.
+#[derive(Debug, Clone)]
+pub struct Columns<'a>(Walk<'a>);
+
+#[derive(Debug, Clone)]
+enum Walk<'a> {
+    /// A dense store's occupied cells: `bits` holds the unvisited bits
+    /// of the bitmap word covering cells `base..base + 64`, and `words`
+    /// the words after it.
+    Occupied {
+        cells: &'a [[u64; 2]],
+        words: std::slice::Iter<'a, u64>,
+        base: usize,
+        bits: u64,
+    },
+    /// Entries already sorted by key.
+    Sorted(std::slice::Iter<'a, (u128, [u64; 2])>),
+}
+
+impl<'a> From<&'a [(u128, [u64; 2])]> for Columns<'a> {
+    /// Walks `entries`, which must be sorted by key.
+    fn from(entries: &'a [(u128, [u64; 2])]) -> Self {
+        Columns(Walk::Sorted(entries.iter()))
+    }
+}
+
+impl Iterator for Columns<'_> {
+    type Item = (u128, [u64; 2]);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        match &mut self.0 {
+            Walk::Sorted(entries) => entries.next().copied(),
+            Walk::Occupied {
+                cells,
+                words,
+                base,
+                bits,
+            } => {
+                while *bits == 0 {
+                    *bits = *words.next()?;
+                    *base += 64;
+                }
+                let index = *base + bits.trailing_zeros() as usize;
+                *bits &= *bits - 1;
+                Some((index as u128, cells[index]))
+            }
+        }
+    }
+
+    /// Exact: a dense walk counts the bits left in its bitmap.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = match &self.0 {
+            Walk::Sorted(entries) => entries.len(),
+            Walk::Occupied { words, bits, .. } => {
+                bits.count_ones() as usize
+                    + words
+                        .as_slice()
+                        .iter()
+                        .map(|word| word.count_ones() as usize)
+                        .sum::<usize>()
+            }
+        };
+        (len, Some(len))
+    }
+}
+
+impl ExactSizeIterator for Columns<'_> {}
 
 /// Calls `visit(key, minterm)` for every key of a `planes.len()`-bit
 /// observation, in ascending key order, where `minterm` masks the lanes
@@ -499,7 +635,18 @@ fn transpose32(rows: &mut [u32; 32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::g_columns;
     use proptest::prelude::*;
+
+    /// The table's columns, collected.
+    fn collected(table: &Table) -> Vec<(u128, [u64; 2])> {
+        table.columns().collect()
+    }
+
+    /// The table's `(fixed, random)` G-test columns, collected.
+    fn g_pairs(table: &Table) -> Vec<(u64, u64)> {
+        g_columns(table.columns(), table.overflow()).collect()
+    }
 
     /// Absorbs a stream of `(key, population)` observations one by one.
     fn absorb_all(table: &mut Table, keys: &[(u128, usize)]) {
@@ -536,8 +683,8 @@ mod tests {
         let keys = [(3, 0), (3, 1), (15, 1), (0, 0), (3, 0)];
         absorb_all(&mut dense, &keys);
         absorb_all(&mut hashed, &keys);
-        assert_eq!(dense.sorted_columns(), hashed.sorted_columns());
-        assert_eq!(dense.g_columns(), hashed.g_columns());
+        assert_eq!(collected(&dense), collected(&hashed));
+        assert_eq!(g_pairs(&dense), g_pairs(&hashed));
         assert_eq!(dense.samples(), hashed.samples());
         assert_eq!(dense.distinct_keys(), 3);
         assert_eq!(dense.overflow(), [0, 0]);
@@ -621,8 +768,8 @@ mod tests {
         dense.absorb_keys(&keys, lane_groups);
         let mut hashed = Table::hashed(8);
         hashed.absorb_keys(&keys, lane_groups);
-        assert_eq!(direct.sorted_columns(), dense.sorted_columns());
-        assert_eq!(direct.sorted_columns(), hashed.sorted_columns());
+        assert_eq!(collected(&direct), collected(&dense));
+        assert_eq!(collected(&direct), collected(&hashed));
         assert_eq!(direct.samples(), LANES as u64);
     }
 
@@ -640,54 +787,87 @@ mod tests {
         let mut a = ba.empty_like();
         absorb_all(&mut a, &keys_a);
         ba.merge_from(&mut a);
-        assert_eq!(ab.sorted_columns(), ba.sorted_columns());
+        assert_eq!(collected(&ab), collected(&ba));
         assert_eq!(ab.samples(), ba.samples());
         assert_eq!(b.samples(), 0, "merge drains the source");
-        assert!(b.sorted_columns().is_empty());
+        assert_eq!(b.columns().len(), 0);
     }
 
     #[test]
-    fn cached_columns_invalidate_on_absorption() {
-        let mut table = Table::dense(2);
-        absorb_all(&mut table, &[(1, 0)]);
-        assert_eq!(table.sorted_columns().len(), 1);
-        absorb_all(&mut table, &[(2, 1)]);
-        assert_eq!(table.sorted_columns().len(), 2, "stale cache served");
-        table.absorb_indices(&[0u32; LANES], 0);
-        assert_eq!(table.sorted_columns().len(), 3);
-        let mut other = table.empty_like();
-        absorb_all(&mut other, &[(3, 0)]);
-        table.merge_from(&mut other);
-        assert_eq!(table.sorted_columns().len(), 4, "stale cache after merge");
+    fn columns_follow_every_writer_on_both_stores() {
+        for empty in [Table::dense(2), Table::hashed(4)] {
+            let mut table = empty.clone();
+            absorb_all(&mut table, &[(1, 0)]);
+            assert_eq!(table.columns().len(), 1);
+            absorb_all(&mut table, &[(2, 1)]);
+            assert_eq!(table.columns().len(), 2, "stale columns after absorb");
+            table.absorb_keys(&[0u128; LANES], 0);
+            assert_eq!(table.columns().len(), 3, "stale columns after a batch");
+            let mut other = table.empty_like();
+            absorb_all(&mut other, &[(3, 0)]);
+            table.merge_from(&mut other);
+            assert_eq!(table.columns().len(), 4, "stale columns after merge");
+            assert_eq!(other.columns().len(), 0, "merge drains the source");
+        }
     }
 
     #[test]
-    fn cached_columns_survive_an_absorb_save_restore_round_trip() {
-        // The snapshot path reads `sorted_columns()` to serialize (which
-        // memoizes), then `restore()` repopulates the store on resume —
-        // both on a fresh table and, after a ConfigMismatch retry, on
-        // one that already served columns. A stale memo at any of these
-        // points would silently corrupt every post-resume checkpoint.
+    fn columns_survive_a_save_restore_round_trip() {
+        // The snapshot encoder walks `columns()`, then `restore()`
+        // repopulates the store on resume — on a fresh table and, after
+        // a ConfigMismatch retry, on one that already served columns. A
+        // stale memo or bitmap bit at any of these points would silently
+        // corrupt every post-resume checkpoint.
+        for empty in [Table::dense(3), Table::hashed(8)] {
+            let mut table = empty.clone();
+            absorb_all(&mut table, &[(1, 0), (5, 1)]);
+            let saved = collected(&table);
+
+            let mut resumed = empty.clone();
+            absorb_all(&mut resumed, &[(2, 0)]);
+            assert_eq!(resumed.columns().len(), 1);
+            resumed.restore(saved.clone(), table.overflow(), table.samples());
+            assert_eq!(collected(&resumed), saved, "stale columns after restore");
+            assert_eq!(resumed.samples(), table.samples());
+
+            // Absorption after the restore must show too, so the first
+            // post-resume checkpoint sees the merged counts.
+            absorb_all(&mut resumed, &[(2, 1)]);
+            assert_eq!(collected(&resumed), [(1, [1, 0]), (2, [0, 1]), (5, [0, 1])]);
+            assert_eq!(g_pairs(&resumed).len(), saved.len() + 1);
+        }
+    }
+
+    #[test]
+    fn restoring_a_zero_count_entry_yields_no_dense_column() {
+        // A hand-edited `k 5 0 0` snapshot line names a key never seen.
         let mut table = Table::dense(3);
-        absorb_all(&mut table, &[(1, 0), (5, 1)]);
-        let saved = table.sorted_columns().to_vec(); // memoizes
-        let overflow = table.overflow();
-        let samples = table.samples();
+        table.restore(vec![(1, [2, 3]), (5, [0, 0])], [0, 0], 5);
+        assert!(table.is_dense());
+        assert_eq!(collected(&table), [(1, [2, 3])]);
+        assert_eq!(table.distinct_keys(), 1);
+    }
 
-        // Resume into a table that has already memoized different
-        // contents: restore must drop that memo.
-        let mut resumed = Table::dense(3);
-        absorb_all(&mut resumed, &[(2, 0)]);
-        assert_eq!(resumed.sorted_columns().len(), 1); // memoizes
-        resumed.restore(saved.clone(), overflow, samples);
-        assert_eq!(resumed.sorted_columns(), saved.as_slice(), "stale memo");
-        assert_eq!(resumed.samples(), samples);
-
-        // And absorption after the restore must invalidate again, so
-        // the first post-resume checkpoint sees the merged counts.
-        absorb_all(&mut resumed, &[(2, 1)]);
-        assert_eq!(resumed.sorted_columns().len(), saved.len() + 1);
-        assert_eq!(resumed.g_columns().len(), saved.len() + 1);
+    #[test]
+    fn dense_columns_walk_every_bitmap_word() {
+        // Keys at both ends of several 64-cell words, out of order.
+        let keys = [
+            (700, 1),
+            (0, 0),
+            (63, 1),
+            (64, 0),
+            (1023, 1),
+            (127, 0),
+            (128, 1),
+        ];
+        let mut dense = Table::dense(10);
+        absorb_all(&mut dense, &keys);
+        let walked: Vec<u128> = dense.columns().map(|(key, _)| key).collect();
+        assert_eq!(walked, [0, 63, 64, 127, 128, 700, 1023]);
+        let mut columns = dense.columns();
+        columns.next();
+        assert_eq!(columns.len(), 6, "exact size after a step");
+        assert_eq!(dense.distinct_keys(), 7);
     }
 
     #[test]
@@ -697,12 +877,9 @@ mod tests {
         // arrival order.
         let mut table = Table::hashed(2);
         absorb_all(&mut table, &[(4, 1), (3, 1), (1, 0), (3, 0), (2, 0)]);
-        assert_eq!(
-            table.sorted_columns(),
-            &[(1u128, [1u64, 0u64]), (2, [1, 0])]
-        );
+        assert_eq!(collected(&table), &[(1u128, [1u64, 0u64]), (2, [1, 0])]);
         assert_eq!(table.overflow(), [1, 2], "keys 3 and 4 pooled");
-        assert_eq!(table.g_columns().len(), 3, "overflow is one more column");
+        assert_eq!(g_pairs(&table).len(), 3, "overflow is one more column");
         assert_eq!(table.samples(), 5);
         // A pooled key that arrives again stays pooled.
         absorb_all(&mut table, &[(4, 0)]);
@@ -715,21 +892,18 @@ mod tests {
         let mut table = Table::dense(2);
         table.restore(vec![(1, [5, 6]), (999, [1, 2])], [0, 0], 14);
         assert!(!table.is_dense(), "foreign snapshot forces the fallback");
-        assert_eq!(
-            table.sorted_columns(),
-            &[(1u128, [5u64, 6u64]), (999, [1, 2])]
-        );
+        assert_eq!(collected(&table), &[(1u128, [5u64, 6u64]), (999, [1, 2])]);
         let mut fits = Table::dense(2);
         fits.restore(vec![(1, [5, 6]), (3, [1, 2])], [0, 0], 14);
         assert!(fits.is_dense());
-        assert_eq!(fits.sorted_columns(), &[(1u128, [5u64, 6u64]), (3, [1, 2])]);
+        assert_eq!(collected(&fits), &[(1u128, [5u64, 6u64]), (3, [1, 2])]);
     }
 
     #[test]
     fn restore_pools_keys_past_the_hashed_cap() {
         let mut table = Table::hashed(1);
         table.restore(vec![(1, [5, 6]), (9, [1, 2])], [1, 0], 15);
-        assert_eq!(table.sorted_columns(), &[(1u128, [5u64, 6u64])]);
+        assert_eq!(collected(&table), &[(1u128, [5u64, 6u64])]);
         assert_eq!(table.overflow(), [2, 2]);
         assert_eq!(table.samples(), 15);
     }
@@ -749,7 +923,7 @@ mod tests {
 
         /// The differential property behind [`TabulatorMode`]: on any
         /// key stream, a dense table and a capacity-matched hashed table
-        /// produce identical `g_columns()` — including at the
+        /// produce identical G-test columns — including at the
         /// `2^width == max_table_keys` boundary, where the hashed
         /// store's cap is exactly the dense key space.
         #[test]
@@ -766,8 +940,8 @@ mod tests {
             let mut hashed = Table::hashed(cap);
             absorb_all(&mut dense, &keys);
             absorb_all(&mut hashed, &keys);
-            prop_assert_eq!(dense.g_columns(), hashed.g_columns());
-            prop_assert_eq!(dense.sorted_columns(), hashed.sorted_columns());
+            prop_assert_eq!(g_pairs(&dense), g_pairs(&hashed));
+            prop_assert_eq!(collected(&dense), collected(&hashed));
             prop_assert_eq!(dense.samples(), hashed.samples());
             prop_assert_eq!(dense.overflow(), [0, 0]);
             prop_assert_eq!(hashed.overflow(), [0, 0]);
@@ -803,12 +977,81 @@ mod tests {
                     by_keys.absorb_keys(&keys, lane_groups);
                     hashed.absorb_keys(&keys, lane_groups);
                 }
-                let expected = by_keys.sorted_columns().to_vec();
+                let expected = by_keys.columns().collect::<Vec<_>>();
                 for table in [&mut by_planes, &mut by_indices, &mut hashed] {
-                    prop_assert_eq!(table.sorted_columns(), expected.as_slice());
+                    prop_assert_eq!(collected(table), expected.as_slice());
                     prop_assert_eq!(table.samples(), (LANES * batches.len()) as u64);
                     prop_assert_eq!(table.overflow(), [0, 0]);
                 }
+            }
+        }
+
+        /// The occupancy bitmap against every writer: a dense table fed a
+        /// random mix of single observations, plane batches, index
+        /// batches, shard merges and save/restore round trips walks
+        /// exactly the columns a capacity-matched hashed table sorts,
+        /// and `distinct_keys()` counts them. Widths up to 10 span
+        /// several bitmap words; plane batches run where the width
+        /// allows them and fall back to index batches elsewhere.
+        #[test]
+        fn dense_column_walk_matches_hashed_sorted_columns(
+            width in 1usize..=10,
+            steps in prop::collection::vec((0u8..5, any::<u64>()), 1..24),
+        ) {
+            let mask = (1u64 << width) - 1;
+            let mut dense = Table::dense(width);
+            let mut hashed = Table::hashed(1 << width);
+            for &(writer, seed) in &steps {
+                let mut state = seed;
+                let lane_groups = splitmix(&mut state);
+                // Sparse planes: each observed bit is set in ~1/4 of the
+                // lanes, so wide tables stay mostly empty.
+                let planes: Vec<u64> = (0..width)
+                    .map(|_| splitmix(&mut state) & splitmix(&mut state))
+                    .collect();
+                let keys: [u128; LANES] = std::array::from_fn(|lane| lane_key(&planes, lane));
+                match writer {
+                    0 => {
+                        let key = u128::from(seed & mask);
+                        let cell = [seed >> 60, ((seed >> 56) & 0xf) + 1];
+                        dense.absorb(key, cell);
+                        hashed.absorb(key, cell);
+                    }
+                    1 if width <= MAX_MINTERM_WIDTH => {
+                        dense.absorb_planes(&planes, lane_groups);
+                        hashed.absorb_keys(&keys, lane_groups);
+                    }
+                    1 | 2 => {
+                        let mut padded = [0u64; MAX_DENSE_WIDTH];
+                        padded[..width].copy_from_slice(&planes);
+                        let mut indices = [0u32; LANES];
+                        planes_to_indices(&padded, &mut indices);
+                        dense.absorb_indices(&indices, lane_groups);
+                        hashed.absorb_keys(&keys, lane_groups);
+                    }
+                    3 => {
+                        let mut dense_shard = dense.empty_like();
+                        let mut hashed_shard = hashed.empty_like();
+                        dense_shard.absorb_keys(&keys, lane_groups);
+                        hashed_shard.absorb_keys(&keys, lane_groups);
+                        dense.merge_from(&mut dense_shard);
+                        hashed.merge_from(&mut hashed_shard);
+                        prop_assert_eq!(dense_shard.columns().len(), 0);
+                    }
+                    _ => {
+                        let mut restored = Table::dense(width);
+                        restored.restore(collected(&dense), dense.overflow(), dense.samples());
+                        dense = restored;
+                        hashed.restore(collected(&hashed), hashed.overflow(), hashed.samples());
+                    }
+                }
+                let walked = collected(&dense);
+                let sorted = collected(&hashed);
+                prop_assert_eq!(&walked, &sorted);
+                prop_assert_eq!(dense.columns().len(), walked.len());
+                prop_assert_eq!(dense.distinct_keys(), walked.len());
+                prop_assert!(walked.iter().all(|&(_, cell)| cell[0] | cell[1] != 0));
+                prop_assert_eq!(dense.samples(), hashed.samples());
             }
         }
 
@@ -826,8 +1069,7 @@ mod tests {
             let mut table = Table::hashed(cap);
             absorb_all(&mut table, &keys);
             prop_assert!(table.distinct_keys() <= cap);
-            let tallied: u64 = table
-                .g_columns()
+            let tallied: u64 = g_pairs(&table)
                 .iter()
                 .map(|&(fixed, random)| fixed + random)
                 .sum();
@@ -870,7 +1112,7 @@ mod tests {
             }
 
             for table in [&mut reordered, &mut merged] {
-                prop_assert_eq!(table.sorted_columns(), reference.sorted_columns());
+                prop_assert_eq!(collected(table), collected(&reference));
                 prop_assert_eq!(table.overflow(), reference.overflow());
                 prop_assert_eq!(table.samples(), reference.samples());
             }

@@ -353,6 +353,41 @@ fn snapshots_on_disk_are_what_to_text_renders() {
     }
 }
 
+/// `try_run_with_tables` hands back the tables by consuming them, while
+/// the final snapshot is encoded from the same live tables before
+/// that: each `ProbeTable` must hold exactly the columns, overflow and
+/// samples its snapshot entry records, on dense and overflowing hashed
+/// tables alike.
+#[test]
+fn handed_back_tables_match_the_final_snapshot() {
+    let circuit = build_kronecker(&KroneckerRandomness::de_meyer_eq6()).expect("valid circuit");
+    let path = snapshot_path("hand-back");
+    let config = EvaluationConfig {
+        traces: 2048,
+        warmup_cycles: 6,
+        checkpoints: 4,
+        max_table_keys: 16,
+        durability: Durability {
+            snapshot_path: Some(path.clone()),
+            ..Durability::default()
+        },
+        ..EvaluationConfig::default()
+    };
+    let (_, tables) = FixedVsRandom::new(&circuit.netlist, config)
+        .try_run_with_tables()
+        .expect("campaign");
+    let loaded = snapshot::load(&path).expect("snapshot loads");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(tables.len(), loaded.tables.len());
+    assert!(tables.iter().any(|table| table.overflow != [0, 0]));
+    assert!(tables.iter().any(|table| table.columns.len() > 1));
+    for (table, saved) in tables.iter().zip(&loaded.tables) {
+        assert_eq!(table.columns, saved.counts, "{}", table.label);
+        assert_eq!(table.overflow, saved.overflow, "{}", table.label);
+        assert_eq!(table.samples, saved.samples, "{}", table.label);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
