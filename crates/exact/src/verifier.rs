@@ -120,11 +120,13 @@ impl<'a> ExactVerifier<'a> {
         let unrolled = Unrolled::new(self.netlist, self.config.observe_cycle + 1);
         drop(unroll_span);
         let mut verdicts: Vec<(String, ProbeVerdict)> = Vec::with_capacity(sets.len());
-        let mut cell_evals = 0u64;
+        // One simulator for every set: its lifetime `cell_evals` is the
+        // run's.
+        let mut simulator = Simulator::new(self.netlist);
         for (done, set) in sets.iter().enumerate() {
             let verdict = {
                 let _span = perf.span("enumerate");
-                self.verify_probe_with(&unrolled, set, &mut cell_evals)
+                self.verify_probe_with(&unrolled, &mut simulator, set)
             };
             if self.observer.enabled() {
                 if matches!(verdict, ProbeVerdict::Leaky { .. }) {
@@ -141,6 +143,7 @@ impl<'a> ExactVerifier<'a> {
             }
             verdicts.push((set.label.clone(), verdict));
         }
+        let cell_evals = simulator.counters().cell_evals;
         if perf.is_enabled() {
             perf.add("probe_sets", verdicts.len() as u64);
             perf.add("cell_evals", cell_evals);
@@ -174,16 +177,17 @@ impl<'a> ExactVerifier<'a> {
     /// for obtaining sets; any set built from this netlist's wires works).
     pub fn verify_probe(&self, set: &ProbeSet) -> ProbeVerdict {
         let unrolled = Unrolled::new(self.netlist, self.config.observe_cycle + 1);
-        self.verify_probe_with(&unrolled, set, &mut 0)
+        self.verify_probe_with(&unrolled, &mut Simulator::new(self.netlist), set)
     }
 
-    /// Verifies one set; simulator work is added to `cell_evals` (the
-    /// [`ProbeVerdict::TooWide`] path performs none).
+    /// Verifies one set on `simulator`, any simulator of this netlist:
+    /// every batch starts from a reset. The [`ProbeVerdict::TooWide`]
+    /// path runs no simulation.
     fn verify_probe_with(
         &self,
         unrolled: &Unrolled,
+        simulator: &mut Simulator,
         set: &ProbeSet,
-        cell_evals: &mut u64,
     ) -> ProbeVerdict {
         let observe = self.config.observe_cycle;
         let mut observations: Vec<(WireId, usize)> =
@@ -287,7 +291,6 @@ impl<'a> ExactVerifier<'a> {
         let model = self.config.model;
         let mut planes = vec![0u64; set.observation_bits(model)];
         let lanes = u64::MAX >> (LANES - lanes_used);
-        let mut simulator = Simulator::new(self.netlist);
         let mut baseline = Histogram::new(planes.len());
         let mut current = Histogram::new(planes.len());
         let mut first_difference: Option<(usize, u128, u64, u64)> = None;
@@ -328,7 +331,7 @@ impl<'a> ExactVerifier<'a> {
                         simulator.eval();
                     }
                 }
-                set.observation_planes(&simulator, model, &mut planes);
+                set.observation_planes(simulator, model, &mut planes);
                 histogram.absorb(&planes, lanes);
             }
             if secret_assignment > 0 && first_difference.is_none() {
@@ -337,8 +340,6 @@ impl<'a> ExactVerifier<'a> {
                     .map(|(key, count_a, count_b)| (secret_assignment, key, count_a, count_b));
             }
         }
-
-        *cell_evals += simulator.counters().cell_evals;
 
         let total = (batches * lanes_used as u64) as f64;
         let describe = |assignment: usize| -> String {

@@ -1,13 +1,21 @@
-//! Instruction-stream compilation of the combinational logic.
+//! Levelized compilation of the combinational logic.
 //!
 //! The simulator's interpreted hot loop pays, per cell per cycle, for a
 //! bounds-checked gather of the input wires and a dynamic dispatch on
 //! [`CellKind`]. A [`CellProgram`] pays those costs once, at
-//! construction: the topological cell order is lowered into a flat
-//! vector of fixed-arity instructions with pre-resolved wire indices,
-//! and register-output copies are inlined as a prologue. Executing a
-//! cycle is then a single allocation-free pass over the instruction
-//! vector.
+//! construction: the topological cell order is lowered into
+//! fixed-arity instructions with pre-resolved wire indices, and
+//! register-output copies are inlined as a prologue.
+//!
+//! The instructions are then *levelized*: each gets a level one above
+//! the highest level of the slots it reads or writes (primary inputs,
+//! register outputs and never-written slots are level 0), and the
+//! program is sorted by `(level, opcode)`. No instruction reads or
+//! writes a slot that another instruction of its level writes, so each
+//! stretch of one opcode inside a level is a *run* of independent
+//! gates. Executing a cycle dispatches once per run and then loops over
+//! the run's operands with no branch on the opcode, and no gate waits
+//! on the store of the gate before it.
 //!
 //! # Lowering
 //!
@@ -15,17 +23,21 @@
 //!   variadic kinds map to one instruction each.
 //! * A variadic cell with more than two inputs becomes an accumulate
 //!   chain writing its own output slot: `out = op(in0, in1)` followed by
-//!   `out = op(out, in_i)` for the remaining inputs. The topological
-//!   order guarantees no later instruction reads `out` before the chain
-//!   finishes, so the intermediate values are never observable.
+//!   `out = op(out, in_i)` for the remaining inputs. Every link reads or
+//!   writes `out`, so each sits one level above the last, and every
+//!   reader of `out` sits above the whole chain: the intermediate values
+//!   are never observable.
 //! * Wide *negated* kinds (`Nand`, `Nor`, `Xnor`) chain the positive
-//!   operation and append one in-place `Not` on the output slot.
+//!   operation and append one in-place `Not` on the output slot, one
+//!   level above the chain.
 
 use crate::kind::CellKind;
 use crate::netlist::Netlist;
 
 /// A fixed-arity operation over 64-lane words (one bit per trace).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// The declaration order is the order of the runs within a level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Op {
     /// `out = a & b`
     And2,
@@ -51,19 +63,47 @@ enum Op {
     Const1,
 }
 
-/// One lowered instruction: an opcode plus pre-resolved wire indices.
-/// Unused operands are 0 (never read for the ops that ignore them).
+impl Op {
+    /// How many of the operands `a`, `b`, `c` the operation reads.
+    fn arity(self) -> usize {
+        match self {
+            Op::Const0 | Op::Const1 => 0,
+            Op::Not | Op::Copy => 1,
+            Op::Mux => 3,
+            Op::And2 | Op::Or2 | Op::Nand2 | Op::Nor2 | Op::Xor2 | Op::Xnor2 => 2,
+        }
+    }
+}
+
+/// One lowered instruction's pre-resolved wire indices. Unused operands
+/// are 0 (never read for the ops that ignore them); the opcode is held
+/// by the [`Run`] the instruction belongs to.
 #[derive(Debug, Clone, Copy)]
 struct Instr {
-    op: Op,
     out: u32,
     a: u32,
     b: u32,
     c: u32,
 }
 
-/// The combinational logic of a [`Netlist`], compiled to a flat
-/// instruction stream (see the [module docs](self)).
+impl Instr {
+    /// The slots `op` reads.
+    fn reads(&self, op: Op) -> impl Iterator<Item = u32> {
+        [self.a, self.b, self.c].into_iter().take(op.arity())
+    }
+}
+
+/// A stretch of consecutive instructions sharing one opcode and one
+/// level: no instruction of a run reads or writes another's output.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    op: Op,
+    len: u32,
+}
+
+/// The combinational logic of a [`Netlist`], compiled to runs of
+/// independent single-opcode instructions (see the
+/// [module docs](self)).
 ///
 /// A program borrows nothing: it holds only indices into the wire-value
 /// and register-state vectors the caller supplies to [`CellProgram::run`],
@@ -72,37 +112,50 @@ struct Instr {
 #[derive(Debug, Clone)]
 pub struct CellProgram {
     /// `(value slot, register slot)` pairs: the register-output copies
-    /// executed before the instruction stream.
+    /// executed before the runs.
     register_copies: Vec<(u32, u32)>,
+    /// Every instruction, sorted by `(level, opcode)`.
     instructions: Vec<Instr>,
+    /// The partition of `instructions` into runs, in order.
+    runs: Vec<Run>,
     cell_count: usize,
 }
 
 impl CellProgram {
-    /// Compiles `netlist`'s combinational cells (in topological order)
-    /// into an instruction stream.
+    /// Compiles `netlist`'s combinational cells into levelized runs.
     pub fn compile(netlist: &Netlist) -> Self {
         let register_copies = netlist
             .registers()
             .map(|(register_id, register)| (register.q.index() as u32, register_id.index() as u32))
             .collect();
-        let mut instructions = Vec::with_capacity(netlist.cell_count());
-        for &cell_id in netlist.topo_cells() {
-            let cell = netlist.cell(cell_id);
-            lower_cell(
-                cell.kind,
-                &cell
-                    .inputs
-                    .iter()
-                    .map(|wire| wire.index() as u32)
-                    .collect::<Vec<u32>>(),
-                cell.output.index() as u32,
-                &mut instructions,
-            );
-        }
+        let stream = lower(netlist);
+        let mut slot_level = vec![0u32; netlist.wire_count()];
+        let mut leveled: Vec<(u32, Op, Instr)> = stream
+            .into_iter()
+            .map(|(op, instr)| {
+                let level = 1 + instr
+                    .reads(op)
+                    .chain([instr.out])
+                    .map(|slot| slot_level[slot as usize])
+                    .fold(0, u32::max);
+                slot_level[instr.out as usize] = level;
+                (level, op, instr)
+            })
+            .collect();
+        // A run's gates are independent, so any order within it is
+        // correct; the stable sort keeps the topological one.
+        leveled.sort_by_key(|&(level, op, _)| (level, op));
+        let runs = leveled
+            .chunk_by(|x, y| (x.0, x.1) == (y.0, y.1))
+            .map(|run| Run {
+                op: run[0].1,
+                len: run.len() as u32,
+            })
+            .collect();
         CellProgram {
             register_copies,
-            instructions,
+            instructions: leveled.into_iter().map(|(_, _, instr)| instr).collect(),
+            runs,
             cell_count: netlist.topo_cells().len(),
         }
     }
@@ -120,8 +173,8 @@ impl CellProgram {
     }
 
     /// Executes one combinational evaluation: copies the register state
-    /// into the register-output slots of `values`, then runs the
-    /// instruction stream over `values`.
+    /// into the register-output slots of `values`, then executes the
+    /// runs over `values`.
     ///
     /// # Panics
     ///
@@ -131,35 +184,76 @@ impl CellProgram {
         for &(slot, register) in &self.register_copies {
             values[slot as usize] = register_state[register as usize];
         }
-        for instr in &self.instructions {
-            let a = values[instr.a as usize];
-            let word = match instr.op {
-                Op::And2 => a & values[instr.b as usize],
-                Op::Or2 => a | values[instr.b as usize],
-                Op::Nand2 => !(a & values[instr.b as usize]),
-                Op::Nor2 => !(a | values[instr.b as usize]),
-                Op::Xor2 => a ^ values[instr.b as usize],
-                Op::Xnor2 => !(a ^ values[instr.b as usize]),
-                Op::Not => !a,
-                Op::Copy => a,
-                Op::Mux => (a & values[instr.c as usize]) | (!a & values[instr.b as usize]),
-                Op::Const0 => 0,
-                Op::Const1 => u64::MAX,
-            };
-            values[instr.out as usize] = word;
+        let mut rest = self.instructions.as_slice();
+        for run in &self.runs {
+            let (batch, tail) = rest.split_at(run.len as usize);
+            rest = tail;
+            match run.op {
+                Op::And2 => binary(values, batch, |a, b| a & b),
+                Op::Or2 => binary(values, batch, |a, b| a | b),
+                Op::Nand2 => binary(values, batch, |a, b| !(a & b)),
+                Op::Nor2 => binary(values, batch, |a, b| !(a | b)),
+                Op::Xor2 => binary(values, batch, |a, b| a ^ b),
+                Op::Xnor2 => binary(values, batch, |a, b| !(a ^ b)),
+                Op::Not => unary(values, batch, |a| !a),
+                Op::Copy => unary(values, batch, |a| a),
+                Op::Mux => {
+                    for instr in batch {
+                        let select = values[instr.a as usize];
+                        values[instr.out as usize] = (select & values[instr.c as usize])
+                            | (!select & values[instr.b as usize]);
+                    }
+                }
+                Op::Const0 => batch
+                    .iter()
+                    .for_each(|instr| values[instr.out as usize] = 0),
+                Op::Const1 => batch
+                    .iter()
+                    .for_each(|instr| values[instr.out as usize] = u64::MAX),
+            }
         }
     }
 }
 
-/// Lowers one cell into `instructions` (see the [module docs](self)).
-fn lower_cell(kind: CellKind, inputs: &[u32], out: u32, instructions: &mut Vec<Instr>) {
-    let instr = |op: Op, a: u32, b: u32, c: u32| Instr { op, out, a, b, c };
+/// One run of a one-operand opcode.
+#[inline(always)]
+fn unary(values: &mut [u64], batch: &[Instr], op: impl Fn(u64) -> u64) {
+    for instr in batch {
+        values[instr.out as usize] = op(values[instr.a as usize]);
+    }
+}
+
+/// One run of a two-operand opcode.
+#[inline(always)]
+fn binary(values: &mut [u64], batch: &[Instr], op: impl Fn(u64, u64) -> u64) {
+    for instr in batch {
+        values[instr.out as usize] = op(values[instr.a as usize], values[instr.b as usize]);
+    }
+}
+
+/// Lowers `netlist`'s cells, in topological order, into the
+/// instruction stream the levelizer sorts.
+fn lower(netlist: &Netlist) -> Vec<(Op, Instr)> {
+    let mut stream = Vec::with_capacity(netlist.cell_count());
+    let mut inputs = Vec::new();
+    for &cell_id in netlist.topo_cells() {
+        let cell = netlist.cell(cell_id);
+        inputs.clear();
+        inputs.extend(cell.inputs.iter().map(|wire| wire.index() as u32));
+        lower_cell(cell.kind, &inputs, cell.output.index() as u32, &mut stream);
+    }
+    stream
+}
+
+/// Lowers one cell into `stream` (see the [module docs](self)).
+fn lower_cell(kind: CellKind, inputs: &[u32], out: u32, stream: &mut Vec<(Op, Instr)>) {
+    let mut push = |op: Op, a: u32, b: u32, c: u32| stream.push((op, Instr { out, a, b, c }));
     match kind {
-        CellKind::Not => instructions.push(instr(Op::Not, inputs[0], 0, 0)),
-        CellKind::Buf => instructions.push(instr(Op::Copy, inputs[0], 0, 0)),
-        CellKind::Mux => instructions.push(instr(Op::Mux, inputs[0], inputs[1], inputs[2])),
-        CellKind::Const0 => instructions.push(instr(Op::Const0, 0, 0, 0)),
-        CellKind::Const1 => instructions.push(instr(Op::Const1, 0, 0, 0)),
+        CellKind::Not => push(Op::Not, inputs[0], 0, 0),
+        CellKind::Buf => push(Op::Copy, inputs[0], 0, 0),
+        CellKind::Mux => push(Op::Mux, inputs[0], inputs[1], inputs[2]),
+        CellKind::Const0 => push(Op::Const0, 0, 0, 0),
+        CellKind::Const1 => push(Op::Const1, 0, 0, 0),
         CellKind::And
         | CellKind::Or
         | CellKind::Xor
@@ -176,17 +270,17 @@ fn lower_cell(kind: CellKind, inputs: &[u32], out: u32, instructions: &mut Vec<I
                 _ => unreachable!(),
             };
             if inputs.len() == 2 {
-                instructions.push(instr(fused, inputs[0], inputs[1], 0));
+                push(fused, inputs[0], inputs[1], 0);
                 return;
             }
-            // Accumulate chain through the output slot; safe because the
-            // topological order means no reader sees the intermediates.
-            instructions.push(instr(positive, inputs[0], inputs[1], 0));
+            // Accumulate chain through the output slot; the levelizer
+            // keeps its links, and the trailing `Not`, in order.
+            push(positive, inputs[0], inputs[1], 0);
             for &input in &inputs[2..] {
-                instructions.push(instr(positive, out, input, 0));
+                push(positive, out, input, 0);
             }
             if negated {
-                instructions.push(instr(Op::Not, out, 0, 0));
+                push(Op::Not, out, 0, 0);
             }
         }
     }
@@ -194,6 +288,8 @@ fn lower_cell(kind: CellKind, inputs: &[u32], out: u32, instructions: &mut Vec<I
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::builder::NetlistBuilder;
     use crate::netlist::SignalRole;
@@ -276,6 +372,88 @@ mod tests {
         program.run(&mut values, &[0x1234]);
         assert_eq!(values[q.index()], 0x1234);
         assert_eq!(values[n.index()], !0x1234);
+    }
+
+    /// For every write of the stream, in execution order, keyed by
+    /// `(slot, how many writes that slot had before)`: the opcode and
+    /// the same key for each slot read. Two streams with equal maps
+    /// compute the same values.
+    fn dataflow(stream: impl IntoIterator<Item = (Op, Instr)>) -> BTreeMap<(u32, u32), Dataflow> {
+        let mut writes: BTreeMap<u32, u32> = BTreeMap::new();
+        let mut edges = BTreeMap::new();
+        for (op, instr) in stream {
+            let version = |slot: u32| (slot, writes.get(&slot).copied().unwrap_or(0));
+            let reads = instr.reads(op).map(version).collect();
+            edges.insert(version(instr.out), (op, reads));
+            *writes.entry(instr.out).or_insert(0) += 1;
+        }
+        edges
+    }
+
+    type Dataflow = (Op, Vec<(u32, u32)>);
+
+    #[test]
+    fn levelized_runs_are_independent_and_keep_the_dataflow() {
+        let mut builder = NetlistBuilder::new("levels");
+        let a = builder.input("a", SignalRole::Control);
+        let b = builder.input("b", SignalRole::Control);
+        let c = builder.input("c", SignalRole::Control);
+        let d = builder.input("d", SignalRole::Control);
+        let (state, handle) = builder.register_feedback(false);
+        let one = builder.const1();
+        let xor = builder.xor2(a, state);
+        let and = builder.and2(b, c);
+        let and_cd = builder.and2(c, d);
+        // Wide chains, one with a trailing `Not`, reading and read by
+        // two-input gates at several depths.
+        let nand4 = builder.cell(CellKind::Nand, vec![xor, and, c, d]);
+        let or3 = builder.cell(CellKind::Or, vec![a, nand4, one]);
+        let xnor3 = builder.cell(CellKind::Xnor, vec![xor, d, or3]);
+        let mux = builder.mux(xnor3, and_cd, nand4);
+        let nor = builder.nor2(mux, or3);
+        builder.set_register_d(handle, nor);
+        builder.output("nor", nor);
+        builder.output("xnor3", xnor3);
+        let netlist = builder.build().expect("valid");
+        let program = CellProgram::compile(&netlist);
+
+        // Run by run: no instruction touches a slot that another
+        // instruction of its own run writes.
+        let mut written_by_run = vec![None; netlist.wire_count()];
+        let mut executed = Vec::new();
+        let mut rest = program.instructions.as_slice();
+        for (index, run) in program.runs.iter().enumerate() {
+            let (batch, tail) = rest.split_at(run.len as usize);
+            rest = tail;
+            for instr in batch {
+                for slot in instr.reads(run.op).chain([instr.out]) {
+                    assert_ne!(
+                        written_by_run[slot as usize],
+                        Some(index),
+                        "{run:?} {instr:?}"
+                    );
+                }
+            }
+            for instr in batch {
+                written_by_run[instr.out as usize] = Some(index);
+                executed.push((run.op, *instr));
+            }
+        }
+        assert!(rest.is_empty());
+        // The two level-1 ANDs share a run.
+        assert!(program.runs.len() < program.instruction_count());
+        // Every read sees the write it saw in topological order, so
+        // chain links and their trailing `Not` keep their order.
+        assert_eq!(dataflow(executed), dataflow(lower(&netlist)));
+        assert_program_matches_interpreter(
+            &netlist,
+            &[
+                (a, 0x0123_4567),
+                (b, !0x00ff),
+                (c, 0xf0f0_f0f0),
+                (d, 0x3c3c),
+            ],
+        );
     }
 
     #[test]

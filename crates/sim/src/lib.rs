@@ -54,9 +54,9 @@ pub const LANES: usize = 64;
 
 /// Typed error for the fallible simulator entry points.
 ///
-/// The panicking methods ([`Simulator::set_input`] and friends) delegate
-/// to the `try_` variants and panic with this error's [`Display`]
-/// message, so both spellings report identically.
+/// The panicking methods ([`Simulator::set_input`] and friends) panic
+/// with this error's [`Display`] message, so both spellings report
+/// identically.
 ///
 /// [`Display`]: core::fmt::Display
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -194,9 +194,11 @@ pub struct Simulator<'a> {
 
 impl<'a> Simulator<'a> {
     /// Creates a simulator with registers at their initial values and all
-    /// inputs at 0. The netlist's topological cell order is compiled once
-    /// into a flat fixed-arity instruction stream ([`CellProgram`]) and
-    /// each `eval` is a single allocation-free pass over it.
+    /// inputs at 0. The netlist's cells are compiled once into a
+    /// levelized [`CellProgram`]: fixed-arity instructions sorted by
+    /// logic level and opcode, so each `eval` runs, level by level, one
+    /// branch-free loop per stretch of independent same-opcode gates,
+    /// without allocating.
     pub fn new(netlist: &'a Netlist) -> Self {
         Simulator::with_program(netlist, Some(CellProgram::compile(netlist)))
     }
@@ -205,7 +207,7 @@ impl<'a> Simulator<'a> {
     /// `eval` walks the cells, gathers inputs and dispatches on
     /// [`mmaes_netlist::CellKind`]. Bit-exact with [`Simulator::new`] on
     /// every wire; it exists for differential tests against the
-    /// compiled instruction stream.
+    /// compiled program.
     pub fn interpreted(netlist: &'a Netlist) -> Self {
         Simulator::with_program(netlist, None)
     }
@@ -253,12 +255,6 @@ impl<'a> Simulator<'a> {
         self.stats
     }
 
-    /// Lifetime work counters — alias of [`Simulator::counters`], kept
-    /// for existing call sites.
-    pub fn stats(&self) -> SimStats {
-        self.stats
-    }
-
     /// Resets registers to their initial values and clears all wires.
     pub fn reset(&mut self) {
         for value in &mut self.values {
@@ -289,9 +285,23 @@ impl<'a> Simulator<'a> {
     ///
     /// Panics if `wire` is not a primary input.
     pub fn set_input(&mut self, wire: WireId, word: u64) {
-        if let Err(error) = self.try_set_input(wire, word) {
-            panic!("{error}");
+        if !matches!(self.netlist.origin(wire), WireOrigin::Input) {
+            self.not_an_input(wire);
         }
+        self.values[wire.index()] = word;
+    }
+
+    /// The panic of [`Simulator::set_input`] on a non-input wire, out of
+    /// line so that the check on the hot path is one compare and branch.
+    #[cold]
+    #[inline(never)]
+    fn not_an_input(&self, wire: WireId) -> ! {
+        panic!(
+            "{}",
+            SimError::NotAnInput {
+                name: self.netlist.wire_name(wire).to_owned(),
+            }
+        )
     }
 
     /// Fallible form of [`Simulator::set_input`].
@@ -374,10 +384,10 @@ impl<'a> Simulator<'a> {
     /// Propagates inputs and register state through the combinational
     /// cells. Idempotent until inputs or register state change.
     ///
-    /// On a [`Simulator::new`] simulator this is one
-    /// pass over a pre-lowered instruction stream; the interpreted
-    /// engine walks the cells and dispatches per kind. Both engines are
-    /// bit-exact on every wire and account the same `cell_evals`.
+    /// On a [`Simulator::new`] simulator this executes the levelized
+    /// [`CellProgram`]; the interpreted engine walks the cells and
+    /// dispatches per kind. Both engines are bit-exact on every wire and
+    /// account the same `cell_evals`.
     pub fn eval(&mut self) {
         if let Some(program) = &self.program {
             program.run(&mut self.values, &self.register_state);
@@ -747,7 +757,7 @@ mod tests {
         sim.step(); // eval + clock
         sim.eval();
         sim.reset();
-        let stats = sim.stats();
+        let stats = sim.counters();
         assert_eq!(stats.cycles, 1);
         assert_eq!(stats.cell_evals, 2 * cells);
     }

@@ -101,13 +101,15 @@ fn reference_simulate(
     snapshots
 }
 
-/// A recipe exercising the cell shapes the binary-gate recipe never
-/// emits: wide (3–4 input) gates of every negatable kind, muxes,
-/// buffers and constants — the coverage the compiled evaluator's
-/// instruction lowering needs a differential check on.
+/// A recipe mixing every cell shape the compiled evaluator lowers and
+/// levelizes: two-input gates, wide (3–4 input) gates of every
+/// negatable kind (accumulate chains, with a trailing `Not` when
+/// negated), muxes, buffers, constants, pipeline registers and
+/// feedback registers whose output feeds the logic that drives them.
 #[derive(Debug, Clone)]
 struct WideRecipe {
     input_count: usize,
+    feedback_count: usize,
     operations: Vec<(u8, usize, usize, usize, usize)>,
     register_every: usize,
 }
@@ -115,9 +117,10 @@ struct WideRecipe {
 fn wide_recipe() -> impl Strategy<Value = WideRecipe> {
     (
         2usize..6,
+        0usize..3,
         prop::collection::vec(
             (
-                0u8..11,
+                0u8..17,
                 any::<usize>(),
                 any::<usize>(),
                 any::<usize>(),
@@ -127,11 +130,14 @@ fn wide_recipe() -> impl Strategy<Value = WideRecipe> {
         ),
         1usize..6,
     )
-        .prop_map(|(input_count, operations, register_every)| WideRecipe {
-            input_count,
-            operations,
-            register_every,
-        })
+        .prop_map(
+            |(input_count, feedback_count, operations, register_every)| WideRecipe {
+                input_count,
+                feedback_count,
+                operations,
+                register_every,
+            },
+        )
 }
 
 fn build_wide(recipe: &WideRecipe) -> (Netlist, Vec<WireId>) {
@@ -140,6 +146,12 @@ fn build_wide(recipe: &WideRecipe) -> (Netlist, Vec<WireId>) {
         .map(|index| builder.input(format!("in{index}"), SignalRole::Control))
         .collect();
     let mut pool = inputs.clone();
+    let mut feedback = Vec::new();
+    for index in 0..recipe.feedback_count {
+        let (state, handle) = builder.register_feedback(index % 2 == 1);
+        pool.push(state);
+        feedback.push(handle);
+    }
     for (position, &(kind, a, b, c, d)) in recipe.operations.iter().enumerate() {
         let pick = |selector: usize| pool[selector % pool.len()];
         let (a, b, c, d) = (pick(a), pick(b), pick(c), pick(d));
@@ -154,7 +166,13 @@ fn build_wide(recipe: &WideRecipe) -> (Netlist, Vec<WireId>) {
             7 => builder.buf(a),
             8 => builder.not(a),
             9 => builder.const0(),
-            _ => builder.const1(),
+            10 => builder.const1(),
+            11 => builder.and2(a, b),
+            12 => builder.or2(a, b),
+            13 => builder.xor2(a, b),
+            14 => builder.nand2(a, b),
+            15 => builder.nor2(a, b),
+            _ => builder.xnor2(a, b),
         };
         let out = if position % recipe.register_every == recipe.register_every - 1 {
             builder.register(out)
@@ -162,6 +180,10 @@ fn build_wide(recipe: &WideRecipe) -> (Netlist, Vec<WireId>) {
             out
         };
         pool.push(out);
+    }
+    // Close each feedback loop on one of the last wires built.
+    for (index, handle) in feedback.into_iter().enumerate() {
+        builder.set_register_d(handle, pool[pool.len() - 1 - index]);
     }
     for (index, &wire) in pool.iter().rev().take(4).enumerate() {
         builder.output(format!("out{index}"), wire);
@@ -173,9 +195,10 @@ fn build_wide(recipe: &WideRecipe) -> (Netlist, Vec<WireId>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The compiled instruction stream and the tree-walking interpreter
+    /// The levelized compiled evaluator and the tree-walking interpreter
     /// must agree on every wire and register of every cycle, across the
-    /// full cell-kind alphabet (wide gates, mux, buf, not, constants).
+    /// full cell-kind alphabet (two-input and wide gates, mux, buf, not,
+    /// constants) and through feedback registers.
     #[test]
     fn compiled_evaluator_matches_the_interpreter(recipe in wide_recipe(), seed in any::<u64>()) {
         let (netlist, inputs) = build_wide(&recipe);
