@@ -107,7 +107,12 @@ pub struct EvaluationConfig {
     /// Cap on distinct keys kept per contingency table: a table keeps
     /// the `max_table_keys` smallest keys it has seen and pools every
     /// other key's counts into one overflow bucket (bounds memory on
-    /// very wide cones, independent of arrival order).
+    /// very wide cones, independent of arrival order). A set whose whole
+    /// key space fits the cap gets a dense table instead, which cannot
+    /// overflow; the cap does not size its memory, the trace budget
+    /// does: it is flat only while its `2^width` cells are at most
+    /// [`DENSE_CELLS_PER_TRACE`](crate::tabulate::DENSE_CELLS_PER_TRACE)
+    /// per trace of `traces`, and keeps only its seen cells otherwise.
     pub max_table_keys: usize,
     /// Number of interim checkpoints across the campaign (PROLEAD's
     /// intermediate reports). At each checkpoint every probing set's
@@ -132,7 +137,7 @@ pub struct EvaluationConfig {
     /// resumes fine on 1 thread.
     pub threads: usize,
     /// Which contingency-table store the campaign uses. Campaigns run
-    /// [`TabulatorMode::Dense`] (the default): per probing set, a flat
+    /// [`TabulatorMode::Dense`] (the default): per probing set, a
     /// direct-indexed table whenever the set's full key space fits
     /// `max_table_keys` (see
     /// [`crate::probe::ProbeSet::dense_index_width`]), the hashed store

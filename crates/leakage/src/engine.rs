@@ -122,14 +122,16 @@ impl RngCore for BufferedRng {
 
 /// Builds the contingency table for one probing set under the
 /// configured [`TabulatorMode`]: a dense direct-indexed table when the
-/// set's full key space fits the cap (it then cannot overflow), the
-/// hashed store, capped at `max_table_keys`, otherwise.
+/// set's full key space fits the cap (it then cannot overflow), laid
+/// out for the campaign's trace budget, and the hashed store, capped at
+/// `max_table_keys`, otherwise.
 pub(crate) fn make_table(set: &ProbeSet, config: &EvaluationConfig) -> Table {
     let cap = config.max_table_keys;
     match config.tabulator {
-        TabulatorMode::Dense => set
-            .dense_index_width(config.model, cap)
-            .map_or_else(|| Table::hashed(cap), Table::dense),
+        TabulatorMode::Dense => set.dense_index_width(config.model, cap).map_or_else(
+            || Table::hashed(cap),
+            |width| Table::dense_for_traces(width, config.traces),
+        ),
         TabulatorMode::Hashed => Table::hashed(cap),
     }
 }

@@ -71,11 +71,35 @@ impl ProbeSet {
     /// observed bit `i` at key bit `i` (a wire's current value, then —
     /// under transitions — its previous one).
     ///
-    /// Up to 128 observed bits are packed exactly; beyond that, bits are
-    /// folded with a deterministic 128-bit mix (collisions can only
-    /// merge contingency columns — they can weaken detection, never
-    /// fabricate it).
+    /// Up to 128 observed bits are packed exactly, from the
+    /// [`ProbeSet::observation_planes`] by 32×32 bit transposes, 32 key
+    /// bits at a time; beyond that, bits are folded with a
+    /// deterministic 128-bit mix (collisions can only merge contingency
+    /// columns — they can weaken detection, never fabricate it).
     pub(crate) fn observation_keys(&self, sim: &Simulator, model: ProbeModel) -> [u128; LANES] {
+        let width = self.observation_bits(model);
+        if width > 128 {
+            return self.folded_observation_keys(sim, model);
+        }
+        let mut planes = [0u64; 128];
+        self.observation_planes(sim, model, &mut planes[..width]);
+        let mut keys = [0u128; LANES];
+        let mut indices = [0u32; LANES];
+        for (chunk, planes) in planes[..width.div_ceil(32) * 32]
+            .chunks_exact(MAX_DENSE_WIDTH)
+            .enumerate()
+        {
+            planes_to_indices(planes.try_into().expect("32 planes"), &mut indices);
+            for (key, &index) in keys.iter_mut().zip(&indices) {
+                *key |= u128::from(index) << (32 * chunk);
+            }
+        }
+        keys
+    }
+
+    /// [`ProbeSet::observation_keys`] for sets wider than 128 bits: the
+    /// first 128 bits packed lane by lane, the rest folded in.
+    fn folded_observation_keys(&self, sim: &Simulator, model: ProbeModel) -> [u128; LANES] {
         let mut keys = [0u128; LANES];
         let mut position = 0usize;
         let push_word = |keys: &mut [u128; LANES], word: u64, position: usize| {
@@ -379,6 +403,58 @@ mod tests {
                         "{} bits, lane {lane}",
                         width
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn observation_keys_pack_exactly_up_to_128_bits() {
+        let mut builder = NetlistBuilder::new("wider");
+        let inputs: Vec<WireId> = (0..136)
+            .map(|index| builder.input(format!("i{index}"), SignalRole::Mask))
+            .collect();
+        let folded = inputs[1..]
+            .iter()
+            .fold(inputs[0], |acc, &input| builder.xor2(acc, input));
+        builder.output("folded", folded);
+        let netlist = builder.build().expect("valid");
+        let mut sim = Simulator::new(&netlist);
+        let mut state = 0x0bad_5eed_u64;
+        for _ in 0..2 {
+            for &input in &inputs {
+                state = state
+                    .wrapping_mul(0x5851_f42d_4c95_7f2d)
+                    .wrapping_add(0x1405_7b7e_f767_814f);
+                sim.set_input(input, state ^ (state >> 29));
+            }
+            sim.step();
+        }
+        for model in [ProbeModel::Glitch, ProbeModel::GlitchTransition] {
+            for count in 0..=inputs.len() {
+                let set = ProbeSet {
+                    wires: vec![folded],
+                    observed: inputs[..count].to_vec(),
+                    label: format!("{count} wires"),
+                };
+                let width = set.observation_bits(model);
+                let keys = set.observation_keys(&sim, model);
+                // Lane by lane: exact up to 128 bits, the fold beyond.
+                assert_eq!(
+                    keys,
+                    set.folded_observation_keys(&sim, model),
+                    "{width} bits"
+                );
+                if width > 128 {
+                    continue;
+                }
+                let mut planes = vec![0u64; width];
+                set.observation_planes(&sim, model, &mut planes);
+                for (lane, &key) in keys.iter().enumerate() {
+                    let packed = planes.iter().enumerate().fold(0u128, |key, (bit, plane)| {
+                        key | u128::from((plane >> lane) & 1) << bit
+                    });
+                    assert_eq!(key, packed, "{width} bits, lane {lane}");
                 }
             }
         }

@@ -248,27 +248,18 @@ pub(crate) fn encode(header: &Header, tables: &[TableView<'_>]) -> Vec<u8> {
             push_decimal(&mut out, value);
         }
         out.extend_from_slice(if table.flagged { b" 1\n" } else { b" 0\n" });
-        let mut columns = table.counts.clone();
+        // `for_each`, so the walk dispatches on its store once.
         let mut gathered = [(0u128, [0u64; 2]); GATHER];
-        loop {
-            let mut filled = 0;
-            for (slot, column) in gathered.iter_mut().zip(&mut columns) {
-                *slot = column;
-                filled += 1;
+        let mut filled = 0;
+        table.counts.clone().for_each(|column| {
+            gathered[filled] = column;
+            filled += 1;
+            if filled == GATHER {
+                push_columns(&mut out, &gathered);
+                filled = 0;
             }
-            if filled == 0 {
-                break;
-            }
-            for &(key, cell) in &gathered[..filled] {
-                out.extend_from_slice(b"k ");
-                push_hex(&mut out, key, 1);
-                out.push(b' ');
-                push_decimal(&mut out, cell[0]);
-                out.push(b' ');
-                push_decimal(&mut out, cell[1]);
-                out.push(b'\n');
-            }
-        }
+        });
+        push_columns(&mut out, &gathered[..filled]);
         for &(traces, value) in table.trajectory {
             out.extend_from_slice(b"traj ");
             push_decimal(&mut out, traces);
@@ -279,6 +270,19 @@ pub(crate) fn encode(header: &Header, tables: &[TableView<'_>]) -> Vec<u8> {
     }
     out.extend_from_slice(b"end\n");
     out
+}
+
+/// Appends one `k <key> <fixed> <random>` line per column.
+fn push_columns(out: &mut Vec<u8>, columns: &[(u128, [u64; 2])]) {
+    for &(key, cell) in columns {
+        out.extend_from_slice(b"k ");
+        push_hex(out, key, 1);
+        out.push(b' ');
+        push_decimal(out, cell[0]);
+        out.push(b' ');
+        push_decimal(out, cell[1]);
+        out.push(b'\n');
+    }
 }
 
 /// Appends `value` in decimal (as `{}` formats it).

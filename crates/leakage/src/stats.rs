@@ -179,9 +179,11 @@ struct Pooling {
 impl Pooling {
     fn of(columns: impl Iterator<Item = (u64, u64)>) -> Self {
         let mut pooling = Pooling::default();
-        for (a, b) in columns {
+        // `for_each`, not `for`: a table's walk dispatches on its store
+        // once per fold, but once per column through `next`.
+        columns.for_each(|(a, b)| {
             if a + b == 0 {
-                continue;
+                return;
             }
             if a + b < POOLING_THRESHOLD {
                 pooling.rare.0 += a;
@@ -192,7 +194,7 @@ impl Pooling {
             }
             pooling.rows.0 += a;
             pooling.rows.1 += b;
-        }
+        });
         pooling
     }
 
@@ -211,11 +213,11 @@ impl Pooling {
     /// G-test sums them: the kept columns in input order, then the
     /// bucket.
     fn for_each(&self, columns: impl Iterator<Item = (u64, u64)>, mut visit: impl FnMut(u64, u64)) {
-        for (a, b) in columns {
+        columns.for_each(|(a, b)| {
             if a + b >= POOLING_THRESHOLD {
                 visit(a, b);
             }
-        }
+        });
         if self.rare.0 + self.rare.1 > 0 {
             visit(self.rare.0, self.rare.1);
         }

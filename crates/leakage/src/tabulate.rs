@@ -4,12 +4,18 @@
 //! observations into contingency-table counts. This module provides two
 //! table stores behind one [`Table`] type:
 //!
-//! * **Dense** — a flat `Vec<[u64; 2]>` directly indexed by the packed
-//!   observation key. Selected per probing set when the set's exact
-//!   key-space width fits (`2^width ≤ max_table_keys`, width ≤
-//!   [`MAX_DENSE_WIDTH`]): absorption is then a bounds-checked array
-//!   increment — no lookup, no sorting, no per-batch allocation — and
-//!   the table can never overflow its cap.
+//! * **Dense** — cells indexed by the packed observation key. Selected
+//!   per probing set when the set's exact key-space width fits
+//!   (`2^width ≤ max_table_keys`, width ≤ [`MAX_DENSE_WIDTH`]):
+//!   absorption needs no key comparison, no sorting and no per-batch
+//!   allocation, and the table can never overflow its cap. A dense
+//!   table has one of two layouts, chosen once from the campaign's trace
+//!   budget (`Table::dense_for_traces`). It is **flat**, a
+//!   `Vec<[u64; 2]>` of every cell, when the key space holds at most
+//!   [`DENSE_CELLS_PER_TRACE`] cells per trace the table can receive;
+//!   otherwise it is **mapped**, a hash map from `u32` index to cell
+//!   holding only the cells seen, since a budget of `n` traces can fill
+//!   at most `n` of them.
 //! * **Hashed** — a `HashMap<u128, [u64; 2]>` for sets wider than the
 //!   dense rule admits. It keeps at most `cap` keys: the **`cap`
 //!   smallest keys it has seen**, by key value, with every other key's
@@ -20,13 +26,20 @@
 //!   pooled, so the final state depends only on the multiset of
 //!   observations — not on arrival order, batching or sharding.
 //!
+//! Both hash maps use `KeyHash`, a fixed multiplicative hash: keys are
+//! simulated observations, not attacker input, so a keyed SipHash buys
+//! nothing and costs most of a probe. The one outside source of keys is
+//! a snapshot being resumed; a crafted one could make its own resume
+//! slow, never its counts wrong.
+//!
 //! A dense table absorbs a batch in one of two forms, picked by width.
 //! Sets at most [`MAX_MINTERM_WIDTH`] bits wide hand over the
 //! observation's bit-planes ([`Table::absorb_planes`]): a shared AND tree
 //! ([`for_each_minterm`]) splits the 64 lanes by key, and each cell grows
-//! by two popcounts, so no lane is visited. Wider dense sets hand over
-//! per-lane `u32` indices, built by two 32×32 bit-matrix transposes of
-//! the planes ([`Table::absorb_indices`]). Hashed tables take per-lane
+//! by two popcounts, so no lane is visited. Such tables are always flat.
+//! Wider dense sets hand over per-lane `u32` indices, built by two 32×32
+//! bit-matrix transposes of the planes ([`Table::absorb_indices`]),
+//! which pick the layout once per batch. Hashed tables take per-lane
 //! `u128` keys ([`Table::absorb_keys`]). All three forms count exactly
 //! the same cells, since a minterm's popcount is the number of lanes
 //! whose packed key is that minterm's key.
@@ -40,27 +53,30 @@
 //! keys, so the hashed store never overflows on it either, and because
 //! keys are packed with bit `i` of the observation at key bit `i`, the
 //! dense index order *is* the sorted-u128-key order the hashed store
-//! serializes in. Same cells, same order, same bytes.
+//! serializes in. Same cells, same order, same bytes — in either dense
+//! layout.
 //!
 //! Readers never copy a table: [`Table::columns`] walks it in place, in
 //! key order, and the statistic sweeps, the snapshot encoder and the
 //! final hand-back all consume that walk. A dense table keeps an
-//! occupancy bitmap, one bit per cell, which every writer sets exactly
+//! occupancy bitmap, one bit per key, which every writer sets exactly
 //! when a cell becomes non-zero, so the walk reads one bitmap word per
-//! 64 cells and then only the occupied cells (`trailing_zeros`): a wide
-//! table holding few keys is cheap to read. A hashed table memoizes its
-//! sorted entries until the next absorption, so a checkpoint's
-//! statistic sweep, its snapshot and the final report share one sort.
+//! 64 keys and then only the occupied cells (`trailing_zeros`), from the
+//! flat array or the map: a wide table holding few keys is cheap to
+//! read. A hashed table memoizes its sorted entries until the next
+//! absorption, so a checkpoint's statistic sweep, its snapshot and the
+//! final report share one sort.
 
 use std::cell::OnceCell;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasher, Hasher};
 
 use mmaes_sim::LANES;
 
 /// Widest packed observation a dense table will direct-index: the
 /// packed key must fit a `u32` (the per-lane index type). The memory
 /// gate is [`EvaluationConfig::max_table_keys`](crate::EvaluationConfig::max_table_keys),
-/// which bounds `2^width` cells of 16 bytes each.
+/// which bounds `2^width` keys per table.
 pub const MAX_DENSE_WIDTH: usize = 32;
 
 /// Widest observation counted by minterm popcount
@@ -70,12 +86,26 @@ pub const MAX_DENSE_WIDTH: usize = 32;
 /// increments. DESIGN.md §5a records how the cut-over was measured.
 pub const MAX_MINTERM_WIDTH: usize = 6;
 
+/// Cells per receivable trace up to which a dense table is flat
+/// (`Table::dense_for_traces`): a `2^width`-key table stays a flat
+/// array while `2^width ≤ DENSE_CELLS_PER_TRACE · traces`, and keeps
+/// only its seen cells in a map beyond that. At 4, every table of E2's
+/// paper and default budgets stays flat, while the sparse 16–20-bit
+/// tables of a short glitch+transition run become maps. DESIGN.md §5a
+/// records the factors 2, 4 and 8 that chose it.
+pub const DENSE_CELLS_PER_TRACE: u64 = 4;
+
 /// Fixed per-table bookkeeping bytes (struct header, overflow, memo
 /// slot) counted by [`Table::resident_bytes`].
 const TABLE_OVERHEAD_BYTES: u64 = 48;
 
-/// Bytes per dense cell: one `[u64; 2]`.
+/// Bytes per flat dense cell: one `[u64; 2]`.
 const DENSE_CELL_BYTES: u64 = 16;
+
+/// Estimated resident bytes per mapped dense entry: 24 bytes of payload
+/// (`u32` index + `[u64; 2]` cell, aligned) plus hash-table bucket
+/// overhead, at the same 1.5× as [`HASHED_ENTRY_BYTES`].
+const MAPPED_ENTRY_BYTES: u64 = 36;
 
 /// Estimated resident bytes per hashed entry: 32 bytes of payload
 /// (`u128` key + `[u64; 2]` cell) plus hash-table bucket overhead.
@@ -108,6 +138,69 @@ impl TabulatorMode {
     }
 }
 
+/// The tables' hash: a fixed folded multiply (the 128-bit product of
+/// the key's two halves, each xored with a constant, with its halves
+/// xored together), so every key bit reaches both the low bits that
+/// pick a bucket and the high bits that tag it.
+#[derive(Debug, Clone, Copy, Default)]
+struct KeyHash;
+
+impl BuildHasher for KeyHash {
+    type Hasher = KeyHasher;
+
+    fn build_hasher(&self) -> KeyHasher {
+        KeyHasher(0)
+    }
+}
+
+/// The state of one [`KeyHash`] hash.
+#[derive(Debug, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    const LOW: u64 = 0x243f_6a88_85a3_08d3;
+    const HIGH: u64 = 0x1319_8a2e_0370_7344;
+}
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, value: u32) {
+        self.write_u64(u64::from(value));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, value: u64) {
+        self.0 = folded_multiply(self.0 ^ value ^ Self::LOW, Self::HIGH);
+    }
+
+    #[inline]
+    fn write_u128(&mut self, value: u128) {
+        self.0 = folded_multiply(
+            self.0 ^ value as u64 ^ Self::LOW,
+            (value >> 64) as u64 ^ Self::HIGH,
+        );
+    }
+}
+
+/// The full product of `a` and `b`, its high half xored into its low.
+#[inline]
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let full = u128::from(a) * u128::from(b);
+    full as u64 ^ (full >> 64) as u64
+}
+
 /// The two table stores.
 #[derive(Debug, Clone)]
 enum Store {
@@ -120,41 +213,147 @@ enum Store {
 /// non-zero (counts only ever increment, so those are the keys seen).
 #[derive(Debug, Clone)]
 struct Dense {
-    cells: Vec<[u64; 2]>,
+    /// The key space, `2^width`.
+    len: usize,
+    cells: Cells,
     occupied: Vec<u64>,
 }
 
+/// A dense table's cells, in the layout its budget chose.
+#[derive(Debug, Clone)]
+enum Cells {
+    /// Every cell of the key space.
+    Flat(Vec<[u64; 2]>),
+    /// Only the non-zero cells, by index.
+    Mapped(HashMap<u32, [u64; 2], KeyHash>),
+}
+
 impl Dense {
-    fn new(len: usize) -> Self {
+    fn new(len: usize, flat: bool) -> Self {
         Dense {
-            cells: vec![[0, 0]; len],
+            len,
+            cells: if flat {
+                Cells::Flat(vec![[0, 0]; len])
+            } else {
+                Cells::Mapped(HashMap::default())
+            },
             occupied: vec![0; len.div_ceil(64)],
         }
     }
 
-    /// Marks cell `index` occupied.
-    #[inline]
-    fn mark(&mut self, index: usize) {
-        self.occupied[index / 64] |= 1 << (index % 64);
+    /// An empty store with this one's key space and layout.
+    fn empty_like(&self) -> Self {
+        Dense::new(self.len, matches!(self.cells, Cells::Flat(_)))
+    }
+
+    /// Adds `cell` at `index`.
+    fn add(&mut self, index: usize, cell: [u64; 2]) {
+        if cell[0] | cell[1] == 0 {
+            return;
+        }
+        match &mut self.cells {
+            Cells::Flat(cells) => add(&mut cells[index], cell),
+            Cells::Mapped(cells) => add(cells.entry(index as u32).or_default(), cell),
+        }
+        mark(&mut self.occupied, index);
+    }
+
+    /// Counts one batch of per-lane indices, choosing the layout once.
+    fn absorb_indices(&mut self, indices: &[u32; LANES], lane_groups: u64) {
+        let occupied = &mut self.occupied;
+        match &mut self.cells {
+            Cells::Flat(cells) => {
+                for (lane, &index) in indices.iter().enumerate() {
+                    cells[index as usize][((lane_groups >> lane) & 1) as usize] += 1;
+                    mark(occupied, index as usize);
+                }
+            }
+            Cells::Mapped(cells) => {
+                // A mapped key space is wider than 8 bits, so a whole
+                // number of bitmap words: marking first bounds-checks.
+                for (lane, &index) in indices.iter().enumerate() {
+                    mark(occupied, index as usize);
+                    cells.entry(index).or_default()[((lane_groups >> lane) & 1) as usize] += 1;
+                }
+            }
+        }
+    }
+
+    /// Moves every cell of `from`, which must have the same key space
+    /// and layout, into this store, leaving `from` empty.
+    fn merge_from(&mut self, from: &mut Dense) {
+        assert_eq!(self.len, from.len, "mismatched dense widths");
+        match (&mut self.cells, &mut from.cells) {
+            (Cells::Flat(into), Cells::Flat(cells)) => {
+                // Only the source's occupied cells are non-zero.
+                for (word, (into_bits, from_bits)) in
+                    self.occupied.iter_mut().zip(&mut from.occupied).enumerate()
+                {
+                    let mut bits = std::mem::take(from_bits);
+                    *into_bits |= bits;
+                    while bits != 0 {
+                        let index = word * 64 + bits.trailing_zeros() as usize;
+                        add(&mut into[index], std::mem::take(&mut cells[index]));
+                        bits &= bits - 1;
+                    }
+                }
+            }
+            (Cells::Mapped(into), Cells::Mapped(cells)) => {
+                for (index, cell) in cells.drain() {
+                    add(into.entry(index).or_default(), cell);
+                    mark(&mut self.occupied, index as usize);
+                    from.occupied[index as usize / 64] = 0;
+                }
+            }
+            _ => panic!("merge_from requires matching dense layouts"),
+        }
+    }
+
+    /// Replaces the contents with `counts`, whose keys must all lie in
+    /// the key space; zero-count entries are unseen keys and skipped.
+    fn restore(&mut self, counts: Vec<(u128, [u64; 2])>) {
+        self.occupied.fill(0);
+        match &mut self.cells {
+            Cells::Flat(cells) => cells.fill([0, 0]),
+            Cells::Mapped(cells) => {
+                *cells = HashMap::with_capacity_and_hasher(counts.len(), KeyHash);
+            }
+        }
+        for (key, cell) in counts {
+            self.add(key as usize, cell);
+        }
     }
 
     /// Walks the occupied cells in index order.
     fn columns(&self) -> Columns<'_> {
-        let mut words = self.occupied.iter();
-        let bits = words.next().copied().unwrap_or(0);
-        Columns(Walk::Occupied {
-            cells: &self.cells,
-            words,
-            base: 0,
-            bits,
+        let bits = Occupied::new(&self.occupied);
+        Columns(match &self.cells {
+            Cells::Flat(cells) => Walk::Flat { cells, bits },
+            Cells::Mapped(cells) => Walk::Mapped { cells, bits },
         })
     }
+
+    /// See [`Table::resident_bytes`].
+    fn resident_bytes(&self) -> u64 {
+        match &self.cells {
+            Cells::Flat(cells) => DENSE_CELL_BYTES * cells.len() as u64,
+            Cells::Mapped(cells) => {
+                MAPPED_ENTRY_BYTES * cells.len() as u64 + 8 * self.occupied.len() as u64
+            }
+        }
+    }
+}
+
+/// Sets bit `index` of an occupancy bitmap.
+#[inline]
+fn mark(occupied: &mut [u64], index: usize) {
+    occupied[index / 64] |= 1 << (index % 64);
 }
 
 /// The hashed store: the `cap` smallest keys seen, with their counts.
 #[derive(Debug, Clone)]
 struct Sparse {
-    counts: HashMap<u128, [u64; 2]>,
+    counts: HashMap<u128, [u64; 2], KeyHash>,
     cap: usize,
     /// Max-heap over the retained keys, built the first time the table
     /// is full and kept in step with `counts` from then on. Empty until
@@ -162,14 +361,14 @@ struct Sparse {
     /// eviction order.
     retained: BinaryHeap<u128>,
     /// The `(key, cell)` entries sorted by key, memoized until the next
-    /// absorption.
+    /// absorption. Every writer drops it once per call.
     sorted: OnceCell<Vec<(u128, [u64; 2])>>,
 }
 
 impl Sparse {
     fn new(cap: usize) -> Self {
         Sparse {
-            counts: HashMap::new(),
+            counts: HashMap::default(),
             cap,
             retained: BinaryHeap::new(),
             sorted: OnceCell::new(),
@@ -179,15 +378,15 @@ impl Sparse {
     /// The smallest-keys rule: adds `cell` to `key` while keeping at
     /// most `cap` keys, and returns the counts that must be pooled into
     /// overflow instead (the arriving cell, or the evicted largest
-    /// key's cell).
+    /// key's cell). The caller drops the sorted memo.
+    #[inline]
     fn absorb(&mut self, key: u128, cell: [u64; 2]) -> Option<[u64; 2]> {
-        self.sorted.take();
-        if let Some(slot) = self.counts.get_mut(&key) {
-            add(slot, cell);
+        if self.counts.len() < self.cap {
+            add(self.counts.entry(key).or_default(), cell);
             return None;
         }
-        if self.counts.len() < self.cap {
-            self.counts.insert(key, cell);
+        if let Some(slot) = self.counts.get_mut(&key) {
+            add(slot, cell);
             return None;
         }
         if self.retained.is_empty() {
@@ -248,7 +447,7 @@ impl Table {
         Table::with_store(Store::Hashed(Sparse::new(cap)))
     }
 
-    /// An empty dense table of `2^width` cells.
+    /// An empty flat dense table of `2^width` cells.
     ///
     /// # Panics
     ///
@@ -256,18 +455,42 @@ impl Table {
     /// the selection rule first.
     pub fn dense(width: usize) -> Self {
         assert!(width <= MAX_DENSE_WIDTH, "dense width {width} too wide");
-        Table::with_store(Store::Dense(Dense::new(1usize << width)))
+        Table::with_store(Store::Dense(Dense::new(1usize << width, true)))
+    }
+
+    /// An empty dense table over `2^width` keys, laid out for a campaign
+    /// of `traces` traces: flat when `2^width ≤`
+    /// [`DENSE_CELLS_PER_TRACE`] `×` the traces it can receive, mapped
+    /// otherwise. A campaign absorbs whole batches of [`LANES`] traces,
+    /// so a table receives `traces` rounded up to a batch, and one of at
+    /// most [`MAX_MINTERM_WIDTH`] bits is always flat.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` exceeds [`MAX_DENSE_WIDTH`] — callers gate on
+    /// the selection rule first.
+    pub(crate) fn dense_for_traces(width: usize, traces: u64) -> Self {
+        assert!(width <= MAX_DENSE_WIDTH, "dense width {width} too wide");
+        let receivable = traces
+            .max(1)
+            .div_ceil(LANES as u64)
+            .saturating_mul(LANES as u64);
+        if 1u64 << width <= DENSE_CELLS_PER_TRACE.saturating_mul(receivable) {
+            return Table::dense(width);
+        }
+        Table::with_store(Store::Dense(Dense::new(1usize << width, false)))
     }
 
     /// An empty table with this table's store layout — a worker's shard.
     pub fn empty_like(&self) -> Self {
         match &self.store {
             Store::Hashed(sparse) => Table::hashed(sparse.cap),
-            Store::Dense(dense) => Table::with_store(Store::Dense(Dense::new(dense.cells.len()))),
+            Store::Dense(dense) => Table::with_store(Store::Dense(dense.empty_like())),
         }
     }
 
-    /// Whether this table uses the dense direct-indexed store.
+    /// Whether this table uses the dense direct-indexed store (in either
+    /// layout).
     pub fn is_dense(&self) -> bool {
         matches!(self.store, Store::Dense(_))
     }
@@ -292,13 +515,14 @@ impl Table {
         self.samples += cell[0] + cell[1];
         match &mut self.store {
             Store::Dense(dense) => {
-                let index = usize::try_from(key).expect("dense key");
-                add(&mut dense.cells[index], cell);
-                if cell[0] | cell[1] != 0 {
-                    dense.mark(index);
-                }
+                let index = usize::try_from(key)
+                    .ok()
+                    .filter(|&index| index < dense.len)
+                    .expect("dense key");
+                dense.add(index, cell);
             }
             Store::Hashed(sparse) => {
+                sparse.sorted.take();
                 if let Some(pooled) = sparse.absorb(key, cell) {
                     add(&mut self.overflow, pooled);
                 }
@@ -308,17 +532,33 @@ impl Table {
 
     /// Absorbs one batch of per-lane observation keys: lane `i` belongs
     /// to the random population when bit `i` of `lane_groups` is set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a key lies outside a dense table's key space.
     pub fn absorb_keys(&mut self, keys: &[u128; LANES], lane_groups: u64) {
-        for (lane, &key) in keys.iter().enumerate() {
-            let mut cell = [0, 0];
-            cell[((lane_groups >> lane) & 1) as usize] = 1;
-            self.absorb(key, cell);
+        match &mut self.store {
+            Store::Dense(_) => {
+                let indices = keys.map(|key| u32::try_from(key).expect("dense key"));
+                self.absorb_indices(&indices, lane_groups);
+            }
+            Store::Hashed(sparse) => {
+                self.samples += LANES as u64;
+                sparse.sorted.take();
+                for (lane, &key) in keys.iter().enumerate() {
+                    let mut cell = [0, 0];
+                    cell[((lane_groups >> lane) & 1) as usize] = 1;
+                    if let Some(pooled) = sparse.absorb(key, cell) {
+                        add(&mut self.overflow, pooled);
+                    }
+                }
+            }
         }
     }
 
     /// Absorbs one batch of per-lane packed indices directly — the
-    /// dense fast path: [`LANES`] bounds-checked increments, nothing
-    /// else. Lane populations as in [`Table::absorb_keys`].
+    /// dense fast path: [`LANES`] increments, in the layout chosen once
+    /// for the batch. Lane populations as in [`Table::absorb_keys`].
     ///
     /// # Panics
     ///
@@ -330,10 +570,7 @@ impl Table {
             unreachable!("absorb_indices on a hashed table");
         };
         self.samples += LANES as u64;
-        for (lane, &index) in indices.iter().enumerate() {
-            dense.cells[index as usize][((lane_groups >> lane) & 1) as usize] += 1;
-            dense.mark(index as usize);
-        }
+        dense.absorb_indices(indices, lane_groups);
     }
 
     /// Absorbs one batch given as bit-planes — the narrow dense path:
@@ -345,24 +582,30 @@ impl Table {
     ///
     /// # Panics
     ///
-    /// Panics on a hashed table, if the table is not `2^planes.len()`
-    /// cells, or if `planes` is wider than [`MAX_MINTERM_WIDTH`].
+    /// Panics on a hashed or mapped table (a dense table this narrow is
+    /// always flat), if the table is not `2^planes.len()` cells, or if
+    /// `planes` is wider than [`MAX_MINTERM_WIDTH`].
     pub fn absorb_planes(&mut self, planes: &[u64], lane_groups: u64) {
-        let Store::Dense(dense) = &mut self.store else {
-            unreachable!("absorb_planes on a hashed table");
+        let Store::Dense(Dense {
+            cells: Cells::Flat(cells),
+            occupied,
+            ..
+        }) = &mut self.store
+        else {
+            unreachable!("absorb_planes on a hashed or mapped table");
         };
-        assert_eq!(dense.cells.len(), 1 << planes.len(), "plane count != width");
+        assert_eq!(cells.len(), 1 << planes.len(), "plane count != width");
         self.samples += LANES as u64;
         // At most 2^MAX_MINTERM_WIDTH = 64 cells: one bitmap word.
         let mut seen = 0u64;
         for_each_minterm(planes, u64::MAX, |key, lanes| {
             let random = u64::from((lanes & lane_groups).count_ones());
-            let cell = &mut dense.cells[key];
+            let cell = &mut cells[key];
             cell[0] += u64::from(lanes.count_ones()) - random;
             cell[1] += random;
             seen |= u64::from(lanes != 0) << key;
         });
-        dense.occupied[0] |= seen;
+        occupied[0] |= seen;
     }
 
     /// Folds `other` into `self` and drains `other` back to empty — the
@@ -379,30 +622,10 @@ impl Table {
         self.samples += std::mem::take(&mut other.samples);
         add(&mut self.overflow, std::mem::take(&mut other.overflow));
         match (&mut self.store, &mut other.store) {
-            (Store::Dense(into), Store::Dense(from)) => {
-                assert_eq!(
-                    into.cells.len(),
-                    from.cells.len(),
-                    "mismatched dense widths"
-                );
-                // Only the source's occupied cells are non-zero.
-                for (word, (into_bits, from_bits)) in
-                    into.occupied.iter_mut().zip(&mut from.occupied).enumerate()
-                {
-                    let mut bits = std::mem::take(from_bits);
-                    *into_bits |= bits;
-                    while bits != 0 {
-                        let index = word * 64 + bits.trailing_zeros() as usize;
-                        add(
-                            &mut into.cells[index],
-                            std::mem::take(&mut from.cells[index]),
-                        );
-                        bits &= bits - 1;
-                    }
-                }
-            }
+            (Store::Dense(into), Store::Dense(from)) => into.merge_from(from),
             (Store::Hashed(into), Store::Hashed(from)) => {
                 let from = std::mem::replace(from, Sparse::new(from.cap));
+                into.sorted.take();
                 for (key, cell) in from.counts {
                     if let Some(pooled) = into.absorb(key, cell) {
                         add(&mut self.overflow, pooled);
@@ -415,30 +638,20 @@ impl Table {
 
     /// Restores serialized state (sorted `(key, cell)` pairs, overflow,
     /// samples) into this table — the resume path. A dense table whose
-    /// layout cannot hold a key (a foreign or hand-edited snapshot)
+    /// key space cannot hold a key (a foreign or hand-edited snapshot)
     /// falls back to a hashed store with the dense key space as its cap
     /// rather than failing; a hashed table past its cap pools its
-    /// largest keys into overflow. A dense table skips zero-count
-    /// entries, which are unseen keys there.
+    /// largest keys into overflow. A dense table keeps its layout and
+    /// skips zero-count entries, which are unseen keys there.
     pub fn restore(&mut self, mut counts: Vec<(u128, [u64; 2])>, overflow: [u64; 2], samples: u64) {
         self.overflow = overflow;
         self.samples = samples;
         if let Store::Dense(dense) = &mut self.store {
-            if counts
-                .iter()
-                .all(|&(key, _)| key < dense.cells.len() as u128)
-            {
-                dense.cells.fill([0, 0]);
-                dense.occupied.fill(0);
-                for (key, cell) in counts {
-                    if cell[0] | cell[1] != 0 {
-                        dense.cells[key as usize] = cell;
-                        dense.mark(key as usize);
-                    }
-                }
+            if counts.iter().all(|&(key, _)| key < dense.len as u128) {
+                dense.restore(counts);
                 return;
             }
-            self.store = Store::Hashed(Sparse::new(dense.cells.len()));
+            self.store = Store::Hashed(Sparse::new(dense.len));
         }
         let Store::Hashed(sparse) = &mut self.store else {
             unreachable!("dense handled above");
@@ -474,23 +687,25 @@ impl Table {
         }
     }
 
-    /// Resident bytes of the table store. Dense: the cell array, fully
-    /// allocated up front. The occupancy bitmap (one bit per 16-byte
-    /// cell, 1/128 more) is not counted, so the figure stays the one
-    /// perfbench checks for E2's tables (35,884,144 bytes) until the
-    /// benchmark's expectation changes. Hashed: a per-entry estimate
-    /// including bucket overhead; the sorted memo is not counted.
-    /// Deterministic across thread counts and resume legs (it depends on
-    /// logical content, never on allocator state).
+    /// Resident bytes of the table store, from its logical content, never
+    /// from allocator state or hash-map capacity, so the figure is
+    /// deterministic across thread counts and resume legs.
+    ///
+    /// * Flat dense: the cell array, fully allocated up front. Its
+    ///   occupancy bitmap (one bit per 16-byte cell, 1/128 more) is not
+    ///   counted, so the figure stays the one perfbench checks for E2's
+    ///   tables (35,884,144 bytes) until the benchmark's expectation
+    ///   changes.
+    /// * Mapped dense: a per-entry estimate including bucket overhead,
+    ///   plus the occupancy bitmap, which is most of a sparse table.
+    /// * Hashed: a per-entry estimate including bucket overhead; the
+    ///   sorted memo is not counted.
     pub fn resident_bytes(&self) -> u64 {
-        match &self.store {
-            Store::Dense(dense) => {
-                TABLE_OVERHEAD_BYTES + DENSE_CELL_BYTES * dense.cells.len() as u64
+        TABLE_OVERHEAD_BYTES
+            + match &self.store {
+                Store::Dense(dense) => dense.resident_bytes(),
+                Store::Hashed(sparse) => HASHED_ENTRY_BYTES * sparse.counts.len() as u64,
             }
-            Store::Hashed(sparse) => {
-                TABLE_OVERHEAD_BYTES + HASHED_ENTRY_BYTES * sparse.counts.len() as u64
-            }
-        }
     }
 }
 
@@ -509,17 +724,62 @@ pub struct Columns<'a>(Walk<'a>);
 
 #[derive(Debug, Clone)]
 enum Walk<'a> {
-    /// A dense store's occupied cells: `bits` holds the unvisited bits
-    /// of the bitmap word covering cells `base..base + 64`, and `words`
-    /// the words after it.
-    Occupied {
+    /// A flat dense store's occupied cells.
+    Flat {
         cells: &'a [[u64; 2]],
-        words: std::slice::Iter<'a, u64>,
-        base: usize,
-        bits: u64,
+        bits: Occupied<'a>,
+    },
+    /// A mapped dense store's cells, looked up in bitmap order.
+    Mapped {
+        cells: &'a HashMap<u32, [u64; 2], KeyHash>,
+        bits: Occupied<'a>,
     },
     /// Entries already sorted by key.
     Sorted(std::slice::Iter<'a, (u128, [u64; 2])>),
+}
+
+/// The set bits of an occupancy bitmap, in ascending order: `bits`
+/// holds the unvisited bits of the word covering keys `base..base + 64`,
+/// and `words` the words after it.
+#[derive(Debug, Clone)]
+struct Occupied<'a> {
+    words: std::slice::Iter<'a, u64>,
+    base: usize,
+    bits: u64,
+}
+
+impl<'a> Occupied<'a> {
+    fn new(occupied: &'a [u64]) -> Self {
+        let mut words = occupied.iter();
+        let bits = words.next().copied().unwrap_or(0);
+        Occupied {
+            words,
+            base: 0,
+            bits,
+        }
+    }
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.bits = *self.words.next()?;
+            self.base += 64;
+        }
+        let index = self.base + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(index)
+    }
+
+    /// The bits left.
+    fn len(&self) -> usize {
+        self.bits.count_ones() as usize
+            + self
+                .words
+                .as_slice()
+                .iter()
+                .map(|word| word.count_ones() as usize)
+                .sum::<usize>()
+    }
 }
 
 impl<'a> From<&'a [(u128, [u64; 2])]> for Columns<'a> {
@@ -536,19 +796,39 @@ impl Iterator for Columns<'_> {
     fn next(&mut self) -> Option<Self::Item> {
         match &mut self.0 {
             Walk::Sorted(entries) => entries.next().copied(),
-            Walk::Occupied {
-                cells,
-                words,
-                base,
-                bits,
-            } => {
-                while *bits == 0 {
-                    *bits = *words.next()?;
-                    *base += 64;
-                }
-                let index = *base + bits.trailing_zeros() as usize;
-                *bits &= *bits - 1;
+            Walk::Flat { cells, bits } => {
+                let index = bits.next()?;
                 Some((index as u128, cells[index]))
+            }
+            Walk::Mapped { cells, bits } => {
+                let index = bits.next()?;
+                Some((index as u128, cells[&(index as u32)]))
+            }
+        }
+    }
+
+    /// Dispatches on the walk once, not per column, so that the loops of
+    /// `for_each`, `sum` and the other folding consumers are specialized
+    /// to one store.
+    fn fold<B, F>(self, init: B, mut f: F) -> B
+    where
+        F: FnMut(B, Self::Item) -> B,
+    {
+        match self.0 {
+            Walk::Sorted(entries) => entries.copied().fold(init, f),
+            Walk::Flat { cells, mut bits } => {
+                let mut acc = init;
+                while let Some(index) = bits.next() {
+                    acc = f(acc, (index as u128, cells[index]));
+                }
+                acc
+            }
+            Walk::Mapped { cells, mut bits } => {
+                let mut acc = init;
+                while let Some(index) = bits.next() {
+                    acc = f(acc, (index as u128, cells[&(index as u32)]));
+                }
+                acc
             }
         }
     }
@@ -557,14 +837,7 @@ impl Iterator for Columns<'_> {
     fn size_hint(&self) -> (usize, Option<usize>) {
         let len = match &self.0 {
             Walk::Sorted(entries) => entries.len(),
-            Walk::Occupied { words, bits, .. } => {
-                bits.count_ones() as usize
-                    + words
-                        .as_slice()
-                        .iter()
-                        .map(|word| word.count_ones() as usize)
-                        .sum::<usize>()
-            }
+            Walk::Flat { bits, .. } | Walk::Mapped { bits, .. } => bits.len(),
         };
         (len, Some(len))
     }
@@ -641,6 +914,17 @@ mod tests {
     /// The table's columns, collected.
     fn collected(table: &Table) -> Vec<(u128, [u64; 2])> {
         table.columns().collect()
+    }
+
+    /// Whether `table` is a flat dense table.
+    fn is_flat(table: &Table) -> bool {
+        matches!(
+            table.store,
+            Store::Dense(Dense {
+                cells: Cells::Flat(_),
+                ..
+            })
+        )
     }
 
     /// The table's `(fixed, random)` G-test columns, collected.
@@ -795,7 +1079,11 @@ mod tests {
 
     #[test]
     fn columns_follow_every_writer_on_both_stores() {
-        for empty in [Table::dense(2), Table::hashed(4)] {
+        for empty in [
+            Table::dense(2),
+            Table::dense_for_traces(9, 1),
+            Table::hashed(4),
+        ] {
             let mut table = empty.clone();
             absorb_all(&mut table, &[(1, 0)]);
             assert_eq!(table.columns().len(), 1);
@@ -818,7 +1106,11 @@ mod tests {
         // a ConfigMismatch retry, on one that already served columns. A
         // stale memo or bitmap bit at any of these points would silently
         // corrupt every post-resume checkpoint.
-        for empty in [Table::dense(3), Table::hashed(8)] {
+        for empty in [
+            Table::dense(3),
+            Table::dense_for_traces(9, 1),
+            Table::hashed(8),
+        ] {
             let mut table = empty.clone();
             absorb_all(&mut table, &[(1, 0), (5, 1)]);
             let saved = collected(&table);
@@ -916,6 +1208,52 @@ mod tests {
         assert_eq!(hashed.resident_bytes(), 48);
         absorb_all(&mut hashed, &[(1, 0), (2, 1)]);
         assert_eq!(hashed.resident_bytes(), 48 + 2 * 48);
+        // A mapped table counts its entries and its 2^16-bit bitmap,
+        // whatever capacity its map grew to: a table merged from a shard
+        // that once held many keys reads like one absorbed directly.
+        let mut mapped = Table::dense_for_traces(16, 12_800);
+        assert!(!is_flat(&mapped));
+        assert_eq!(mapped.resident_bytes(), 48 + 8192);
+        absorb_all(&mut mapped, &[(1, 0), (2, 1), (2, 0)]);
+        assert_eq!(mapped.resident_bytes(), 48 + 2 * 36 + 8192);
+        let mut shard = mapped.empty_like();
+        let many: Vec<(u128, usize)> = (0..5_000).map(|key| (key, 0)).collect();
+        absorb_all(&mut shard, &many);
+        let mut grown = mapped.empty_like();
+        grown.merge_from(&mut shard);
+        absorb_all(&mut shard, &[(1, 0), (2, 1), (2, 0)]);
+        let mut merged = mapped.empty_like();
+        merged.merge_from(&mut shard);
+        assert_eq!(merged.resident_bytes(), mapped.resident_bytes());
+        assert_eq!(collected(&merged), collected(&mapped));
+    }
+
+    #[test]
+    fn dense_layout_follows_the_trace_budget() {
+        // sbox-eq9-trans: 12,800 traces fill at most 1.2% of a 20-bit
+        // table, so its 16–20-bit tables are mapped and 15 bits stay flat.
+        for (width, traces, flat) in [
+            (15, 12_800, true),
+            (16, 12_800, false),
+            (20, 12_800, false),
+            // E2 at its benchmark budget and at the paper's.
+            (18, 128_000, true),
+            (18, 4_000_000, true),
+            (20, 4_000_000, true),
+            // The boundary: 2^18 = 4 × 65,536 cells per receivable trace.
+            (18, 65_536, true),
+            (18, 65_536 - 64, false),
+            // A batch is received whole: one trace counts as 64.
+            (8, 1, true),
+            (9, 1, false),
+            (9, 128, true),
+            (MAX_MINTERM_WIDTH, 0, true),
+            (12, u64::MAX, true),
+        ] {
+            let table = Table::dense_for_traces(width, traces);
+            assert!(table.is_dense());
+            assert_eq!(is_flat(&table), flat, "{width} bits at {traces} traces");
+        }
     }
 
     proptest! {
@@ -986,20 +1324,29 @@ mod tests {
             }
         }
 
-        /// The occupancy bitmap against every writer: a dense table fed a
-        /// random mix of single observations, plane batches, index
-        /// batches, shard merges and save/restore round trips walks
-        /// exactly the columns a capacity-matched hashed table sorts,
-        /// and `distinct_keys()` counts them. Widths up to 10 span
-        /// several bitmap words; plane batches run where the width
-        /// allows them and fall back to index batches elsewhere.
+        /// The occupancy bitmap against every writer, in both dense
+        /// layouts: a dense table laid out for a budget of `2^budget`
+        /// traces and fed a random mix of single observations, plane
+        /// batches, index batches, shard merges and save/restore round
+        /// trips walks exactly the columns a capacity-matched hashed
+        /// table sorts, and `distinct_keys()` and `samples()` count
+        /// them. Widths up to 12 span several bitmap words and, at small
+        /// budgets, give mapped tables from 9 bits up; plane batches run
+        /// where the width allows them (always on a flat table) and fall
+        /// back to index batches elsewhere.
         #[test]
         fn dense_column_walk_matches_hashed_sorted_columns(
-            width in 1usize..=10,
+            width in 1usize..=12,
+            budget in 0u32..12,
             steps in prop::collection::vec((0u8..5, any::<u64>()), 1..24),
         ) {
             let mask = (1u64 << width) - 1;
-            let mut dense = Table::dense(width);
+            let traces = 1u64 << budget;
+            let mut dense = Table::dense_for_traces(width, traces);
+            let flat = is_flat(&dense);
+            let receivable = traces.div_ceil(LANES as u64) * LANES as u64;
+            prop_assert_eq!(flat, 1u64 << width <= DENSE_CELLS_PER_TRACE * receivable);
+            prop_assert!(flat || width > MAX_MINTERM_WIDTH, "a narrow table is mapped");
             let mut hashed = Table::hashed(1 << width);
             for &(writer, seed) in &steps {
                 let mut state = seed;
@@ -1039,16 +1386,29 @@ mod tests {
                         prop_assert_eq!(dense_shard.columns().len(), 0);
                     }
                     _ => {
-                        let mut restored = Table::dense(width);
+                        let mut restored = Table::dense_for_traces(width, traces);
                         restored.restore(collected(&dense), dense.overflow(), dense.samples());
                         dense = restored;
                         hashed.restore(collected(&hashed), hashed.overflow(), hashed.samples());
                     }
                 }
+                prop_assert!(dense.is_dense());
+                prop_assert_eq!(is_flat(&dense), flat, "a writer changed the layout");
                 let walked = collected(&dense);
                 let sorted = collected(&hashed);
                 prop_assert_eq!(&walked, &sorted);
                 prop_assert_eq!(dense.columns().len(), walked.len());
+                // `fold` dispatches once per walk; from a partly
+                // consumed walk it must yield the rest, on both stores.
+                for table in [&dense, &hashed] {
+                    let mut columns = table.columns();
+                    let skipped = usize::from(columns.next().is_some());
+                    let rest = columns.fold(Vec::new(), |mut rest, column| {
+                        rest.push(column);
+                        rest
+                    });
+                    prop_assert_eq!(rest.as_slice(), &walked[skipped..]);
+                }
                 prop_assert_eq!(dense.distinct_keys(), walked.len());
                 prop_assert!(walked.iter().all(|&(_, cell)| cell[0] | cell[1] != 0));
                 prop_assert_eq!(dense.samples(), hashed.samples());

@@ -3,8 +3,8 @@
 //! counts — the Eq. 6 flaw is a strong first-order effect and shows well
 //! below the paper's 4M traces; 50k traces put the leaking probes at
 //! -log10(p) > 15, a 3× margin over the decision threshold). The
-//! `#[ignore = "paper-scale"]` variant at the bottom reruns the findings
-//! at the heavier seed budgets: `cargo test -- --ignored`.
+//! paper-scale variant at the bottom reruns the findings at the heavier
+//! seed budgets.
 
 use mmaes_circuits::build_kronecker;
 use mmaes_leakage::{EvaluationConfig, FixedVsRandom, ProbeModel};
@@ -208,11 +208,10 @@ fn kronecker_with_onchip_lfsr_randomness_passes_glitch_model() {
 }
 
 #[test]
-#[ignore = "paper-scale"]
 fn paper_scale_budgets_preserve_every_verdict() {
     // The original seed budgets (100k–200k traces per campaign, order-2
-    // with 3000 probing sets) — minutes in debug builds, hence ignored
-    // by default.
+    // with 3000 probing sets); seconds now that the test profile
+    // optimizes the simulator and the leakage crate.
     let cases: [(&KroneckerRandomness, ProbeModel, u64, bool); 7] = [
         (
             &KroneckerRandomness::de_meyer_eq6(),

@@ -7,10 +7,10 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use mmaes_circuits::build_kronecker;
+use mmaes_circuits::{build_kronecker, build_masked_sbox, SboxOptions};
 use mmaes_leakage::{
     snapshot, CampaignError, Durability, EvaluationConfig, FixedVsRandom, LeakageReport,
-    SnapshotError,
+    ProbeModel, SnapshotError,
 };
 use mmaes_masking::KroneckerRandomness;
 use mmaes_netlist::{Netlist, NetlistBuilder, SecretId, SignalRole};
@@ -386,6 +386,99 @@ fn handed_back_tables_match_the_final_snapshot() {
         assert_eq!(table.overflow, saved.overflow, "{}", table.label);
         assert_eq!(table.samples, saved.samples, "{}", table.label);
     }
+}
+
+/// 64-bit FNV-1a, the digest `tests/full_stack.rs` pins bytes with.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The Eq. 9 S-box under glitch+transition at 6,400 traces, the
+/// campaign `tests/full_stack.rs` pins: its 16–20-bit dense tables are
+/// mapped at this budget, its widest sets hashed. An uninterrupted run
+/// at 1 and 2 threads and a run interrupted at 2 threads and resumed at
+/// 1 all end in the pinned CSV and snapshot bytes, and report the same
+/// `table_bytes`, which counts mapped entries, not map capacity.
+#[test]
+fn mapped_tables_resume_across_thread_counts_to_the_pinned_bytes() {
+    const PINNED: [u64; 2] = [0x6dc97cfa54a62afe, 0x3c4b2758cbada223];
+    let circuit = build_masked_sbox(SboxOptions {
+        schedule: KroneckerRandomness::proposed_eq9(),
+        ..SboxOptions::default()
+    })
+    .expect("valid");
+    let run = |threads: usize, durability: Durability| {
+        let config = EvaluationConfig {
+            model: ProbeModel::GlitchTransition,
+            traces: 6_400,
+            warmup_cycles: 8,
+            checkpoints: 2,
+            threads,
+            durability,
+            ..EvaluationConfig::default()
+        };
+        FixedVsRandom::new(&circuit.netlist, config)
+            .require_nonzero_bus(circuit.r_bus.clone())
+            .try_run()
+            .expect("campaign")
+    };
+    let mut table_bytes = Vec::new();
+    for threads in [1usize, 2] {
+        let path = snapshot_path("mapped");
+        let report = run(
+            threads,
+            Durability {
+                snapshot_path: Some(path.clone()),
+                ..Durability::default()
+            },
+        );
+        let snapshot_bytes = std::fs::read(&path).expect("snapshot written");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(
+            [fnv1a(report.to_csv().as_bytes()), fnv1a(&snapshot_bytes)],
+            PINNED,
+            "threads={threads}"
+        );
+        table_bytes.push(report.table_bytes);
+    }
+
+    let path = snapshot_path("mapped-resume");
+    let first_leg = run(
+        2,
+        Durability {
+            snapshot_path: Some(path.clone()),
+            stop_after_batches: Some(30),
+            ..Durability::default()
+        },
+    );
+    assert!(first_leg.interrupted, "the cap must interrupt the campaign");
+    let resumed = run(
+        1,
+        Durability {
+            snapshot_path: Some(path.clone()),
+            resume: true,
+            ..Durability::default()
+        },
+    );
+    let snapshot_bytes = std::fs::read(&path).expect("snapshot written");
+    let _ = std::fs::remove_file(&path);
+    assert!(!resumed.interrupted);
+    assert_eq!(
+        [fnv1a(resumed.to_csv().as_bytes()), fnv1a(&snapshot_bytes)],
+        PINNED,
+        "interrupted at 2 threads, resumed at 1"
+    );
+    table_bytes.push(resumed.table_bytes);
+
+    assert!(
+        table_bytes.iter().all(|&bytes| bytes == table_bytes[0]),
+        "table_bytes differ across runs: {table_bytes:?}"
+    );
+    // Flat, the campaign's seventeen 20-bit tables alone would take
+    // 16 MiB each.
+    assert!(table_bytes[0] < 64 << 20, "{} bytes", table_bytes[0]);
 }
 
 proptest! {

@@ -257,12 +257,8 @@ impl<'a> Simulator<'a> {
 
     /// Resets registers to their initial values and clears all wires.
     pub fn reset(&mut self) {
-        for value in &mut self.values {
-            *value = 0;
-        }
-        for value in &mut self.prev_values {
-            *value = 0;
-        }
+        self.values.fill(0);
+        self.prev_values.fill(0);
         for (register_id, register) in self.netlist.registers() {
             self.register_state[register_id.index()] = if register.init { u64::MAX } else { 0 };
         }

@@ -55,7 +55,6 @@ fn statistical_and_exact_verdicts_agree_across_the_catalog() {
 }
 
 #[test]
-#[ignore = "paper-scale"]
 fn catalog_agreement_at_the_full_seed_budget() {
     check_catalog_agreement(150_000);
 }

@@ -86,7 +86,6 @@ fn six_bit_r7_family_matches_the_paper_exactly() {
 }
 
 #[test]
-#[ignore = "paper-scale"]
 fn six_bit_r7_family_at_the_full_seed_budget() {
     check_six_bit_r7_family(100_000);
 }
