@@ -61,8 +61,8 @@ fn main() {
     let mut summary = run.base_summary("exp_lfsr", "LFSR", total_traces);
     summary.schedule = "lfsr-embedded".to_owned();
     summary.model = "glitch+transition".to_owned();
-    summary.max_minus_log10_p = worst;
-    summary.passed = narrow_leaks && wide_clean;
+    summary.record.max_minus_log10_p = worst;
+    summary.record.passed = narrow_leaks && wide_clean;
     summary.extra = vec![
         ("spacing1_leaks".to_owned(), narrow_leaks.to_string()),
         ("spacing8_clean".to_owned(), wide_clean.to_string()),

@@ -155,8 +155,8 @@ fn main() {
     let mut summary = run.base_summary("exp_search", "SEARCH", total_traces);
     summary.schedule = "search".to_owned();
     summary.model = "glitch+transition".to_owned();
-    summary.max_minus_log10_p = worst;
-    summary.passed = eq9_found && transition_survivors == 0 && sweep2_mismatches == 0;
+    summary.record.max_minus_log10_p = worst;
+    summary.record.passed = eq9_found && transition_survivors == 0 && sweep2_mismatches == 0;
     summary.extra = vec![
         ("glitch_secure".to_owned(), glitch_secure.len().to_string()),
         ("eq9_rediscovered".to_owned(), eq9_found.to_string()),

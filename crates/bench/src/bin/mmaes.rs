@@ -17,6 +17,17 @@
 //! `aes[:SCHEDULE]`, `unprotected-sbox`, where SCHEDULE is one of the
 //! names printed by `mmaes schedules` (default: `proposed-eq9`).
 //!
+//! Observer options, accepted by every verb below (the `exp_*`
+//! binaries share the same parser): `--metrics FILE` (the JSON-lines
+//! event stream), `--status-file FILE` (atomically rewritten
+//! status.json with progress, top trajectories and convergence health
+//! — watch it with `mmaes top`), `--metrics-addr HOST:PORT`
+//! (Prometheus `/metrics` + JSON `/status` over HTTP; port 0 picks a
+//! free port, the bound address is printed on stderr), `--trace FILE`
+//! (Chrome-trace JSON of the per-phase timings, viewable in
+//! `chrome://tracing` or Perfetto), `--progress`, `--perf`, `--quiet`
+//! and `--help`.
+//!
 //! Evaluate options: `--model glitch|transition`, `--order 1|2`,
 //! `--traces N`, `--fixed V`, `--seed N`, `--scope PREFIX`, `--csv FILE`,
 //! `--checkpoints N`, `--early-stop`, `--threads N`,
@@ -24,42 +35,33 @@
 //! contingency tables: the PROLEAD-style G-test on the full observation
 //! distribution, or a TVLA-style Welch t-test on the observations'
 //! Hamming weight — see `mmaes_leakage::Statistic`),
-//! `--snapshot FILE`, `--resume`,
-//! `--stop-after-batches N`, `--metrics FILE`, `--status-file FILE`
-//! (atomically rewritten status.json with progress, top trajectories and
-//! convergence health — watch it with `mmaes top`), `--metrics-addr
-//! HOST:PORT` (Prometheus `/metrics` + JSON `/status` over HTTP; port 0
-//! picks a free port, the bound address is printed on stderr),
-//! `--progress`, `--perf`,
-//! `--trace FILE` (Chrome-trace JSON of the per-phase timings, viewable
-//! in `chrome://tracing` or Perfetto), `--failpoints SPEC`
-//! (deterministic fault injection — see `mmaes chaos` below; the
-//! `MMAES_FAILPOINTS` environment variable installs the same schedule
-//! for any subcommand), `--quiet`. Campaign output
+//! `--snapshot FILE`, `--resume`, `--stop-after-batches N`,
+//! `--failpoints SPEC` (deterministic fault injection — see `mmaes
+//! chaos` below; the `MMAES_FAILPOINTS` environment variable installs
+//! the same schedule for any subcommand). Campaign output
 //! (report, CSV, snapshots) is byte-identical for every `--threads`
 //! count — including runs where injected or real worker faults forced
 //! batch retries; in status.json every
 //! wall-clock-derived field lives under the single `runtime` key.
 //!
-//! Explain options: the evaluate campaign options plus `--no-exact`
-//! (skip the enumerator cross-check), `--max-bits N` (its support
-//! bound), `--bundles FILE` (machine-readable evidence bundles, one
-//! JSON object per line), `--report FILE` (self-contained HTML report).
-//! `explain` runs the same fixed-vs-random campaign, then assembles a
-//! deterministic evidence bundle for every flagged probing set: the
-//! glitch-extended observation set with extension rules, the
+//! Explain options: the evaluate options except `--csv`, plus
+//! `--no-exact` (skip the enumerator cross-check), `--max-bits N` (its
+//! support bound), `--bundles FILE` (machine-readable evidence bundles,
+//! one JSON object per line), `--report FILE` (self-contained HTML
+//! report). `explain` runs the same fixed-vs-random campaign, then
+//! assembles a deterministic evidence bundle for every flagged probing
+//! set: the glitch-extended observation set with extension rules, the
 //! contingency table decomposed into per-cell G contributions, the
 //! randomness-schedule reuse analysis (Eq. 6's recycled `r1 = r3`),
 //! the exact enumerator's unmasked-secret-bit dependence, and a
 //! DOT/Verilog rendering of the implicated subcircuit. Bundles are
 //! byte-identical across `--threads` counts.
-//! Verify options: `--scope PREFIX`, `--max-bits N`, `--transition`,
-//! `--metrics FILE`, `--progress`, `--perf`, `--quiet`.
-//! Selftest options: `--traces N`, `--per-kind N`, `--metrics FILE`,
-//! `--quiet`.
+//! Verify options: `--scope PREFIX`, `--max-bits N`, `--transition`.
+//! Selftest options: `--traces N`, `--per-kind N`.
 //! Chaos options: `--traces N`, `--seed N`, `--threads N`,
-//! `--statistic gtest|ttest`, `--failpoints SPEC`, `--quiet`. `chaos`
-//! runs the Eq. 6 campaign fault-free, then re-runs it under a
+//! `--statistic gtest|ttest`, `--failpoints SPEC`. `chaos`
+//! runs the Eq. 6 campaign fault-free (the run the observer options
+//! watch), then re-runs it under a
 //! scripted fault schedule (worker panics, a stalled batch, snapshot
 //! and status-file write errors by default) at one and `--threads`
 //! worker threads and asserts containment: the finding survives, the report
@@ -70,13 +72,17 @@
 //! `status.write`, `metrics.write`; actions `ioerr`, `truncate`,
 //! `panic`, `stall[(MS)]`.
 //!
-//! `evaluate` and `verify` always end with one machine-readable JSON
-//! summary line on stdout (versioned by `EVENT_SCHEMA_VERSION`; it
-//! includes `elapsed_ms`, `traces_per_sec`, `cell_evals`, `interrupted`,
-//! `threads`); `--metrics`
-//! additionally records the full event stream (campaign checkpoints with
-//! per-probe-set `-log10(p)` trajectories, threshold crossings, `--perf`
-//! phase snapshots, the final verdict) as JSON lines.
+//! Every verb that runs campaigns or proofs ends with one
+//! machine-readable JSON summary line on stdout (versioned by
+//! `EVENT_SCHEMA_VERSION`; it includes `elapsed_ms`, `traces_per_sec`,
+//! `cell_evals`, `interrupted`, `threads`). `evaluate` and `explain`
+//! render the campaign's final run record there, so the summary's wall
+//! time and throughput are the ones `status.json`, `/metrics` and the
+//! HTML report show; `selftest`, `chaos` and `verify` time the whole
+//! verb. `--metrics` additionally records the full event stream
+//! (campaign checkpoints with per-probe-set `-log10(p)` trajectories,
+//! threshold crossings, `--perf` phase snapshots, the final verdict) as
+//! JSON lines.
 //!
 //! Long campaigns are crash-safe: `--snapshot FILE` persists the full
 //! campaign state atomically at every checkpoint, SIGINT/SIGTERM stops
@@ -93,19 +99,22 @@
 
 use std::process::exit;
 
-use mmaes_bench::exit_code;
+use mmaes_bench::{
+    exit_code, invalid, parse_statistic, unwrap_campaign, Args, ObserverFlags, RunOptions,
+};
 use mmaes_circuits::{
     build_kronecker, build_masked_aes, build_masked_sbox, sbox::build_unprotected_sbox,
     InverterKind, SboxOptions,
 };
+use mmaes_core::ExperimentBudget;
 use mmaes_exact::{ExactConfig, ExactVerifier, ProbeVerdict};
 use mmaes_leakage::{
-    forensics, CampaignError, Durability, EvaluationConfig, EvidenceBundle, ExactDependence,
-    FixedVsRandom, ProbeModel, ProbeSet, StatisticKind,
+    forensics, Durability, EvaluationConfig, EvidenceBundle, ExactDependence, FixedVsRandom,
+    ProbeModel, ProbeSet, StatisticKind,
 };
 use mmaes_masking::KroneckerRandomness;
 use mmaes_netlist::{Netlist, NetlistStats, WireId};
-use mmaes_telemetry::{chrome_trace, Event, Observer, RunSummary, Stopwatch};
+use mmaes_telemetry::{Event, Observer};
 
 fn main() {
     // A malformed MMAES_FAILPOINTS is a bad input, not a chaos event:
@@ -139,9 +148,7 @@ fn main() {
     }
 }
 
-fn usage() {
-    eprintln!(
-        "mmaes — multiplicative-masked AES leakage toolbox\n\
+const USAGE: &str = "mmaes — multiplicative-masked AES leakage toolbox\n\
          \n\
          mmaes schedules\n\
          mmaes stats    <design>\n\
@@ -152,27 +159,31 @@ fn usage() {
          \u{20}                  [--checkpoints N] [--early-stop] [--threads N]\n\
          \u{20}                  [--statistic gtest|ttest]\n\
          \u{20}                  [--snapshot FILE] [--resume] [--stop-after-batches N]\n\
-         \u{20}                  [--metrics FILE] [--status-file FILE]\n\
-         \u{20}                  [--metrics-addr HOST:PORT]\n\
-         \u{20}                  [--progress] [--perf] [--trace FILE]\n\
-         \u{20}                  [--failpoints SPEC] [--quiet]\n\
-         mmaes explain  <design> [evaluate campaign options] [--no-exact]\n\
+         \u{20}                  [--failpoints SPEC] [observer options]\n\
+         mmaes explain  <design> [evaluate options but --csv] [--no-exact]\n\
          \u{20}                  [--max-bits N] [--bundles FILE] [--report FILE]\n\
          mmaes verify   <design> [--scope PREFIX] [--max-bits N] [--transition]\n\
-         \u{20}                  [--metrics FILE] [--progress] [--perf] [--quiet]\n\
-         mmaes selftest [--traces N] [--per-kind N] [--metrics FILE] [--quiet]\n\
+         \u{20}                  [observer options]\n\
+         mmaes selftest [--traces N] [--per-kind N] [observer options]\n\
          mmaes chaos    [--traces N] [--seed N] [--threads N]\n\
-         \u{20}                  [--statistic gtest|ttest] [--failpoints SPEC] [--quiet]\n\
+         \u{20}                  [--statistic gtest|ttest] [--failpoints SPEC]\n\
+         \u{20}                  [observer options]\n\
          mmaes top      <status.json> | --addr HOST:PORT\n\
          \u{20}                  [--interval SECS] [--once]\n\
+         \n\
+         observer options: [--metrics FILE] [--status-file FILE]\n\
+         \u{20}                  [--metrics-addr HOST:PORT] [--trace FILE]\n\
+         \u{20}                  [--progress] [--perf] [--quiet]\n\
          \n\
          designs: kronecker[:SCHEDULE] | sbox[:SCHEDULE] | sbox-no-kronecker |\n\
          \u{20}        aes[:SCHEDULE] | unprotected-sbox\n\
          \n\
          exit codes: 0 clean/reproduced | 1 leakage found or selftest miss |\n\
          \u{20}           2 invalid input | 3 interrupted (SIGINT/SIGTERM; state saved\n\
-         \u{20}           with --snapshot, continue with --resume)"
-    );
+         \u{20}           with --snapshot, continue with --resume)";
+
+fn usage() {
+    eprintln!("{USAGE}");
 }
 
 fn schedules() {
@@ -342,9 +353,58 @@ fn export(arguments: &[String], render: impl Fn(&Netlist) -> String, extension: 
     }
 }
 
-fn evaluate(arguments: &[String]) {
+/// Parses the campaign flags `evaluate` and `explain` share into
+/// `config`; `false` when `flag` is not one of them.
+fn campaign_flag(config: &mut EvaluationConfig, flag: &str, args: &mut Args) -> bool {
+    match flag {
+        "--model" => {
+            config.model = match args.value().as_str() {
+                "glitch" => ProbeModel::Glitch,
+                "transition" | "glitch+transition" => ProbeModel::GlitchTransition,
+                other => invalid(format_args!("unknown model `{other}`")),
+            }
+        }
+        "--order" => {
+            config.order = args.number();
+            if !(1..=2).contains(&config.order) {
+                invalid(format_args!(
+                    "flag --order: supported probing orders are 1 and 2"
+                ));
+            }
+        }
+        "--traces" => config.traces = args.number(),
+        "--fixed" => config.fixed_secret = args.number(),
+        "--seed" => config.seed = args.number(),
+        "--scope" => config.probe_scope_filter = Some(args.value()),
+        "--checkpoints" => config.checkpoints = args.number(),
+        "--early-stop" => config.early_stop = true,
+        "--threads" => config.threads = args.number(),
+        "--statistic" => config.statistic = parse_statistic(&args.value()),
+        "--snapshot" => {
+            config.durability.snapshot_path = Some(std::path::PathBuf::from(args.value()));
+        }
+        "--resume" => config.durability.resume = true,
+        "--stop-after-batches" => config.durability.stop_after_batches = Some(args.number()),
+        "--failpoints" => {
+            let spec = args.value();
+            mmaes_telemetry::failpoint::configure(&spec)
+                .unwrap_or_else(|error| invalid(format_args!("--failpoints: {error}")));
+        }
+        _ => return false,
+    }
+    true
+}
+
+/// Parses a campaign verb's command line — the design, the shared
+/// campaign flags, the verb's own flags (`verb_flag`) and the observer
+/// flags — installs the interrupt handler and starts the run.
+fn campaign_run(
+    verb: &str,
+    arguments: &[String],
+    mut verb_flag: impl FnMut(&str, &mut Args) -> bool,
+) -> (Design, EvaluationConfig, RunOptions) {
     let Some(spec) = arguments.first() else {
-        eprintln!("evaluate needs a design");
+        eprintln!("{verb} needs a design");
         exit(2);
     };
     let design = build_design(spec);
@@ -355,123 +415,31 @@ fn evaluate(arguments: &[String]) {
         checkpoints: 8,
         ..EvaluationConfig::default()
     };
-    let mut csv_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut status_file: Option<String> = None;
-    let mut metrics_addr: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut progress = false;
-    let mut perf = false;
-    let mut quiet = false;
-    let mut rest = arguments[1..].iter();
-    while let Some(flag) = rest.next() {
-        let mut value = || {
-            rest.next().cloned().unwrap_or_else(|| {
-                eprintln!("flag {flag} needs a value");
-                exit(exit_code::INVALID_INPUT);
-            })
-        };
-        let mut numeric = |target: &mut u64| {
-            *target = value().parse().unwrap_or_else(|error| {
-                eprintln!("flag {flag}: {error}");
-                exit(exit_code::INVALID_INPUT);
-            });
-        };
-        match flag.as_str() {
-            "--model" => {
-                config.model = match value().as_str() {
-                    "glitch" => ProbeModel::Glitch,
-                    "transition" | "glitch+transition" => ProbeModel::GlitchTransition,
-                    other => {
-                        eprintln!("unknown model `{other}`");
-                        exit(exit_code::INVALID_INPUT);
-                    }
-                }
-            }
-            "--order" => {
-                let mut order = 0u64;
-                numeric(&mut order);
-                if !(1..=2).contains(&order) {
-                    eprintln!("flag --order: supported probing orders are 1 and 2");
-                    exit(exit_code::INVALID_INPUT);
-                }
-                config.order = order as usize;
-            }
-            "--traces" => numeric(&mut config.traces),
-            "--fixed" => numeric(&mut config.fixed_secret),
-            "--seed" => numeric(&mut config.seed),
-            "--scope" => config.probe_scope_filter = Some(value()),
-            "--csv" => csv_path = Some(value()),
-            "--checkpoints" => numeric(&mut config.checkpoints),
-            "--early-stop" => config.early_stop = true,
-            "--threads" => {
-                let mut threads = 0u64;
-                numeric(&mut threads);
-                config.threads = threads as usize;
-            }
-            "--statistic" => {
-                let name = value();
-                config.statistic = StatisticKind::parse(&name).unwrap_or_else(|| {
-                    eprintln!("unknown statistic `{name}` (gtest|ttest)");
-                    exit(exit_code::INVALID_INPUT);
-                });
-            }
-            "--snapshot" => {
-                config.durability.snapshot_path = Some(std::path::PathBuf::from(value()));
-            }
-            "--resume" => config.durability.resume = true,
-            "--stop-after-batches" => {
-                let mut cap = 0u64;
-                numeric(&mut cap);
-                config.durability.stop_after_batches = Some(cap);
-            }
-            "--metrics" => metrics_path = Some(value()),
-            "--status-file" => status_file = Some(value()),
-            "--metrics-addr" => metrics_addr = Some(value()),
-            "--trace" => trace_path = Some(value()),
-            "--failpoints" => {
-                let spec = value();
-                mmaes_telemetry::failpoint::configure(&spec).unwrap_or_else(|error| {
-                    eprintln!("--failpoints: {error}");
-                    exit(exit_code::INVALID_INPUT);
-                });
-            }
-            "--progress" => progress = true,
-            "--perf" => perf = true,
-            "--quiet" => quiet = true,
-            other => {
-                eprintln!("unknown flag `{other}` (try --help)");
-                exit(exit_code::INVALID_INPUT);
-            }
-        }
-    }
+    let flags = ObserverFlags::parse(arguments[1..].iter().cloned(), USAGE, |flag, args| {
+        campaign_flag(&mut config, flag, args) || verb_flag(flag, args)
+    });
     if config.durability.resume && config.durability.snapshot_path.is_none() {
-        eprintln!("--resume needs --snapshot FILE");
-        exit(exit_code::INVALID_INPUT);
+        invalid(format_args!("--resume needs --snapshot FILE"));
     }
     config.durability.interrupt = Some(mmaes_sigint::install());
     // Cipher cores need a deeper warm-up and their load pulse.
     if design.load.is_some() {
         config.warmup_cycles = 14;
     }
-    let model = model_name(config.model);
-    let order = config.order;
-    let statistic = config.statistic;
-    let threads = config.threads.max(1) as u64;
-    // A Chrome-trace export needs the per-phase timings recorded even
-    // when `--perf`'s stderr table was not asked for. The server guard
-    // stays alive until the summary is printed, so a scraper can fetch
-    // the final state.
-    let (observer, _metrics_server) =
-        mmaes_bench::live_observer(&mmaes_bench::LiveObserverOptions {
-            metrics_path: metrics_path.as_deref(),
-            progress: progress && !quiet,
-            perf: perf || trace_path.is_some(),
-            status_file: status_file.as_deref(),
-            metrics_addr: metrics_addr.as_deref(),
-            threads,
-        });
-    let stopwatch = Stopwatch::start();
+    let budget = ExperimentBudget {
+        threads: config.threads,
+        statistic: config.statistic,
+        ..ExperimentBudget::default()
+    };
+    (design, config, RunOptions::start(flags, budget))
+}
+
+/// The fixed-vs-random campaign on `design`, observed by `observer`.
+fn campaign<'a>(
+    design: &'a Design,
+    config: EvaluationConfig,
+    observer: &Observer,
+) -> FixedVsRandom<'a> {
     let mut campaign = FixedVsRandom::new(&design.netlist, config).with_observer(observer.clone());
     for bus in &design.nonzero_buses {
         campaign = campaign.require_nonzero_bus(bus.clone());
@@ -479,8 +447,22 @@ fn evaluate(arguments: &[String]) {
     if let Some(load) = design.load {
         campaign = campaign.schedule_control(load, vec![true, false]);
     }
-    let report = campaign.run_or_exit();
-    if !quiet {
+    campaign
+}
+
+fn evaluate(arguments: &[String]) {
+    let mut csv_path: Option<String> = None;
+    let (design, config, run) = campaign_run("evaluate", arguments, |flag, args| {
+        if flag != "--csv" {
+            return false;
+        }
+        csv_path = Some(args.value());
+        true
+    });
+    let model = config.model;
+    let (report, _, record) =
+        unwrap_campaign(campaign(&design, config, &run.observer).try_run_recorded(false));
+    if !run.quiet() {
         println!("{report}");
     }
     if let Some(path) = csv_path {
@@ -488,65 +470,14 @@ fn evaluate(arguments: &[String]) {
             eprintln!("cannot write {path}: {error}");
             exit(1);
         });
-        if !quiet {
+        if !run.quiet() {
             println!("per-probe results written to {path}");
         }
     }
-    let summary = RunSummary {
-        tool: "mmaes evaluate".to_owned(),
-        id: spec.clone(),
-        design: design.netlist.name().to_owned(),
-        schedule: design.schedule.clone(),
-        model: model.to_owned(),
-        statistic: statistic.name().to_owned(),
-        order,
-        traces: report.traces,
-        max_minus_log10_p: report
-            .worst()
-            .map(|result| result.minus_log10_p)
-            .unwrap_or(0.0),
-        passed: report.passed(),
-        wall_ms: stopwatch.elapsed_ms(),
-        traces_per_sec: stopwatch.rate(report.traces),
-        cell_evals: report.cell_evals,
-        interrupted: report.interrupted,
-        threads,
-        schemas: mmaes_bench::schema_versions(),
-        degraded: mmaes_telemetry::degraded::snapshot(),
-        extra: Vec::new(),
-    };
-    observer.emit(&Event::RunSummary(summary.clone()));
-    if perf {
-        eprint!("{}", observer.perf().render_table());
-    }
-    write_chrome_trace(&observer, trace_path.as_deref(), "evaluate", quiet);
-    mmaes_bench::print_summary_last(&observer, &summary.to_json_line());
-    if report.interrupted {
-        eprintln!("interrupted — partial statistics; continue with --snapshot FILE --resume");
-        exit(exit_code::INTERRUPTED);
-    }
-    exit(if report.passed() {
-        exit_code::CLEAN
-    } else {
-        exit_code::FINDING
-    });
-}
-
-/// Writes the observer's frozen perf snapshot as Chrome-trace JSON
-/// (`--trace FILE`); a no-op when the flag was not given.
-fn write_chrome_trace(observer: &Observer, path: Option<&str>, scope: &str, quiet: bool) {
-    let Some(path) = path else { return };
-    let Some(snapshot) = observer.perf().snapshot() else {
-        return;
-    };
-    let trace = chrome_trace(scope, &snapshot);
-    std::fs::write(path, trace).unwrap_or_else(|error| {
-        eprintln!("cannot write {path}: {error}");
-        exit(1);
-    });
-    if !quiet {
-        println!("chrome trace written to {path} (open in chrome://tracing or Perfetto)");
-    }
+    let mut summary = run.record_summary("mmaes evaluate", &arguments[0], record);
+    summary.schedule = design.schedule.clone();
+    summary.model = model_name(model).to_owned();
+    run.finish_with(summary);
 }
 
 /// `mmaes explain` — the campaign plus root-cause forensics.
@@ -558,127 +489,25 @@ fn write_chrome_trace(observer: &Observer, path: Option<&str>, scope: &str, quie
 /// the recycled `r1 = r3` randomness and the unmasked `x1, x5`
 /// dependence; on the repaired Eq. 9 design it finds nothing to explain.
 fn explain(arguments: &[String]) {
-    let Some(spec) = arguments.first() else {
-        eprintln!("explain needs a design");
-        exit(2);
-    };
-    let design = build_design(spec);
-    let mut config = EvaluationConfig {
-        checkpoints: 8,
-        ..EvaluationConfig::default()
-    };
     let mut bundles_path: Option<String> = None;
     let mut report_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut status_file: Option<String> = None;
-    let mut metrics_addr: Option<String> = None;
     let mut no_exact = false;
     let mut max_bits = ExactConfig::default().max_support_bits;
-    let mut progress = false;
-    let mut perf = false;
-    let mut quiet = false;
-    let mut rest = arguments[1..].iter();
-    while let Some(flag) = rest.next() {
-        let mut value = || {
-            rest.next().cloned().unwrap_or_else(|| {
-                eprintln!("flag {flag} needs a value");
-                exit(exit_code::INVALID_INPUT);
-            })
-        };
-        let mut numeric = |target: &mut u64| {
-            *target = value().parse().unwrap_or_else(|error| {
-                eprintln!("flag {flag}: {error}");
-                exit(exit_code::INVALID_INPUT);
-            });
-        };
-        match flag.as_str() {
-            "--model" => {
-                config.model = match value().as_str() {
-                    "glitch" => ProbeModel::Glitch,
-                    "transition" | "glitch+transition" => ProbeModel::GlitchTransition,
-                    other => {
-                        eprintln!("unknown model `{other}`");
-                        exit(exit_code::INVALID_INPUT);
-                    }
-                }
-            }
-            "--order" => {
-                let mut order = 0u64;
-                numeric(&mut order);
-                if !(1..=2).contains(&order) {
-                    eprintln!("flag --order: supported probing orders are 1 and 2");
-                    exit(exit_code::INVALID_INPUT);
-                }
-                config.order = order as usize;
-            }
-            "--traces" => numeric(&mut config.traces),
-            "--fixed" => numeric(&mut config.fixed_secret),
-            "--seed" => numeric(&mut config.seed),
-            "--scope" => config.probe_scope_filter = Some(value()),
-            "--checkpoints" => numeric(&mut config.checkpoints),
-            "--threads" => {
-                let mut threads = 0u64;
-                numeric(&mut threads);
-                config.threads = threads as usize;
-            }
-            "--statistic" => {
-                let name = value();
-                config.statistic = StatisticKind::parse(&name).unwrap_or_else(|| {
-                    eprintln!("unknown statistic `{name}` (gtest|ttest)");
-                    exit(exit_code::INVALID_INPUT);
-                });
-            }
+    let (design, config, run) = campaign_run("explain", arguments, |flag, args| {
+        match flag {
             "--no-exact" => no_exact = true,
-            "--max-bits" => {
-                let mut bits = 0u64;
-                numeric(&mut bits);
-                max_bits = bits as usize;
-            }
-            "--bundles" => bundles_path = Some(value()),
-            "--report" => report_path = Some(value()),
-            "--trace" => trace_path = Some(value()),
-            "--metrics" => metrics_path = Some(value()),
-            "--status-file" => status_file = Some(value()),
-            "--metrics-addr" => metrics_addr = Some(value()),
-            "--progress" => progress = true,
-            "--perf" => perf = true,
-            "--quiet" => quiet = true,
-            other => {
-                eprintln!("unknown flag `{other}` (try --help)");
-                exit(exit_code::INVALID_INPUT);
-            }
+            "--max-bits" => max_bits = args.number(),
+            "--bundles" => bundles_path = Some(args.value()),
+            "--report" => report_path = Some(args.value()),
+            _ => return false,
         }
-    }
-    config.durability.interrupt = Some(mmaes_sigint::install());
-    if design.load.is_some() {
-        config.warmup_cycles = 14;
-    }
-    let campaign_model = config.model;
-    let order = config.order;
-    let statistic = config.statistic;
-    let threads = config.threads.max(1) as u64;
-    let (observer, _metrics_server) =
-        mmaes_bench::live_observer(&mmaes_bench::LiveObserverOptions {
-            metrics_path: metrics_path.as_deref(),
-            progress: progress && !quiet,
-            perf: perf || trace_path.is_some(),
-            status_file: status_file.as_deref(),
-            metrics_addr: metrics_addr.as_deref(),
-            threads,
-        });
-    let stopwatch = Stopwatch::start();
-    let mut campaign = FixedVsRandom::new(&design.netlist, config).with_observer(observer.clone());
-    for bus in &design.nonzero_buses {
-        campaign = campaign.require_nonzero_bus(bus.clone());
-    }
-    if let Some(load) = design.load {
-        campaign = campaign.schedule_control(load, vec![true, false]);
-    }
-    let (report, tables) = campaign.try_run_with_tables().unwrap_or_else(|error| {
-        eprintln!("{error}");
-        exit(exit_code::INVALID_INPUT);
+        true
     });
+    let spec = &arguments[0];
+    let campaign_model = config.model;
+    let (report, tables, record) =
+        unwrap_campaign(campaign(&design, config, &run.observer).try_run_recorded(true));
+    let quiet = run.quiet();
     if !quiet {
         println!("{report}");
     }
@@ -718,7 +547,7 @@ fn explain(arguments: &[String]) {
         }
     }
     for bundle in &bundles {
-        observer.emit(&Event::Finding {
+        run.observer.emit(&Event::Finding {
             label: bundle.label.clone(),
             minus_log10_p: bundle.minus_log10_p,
             hint: bundle.hint.clone(),
@@ -726,7 +555,7 @@ fn explain(arguments: &[String]) {
         });
         // The progress sink prints findings itself; without one the
         // one-line root-cause hint still belongs on stderr.
-        if !quiet && !progress {
+        if !quiet && !run.progress() {
             eprintln!(
                 "[finding] {} (-log10(p) = {:.2}): {}",
                 bundle.label, bundle.minus_log10_p, bundle.hint
@@ -747,7 +576,8 @@ fn explain(arguments: &[String]) {
         }
     }
     if let Some(path) = &report_path {
-        let document = mmaes_bench::html::render_report(&report, &bundles, spec, &design.schedule);
+        let document =
+            mmaes_bench::html::render_report(&report, &record, &bundles, spec, &design.schedule);
         std::fs::write(path, document).unwrap_or_else(|error| {
             eprintln!("cannot write {path}: {error}");
             exit(1);
@@ -756,44 +586,14 @@ fn explain(arguments: &[String]) {
             println!("HTML report written to {path}");
         }
     }
-    let summary = RunSummary {
-        tool: "mmaes explain".to_owned(),
-        id: spec.clone(),
-        design: design.netlist.name().to_owned(),
-        schedule: design.schedule.clone(),
-        model: model_name(campaign_model).to_owned(),
-        statistic: statistic.name().to_owned(),
-        order,
-        traces: report.traces,
-        max_minus_log10_p: report
-            .worst()
-            .map(|result| result.minus_log10_p)
-            .unwrap_or(0.0),
-        passed: report.passed(),
-        wall_ms: stopwatch.elapsed_ms(),
-        traces_per_sec: stopwatch.rate(report.traces),
-        cell_evals: report.cell_evals,
-        interrupted: report.interrupted,
-        threads,
-        schemas: mmaes_bench::schema_versions(),
-        degraded: mmaes_telemetry::degraded::snapshot(),
-        extra: vec![("findings".to_owned(), bundles.len().to_string())],
-    };
-    observer.emit(&Event::RunSummary(summary.clone()));
-    if perf {
-        eprint!("{}", observer.perf().render_table());
-    }
-    write_chrome_trace(&observer, trace_path.as_deref(), "explain", quiet);
-    mmaes_bench::print_summary_last(&observer, &summary.to_json_line());
     if report.interrupted {
-        eprintln!("interrupted — partial statistics; no forensics were run");
-        exit(exit_code::INTERRUPTED);
+        eprintln!("no forensics were run on the partial statistics");
     }
-    exit(if report.passed() {
-        exit_code::CLEAN
-    } else {
-        exit_code::FINDING
-    });
+    let mut summary = run.record_summary("mmaes explain", spec, record);
+    summary.schedule = design.schedule.clone();
+    summary.model = model_name(campaign_model).to_owned();
+    summary.extra = vec![("findings".to_owned(), bundles.len().to_string())];
+    run.finish_with(summary);
 }
 
 /// Runs the exact enumerator on one flagged probing set and folds the
@@ -884,22 +684,6 @@ fn secret_bit_names(netlist: &Netlist, conditioning_a: &str, conditioning_b: &st
         .collect()
 }
 
-/// Runs a campaign, mapping every [`CampaignError`] (corrupt or
-/// mismatched snapshot, invalid netlist, no secret shares) to an
-/// `exit 2` with the error on stderr.
-trait RunOrExit {
-    fn run_or_exit(&self) -> mmaes_leakage::LeakageReport;
-}
-
-impl RunOrExit for FixedVsRandom<'_> {
-    fn run_or_exit(&self) -> mmaes_leakage::LeakageReport {
-        self.try_run().unwrap_or_else(|error: CampaignError| {
-            eprintln!("{error}");
-            exit(exit_code::INVALID_INPUT);
-        })
-    }
-}
-
 /// `mmaes selftest` — a detection-power check on the evaluator itself.
 ///
 /// Injects structural faults (gate flips, stuck-at-0 randomness, share
@@ -911,40 +695,17 @@ impl RunOrExit for FixedVsRandom<'_> {
 fn selftest(arguments: &[String]) {
     let mut traces = 60_000u64;
     let mut per_kind = 2usize;
-    let mut metrics_path: Option<String> = None;
-    let mut quiet = false;
-    let mut rest = arguments.iter();
-    while let Some(flag) = rest.next() {
-        let mut value = || {
-            rest.next().cloned().unwrap_or_else(|| {
-                eprintln!("flag {flag} needs a value");
-                exit(exit_code::INVALID_INPUT);
-            })
-        };
-        match flag.as_str() {
-            "--traces" => {
-                traces = value().parse().unwrap_or_else(|error| {
-                    eprintln!("flag --traces: {error}");
-                    exit(exit_code::INVALID_INPUT);
-                })
-            }
-            "--per-kind" => {
-                per_kind = value().parse().unwrap_or_else(|error| {
-                    eprintln!("flag --per-kind: {error}");
-                    exit(exit_code::INVALID_INPUT);
-                })
-            }
-            "--metrics" => metrics_path = Some(value()),
-            "--quiet" => quiet = true,
-            other => {
-                eprintln!("unknown flag `{other}` (try --help)");
-                exit(exit_code::INVALID_INPUT);
-            }
+    let flags = ObserverFlags::parse(arguments.iter().cloned(), USAGE, |flag, args| {
+        match flag {
+            "--traces" => traces = args.number(),
+            "--per-kind" => per_kind = args.number(),
+            _ => return false,
         }
-    }
+        true
+    });
     let interrupt = mmaes_sigint::install();
-    let observer = mmaes_bench::observer_from(metrics_path.as_deref(), false, false);
-    let stopwatch = Stopwatch::start();
+    let run = RunOptions::start(flags, ExperimentBudget::default());
+    let quiet = run.quiet();
 
     struct Case {
         name: String,
@@ -999,9 +760,11 @@ fn selftest(arguments: &[String]) {
             },
             ..EvaluationConfig::default()
         };
-        let report = FixedVsRandom::new(&case.netlist, config)
-            .with_observer(observer.clone())
-            .run_or_exit();
+        let report = unwrap_campaign(
+            FixedVsRandom::new(&case.netlist, config)
+                .with_observer(run.observer.clone())
+                .try_run(),
+        );
         if report.interrupted {
             interrupted = true;
             break;
@@ -1026,41 +789,25 @@ fn selftest(arguments: &[String]) {
             );
         }
     }
-    let summary = RunSummary {
-        tool: "mmaes selftest".to_owned(),
-        id: "selftest".to_owned(),
-        design: "kronecker eq6/eq9 + mutants".to_owned(),
-        statistic: StatisticKind::GTest.name().to_owned(),
-        traces: total_traces,
-        max_minus_log10_p: worst,
-        passed: misses == 0 && !interrupted,
-        wall_ms: stopwatch.elapsed_ms(),
-        traces_per_sec: stopwatch.rate(total_traces),
-        interrupted,
-        schemas: mmaes_bench::schema_versions(),
-        degraded: mmaes_telemetry::degraded::snapshot(),
-        extra: vec![
-            ("cases".to_owned(), cases.len().to_string()),
-            ("misses".to_owned(), misses.to_string()),
-        ],
-        ..RunSummary::default()
-    };
-    if !quiet && !interrupted && misses == 0 {
-        println!("selftest passed: every planted fault detected, the repaired design stays clean");
-    }
-    observer.emit(&Event::RunSummary(summary.clone()));
-    mmaes_bench::print_summary_last(&observer, &summary.to_json_line());
+    let mut summary = run.base_summary("mmaes selftest", "selftest", total_traces);
+    summary.record.design = "kronecker eq6/eq9 + mutants".to_owned();
+    summary.record.max_minus_log10_p = worst;
+    summary.record.passed = misses == 0 && !interrupted;
+    summary.record.interrupted = interrupted;
+    summary.extra = vec![
+        ("cases".to_owned(), cases.len().to_string()),
+        ("misses".to_owned(), misses.to_string()),
+    ];
     if interrupted {
         eprintln!("selftest interrupted before all cases ran");
-        exit(exit_code::INTERRUPTED);
-    }
-    if misses > 0 {
+    } else if misses > 0 {
         eprintln!(
             "selftest FAILED: {misses} case(s) missed — the detector cannot be trusted on this build"
         );
-        exit(exit_code::FINDING);
+    } else if !quiet {
+        println!("selftest passed: every planted fault detected, the repaired design stays clean");
     }
-    exit(exit_code::CLEAN);
+    run.finish_with(summary);
 }
 
 /// `mmaes chaos` — the deterministic chaos harness, a containment
@@ -1092,53 +839,39 @@ fn chaos(arguments: &[String]) {
 
     let mut traces = 50_000u64;
     let mut seed = EvaluationConfig::default().seed;
-    let mut max_threads = 2u64;
+    let mut max_threads = 2usize;
     let mut statistic = StatisticKind::default();
     let mut schedule = DEFAULT_SCHEDULE.to_owned();
-    let mut quiet = false;
-    let mut rest = arguments.iter();
-    while let Some(flag) = rest.next() {
-        let mut value = || {
-            rest.next().cloned().unwrap_or_else(|| {
-                eprintln!("flag {flag} needs a value");
-                exit(exit_code::INVALID_INPUT);
-            })
-        };
-        let mut numeric = |target: &mut u64| {
-            *target = value().parse().unwrap_or_else(|error| {
-                eprintln!("flag {flag}: {error}");
-                exit(exit_code::INVALID_INPUT);
-            });
-        };
-        match flag.as_str() {
-            "--traces" => numeric(&mut traces),
-            "--seed" => numeric(&mut seed),
-            "--threads" => numeric(&mut max_threads),
-            "--statistic" => {
-                let name = value();
-                statistic = StatisticKind::parse(&name).unwrap_or_else(|| {
-                    eprintln!("unknown statistic `{name}` (gtest|ttest)");
-                    exit(exit_code::INVALID_INPUT);
-                });
-            }
-            "--failpoints" => schedule = value(),
-            "--quiet" => quiet = true,
-            other => {
-                eprintln!("unknown flag `{other}` (try --help)");
-                exit(exit_code::INVALID_INPUT);
-            }
+    let flags = ObserverFlags::parse(arguments.iter().cloned(), USAGE, |flag, args| {
+        match flag {
+            "--traces" => traces = args.number(),
+            "--seed" => seed = args.number(),
+            "--threads" => max_threads = args.number(),
+            "--statistic" => statistic = parse_statistic(&args.value()),
+            "--failpoints" => schedule = args.value(),
+            _ => return false,
         }
-    }
+        true
+    });
     // Validate the schedule before spending any compute on it.
     if let Err(error) = failpoint::configure(&schedule) {
         eprintln!("--failpoints: {error}");
         exit(exit_code::INVALID_INPUT);
     }
     failpoint::clear();
+    // The observer flags watch the fault-free baseline: the faulted
+    // legs inject status-file and snapshot write errors of their own.
+    let run = RunOptions::start(
+        flags,
+        ExperimentBudget {
+            threads: max_threads,
+            statistic,
+            ..ExperimentBudget::default()
+        },
+    );
 
     let circuit = build_kronecker(&KroneckerRandomness::de_meyer_eq6())
         .expect("generator emits valid netlists");
-    let stopwatch = Stopwatch::start();
     let make_config = |threads: usize, snapshot: Option<std::path::PathBuf>| EvaluationConfig {
         traces,
         seed,
@@ -1155,10 +888,14 @@ fn chaos(arguments: &[String]) {
 
     // Phase 0: the fault-free baseline every chaos run is judged against.
     degraded::clear();
-    let baseline = FixedVsRandom::new(&circuit.netlist, make_config(1, None)).run_or_exit();
+    let baseline = unwrap_campaign(
+        FixedVsRandom::new(&circuit.netlist, make_config(1, None))
+            .with_observer(run.observer.clone())
+            .try_run(),
+    );
     let baseline_csv = baseline.to_csv();
     let found_leak = !baseline.passed();
-    if !quiet {
+    if !run.quiet() {
         println!(
             "baseline (no faults): {} at {} traces",
             if found_leak { "LEAK" } else { "clean" },
@@ -1171,7 +908,7 @@ fn chaos(arguments: &[String]) {
     let thread_counts: Vec<usize> = if max_threads <= 1 {
         vec![1]
     } else {
-        vec![1, max_threads as usize]
+        vec![1, max_threads]
     };
     // Every faulted leg, one per configured thread count, must
     // reproduce the fault-free baseline byte for byte.
@@ -1229,7 +966,7 @@ fn chaos(arguments: &[String]) {
                 ));
             }
         }
-        if !quiet {
+        if !run.quiet() {
             let degraded_list = if entries.is_empty() {
                 "none".to_owned()
             } else {
@@ -1253,44 +990,37 @@ fn chaos(arguments: &[String]) {
         let _ = std::fs::remove_file(&status_path);
     }
 
-    let summary = RunSummary {
-        tool: "mmaes chaos".to_owned(),
-        id: "chaos".to_owned(),
-        design: circuit.netlist.name().to_owned(),
-        schedule: "de-meyer-eq6".to_owned(),
-        statistic: statistic.name().to_owned(),
-        traces: baseline.traces * (1 + thread_counts.len() as u64),
-        max_minus_log10_p: baseline
-            .worst()
-            .map(|result| result.minus_log10_p)
-            .unwrap_or(0.0),
-        passed: failures.is_empty(),
-        wall_ms: stopwatch.elapsed_ms(),
-        threads: *thread_counts.iter().max().unwrap_or(&1) as u64,
-        schemas: mmaes_bench::schema_versions(),
-        degraded: degraded::snapshot(),
-        extra: vec![
-            ("failpoints".to_owned(), schedule.clone()),
-            (
-                "containment_failures".to_owned(),
-                failures.len().to_string(),
-            ),
-        ],
-        ..RunSummary::default()
-    };
-    println!("{}", summary.to_json_line());
-    for failure in &failures {
-        eprintln!("chaos: containment failure: {failure}");
-    }
-    if !failures.is_empty() {
-        exit(exit_code::INVALID_INPUT);
-    }
-    if !quiet {
+    let mut summary = run.base_summary(
+        "mmaes chaos",
+        "chaos",
+        baseline.traces * (1 + thread_counts.len() as u64),
+    );
+    summary.schedule = "de-meyer-eq6".to_owned();
+    summary.record.design = circuit.netlist.name().to_owned();
+    summary.record.max_minus_log10_p = baseline
+        .worst()
+        .map(|result| result.minus_log10_p)
+        .unwrap_or(0.0);
+    summary.record.passed = failures.is_empty();
+    summary.extra = vec![
+        ("failpoints".to_owned(), schedule.clone()),
+        (
+            "containment_failures".to_owned(),
+            failures.len().to_string(),
+        ),
+    ];
+    if failures.is_empty() && !run.quiet() {
         println!(
             "chaos passed: faults contained, the finding and report survived at every thread count"
         );
     }
-    exit(if found_leak {
+    run.report(&summary);
+    for failure in &failures {
+        eprintln!("chaos: containment failure: {failure}");
+    }
+    exit(if !failures.is_empty() {
+        exit_code::INVALID_INPUT
+    } else if found_leak {
         exit_code::FINDING
     } else {
         exit_code::CLEAN
@@ -1315,71 +1045,40 @@ fn verify(arguments: &[String]) {
         probe_scope_filter: Some("kronecker/G7".to_owned()),
         ..ExactConfig::default()
     };
-    let mut metrics_path: Option<String> = None;
-    let mut progress = false;
-    let mut perf = false;
-    let mut quiet = false;
-    let mut rest = arguments[1..].iter();
-    while let Some(flag) = rest.next() {
-        let mut value = || {
-            rest.next().cloned().unwrap_or_else(|| {
-                eprintln!("flag {flag} needs a value");
-                exit(2);
-            })
-        };
-        match flag.as_str() {
+    let flags = ObserverFlags::parse(arguments[1..].iter().cloned(), USAGE, |flag, args| {
+        match flag {
             "--scope" => {
-                let scope = value();
-                config.probe_scope_filter = if scope == "all" { None } else { Some(scope) };
+                let scope = args.value();
+                config.probe_scope_filter = (scope != "all").then_some(scope);
             }
-            "--max-bits" => {
-                config.max_support_bits = value().parse().unwrap_or_else(|error| {
-                    eprintln!("flag {flag}: {error}");
-                    exit(exit_code::INVALID_INPUT);
-                })
-            }
+            "--max-bits" => config.max_support_bits = args.number(),
             "--transition" => config.model = ProbeModel::GlitchTransition,
-            "--metrics" => metrics_path = Some(value()),
-            "--progress" => progress = true,
-            "--perf" => perf = true,
-            "--quiet" => quiet = true,
-            other => {
-                eprintln!("unknown flag `{other}`");
-                exit(2);
-            }
+            _ => return false,
         }
-    }
+        true
+    });
     let model = model_name(config.model);
-    let observer = mmaes_bench::observer_from(metrics_path.as_deref(), progress && !quiet, perf);
-    let stopwatch = Stopwatch::start();
+    let run = RunOptions::start(flags, ExperimentBudget::default());
     let report = ExactVerifier::with_config(&design.netlist, config)
-        .with_observer(observer.clone())
+        .with_observer(run.observer.clone())
         .verify_all();
-    if !quiet {
+    if !run.quiet() {
         println!("{report}");
     }
-    let summary = RunSummary {
-        tool: "mmaes verify".to_owned(),
-        id: spec.clone(),
-        design: design.netlist.name().to_owned(),
-        schedule: design.schedule.clone(),
-        model: model.to_owned(),
-        passed: !report.leak_found(),
-        wall_ms: stopwatch.elapsed_ms(),
-        cell_evals: report.cell_evals,
-        schemas: mmaes_bench::schema_versions(),
-        degraded: mmaes_telemetry::degraded::snapshot(),
-        extra: vec![
-            ("secure".to_owned(), report.secure_count().to_string()),
-            ("leaky".to_owned(), report.leaks().len().to_string()),
-            ("too_wide".to_owned(), report.too_wide().len().to_string()),
-        ],
-        ..RunSummary::default()
-    };
-    observer.emit(&Event::RunSummary(summary.clone()));
-    if perf {
-        eprint!("{}", observer.perf().render_table());
-    }
-    mmaes_bench::print_summary_last(&observer, &summary.to_json_line());
-    exit(if report.leak_found() { 1 } else { 0 });
+    // A proof samples nothing and shards nothing: no statistic, no
+    // thread count, no traces.
+    let mut summary = run.base_summary("mmaes verify", spec, 0);
+    summary.schedule = design.schedule.clone();
+    summary.model = model.to_owned();
+    summary.statistic = String::new();
+    summary.threads = 0;
+    summary.record.design = design.netlist.name().to_owned();
+    summary.record.passed = !report.leak_found();
+    summary.record.cell_evals = report.cell_evals;
+    summary.extra = vec![
+        ("secure".to_owned(), report.secure_count().to_string()),
+        ("leaky".to_owned(), report.leaks().len().to_string()),
+        ("too_wide".to_owned(), report.too_wide().len().to_string()),
+    ];
+    run.finish_with(summary);
 }

@@ -6,6 +6,8 @@
 //! determinism contract the JSON evidence bundles carry).
 
 use mmaes_leakage::{EvidenceBundle, LeakageReport, ProbeResult};
+use mmaes_telemetry::json::number;
+use mmaes_telemetry::RunRecord;
 
 /// Escapes text for HTML element and attribute context.
 fn escape(text: &str) -> String {
@@ -185,16 +187,22 @@ fn bundle_section(bundle: &EvidenceBundle, result: Option<&ProbeResult>, thresho
 }
 
 /// Renders the forensics report: campaign summary, the ranked probe
-/// table, and one evidence section per flagged probing set.
+/// table, and one evidence section per flagged probing set. The header
+/// renders the campaign's final `record` — traces, wall time,
+/// throughput, max `-log10(p)`, leaking sets and verdict — so it reads
+/// what the summary line, `status.json` and `/metrics` read.
 pub fn render_report(
     report: &LeakageReport,
+    record: &RunRecord,
     bundles: &[EvidenceBundle],
     spec: &str,
     schedule: &str,
 ) -> String {
     use std::fmt::Write as _;
     let mut document = String::with_capacity(16 * 1024);
-    let verdict = if report.passed() {
+    let verdict = if record.interrupted {
+        "<span class=\"hint\">interrupted — partial statistics</span>"
+    } else if record.passed {
         "<span class=\"clean\">no leakage detected</span>"
     } else {
         "<span class=\"leak\">leakage detected</span>"
@@ -205,15 +213,20 @@ pub fn render_report(
          <title>mmaes forensics — {design}</title><style>{STYLE}</style></head>\
          <body><h1>Leakage forensics: {design}</h1>\
          <p>design <code>{spec}</code>, schedule <code>{schedule}</code>, \
-         {model} model, order {order}, {traces} traces per population, \
-         threshold -log10(p) &gt; {threshold:.1} — {verdict}</p>",
+         {model} model, order {order}, threshold -log10(p) &gt; {threshold:.1} — {verdict}</p>\
+         <p>{traces} traces per population in {wall_ms} ms ({rate} traces/s); \
+         max -log10(p) {max}, {leaking} leaking set(s)</p>",
         design = escape(&report.design),
         spec = escape(spec),
         schedule = escape(schedule),
         model = escape(report.model.name()),
         order = report.order,
-        traces = report.traces,
         threshold = report.threshold,
+        traces = record.traces,
+        wall_ms = record.wall_ms,
+        rate = number(record.traces_per_sec()),
+        max = number(record.max_minus_log10_p),
+        leaking = record.leaking,
     );
     document.push_str(
         "<h2>Ranked probing sets</h2><table><tr><th>probing set</th>\
@@ -325,10 +338,34 @@ mod tests {
         }
     }
 
+    fn sample_record() -> RunRecord {
+        RunRecord {
+            traces: 1000,
+            wall_ms: 8,
+            max_minus_log10_p: 25.0,
+            leaking: 1,
+            finished: true,
+            ..RunRecord::default()
+        }
+    }
+
+    #[test]
+    fn header_renders_the_run_record() {
+        let html = render_report(&sample_report(), &sample_record(), &[], "toy", "none");
+        assert!(
+            html.contains(
+                "1000 traces per population in 8 ms (125000 traces/s); \
+                 max -log10(p) 25, 1 leaking set(s)"
+            ),
+            "{html}"
+        );
+        assert!(html.contains("leakage detected"), "{html}");
+    }
+
     #[test]
     fn report_escapes_markup_and_embeds_the_trajectory() {
         let report = sample_report();
-        let html = render_report(&report, &[], "toy", "none");
+        let html = render_report(&report, &sample_record(), &[], "toy", "none");
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.contains("toy&lt;design&gt;"));
         assert!(html.contains("probe &quot;a&quot; &amp; b"));
@@ -339,7 +376,7 @@ mod tests {
     #[test]
     fn ranked_table_carries_the_health_columns() {
         let report = sample_report();
-        let html = render_report(&report, &[], "toy", "none");
+        let html = render_report(&report, &sample_record(), &[], "toy", "none");
         assert!(html.contains("<th>pooled</th>"));
         assert!(html.contains("<th>slope/Mtrace</th>"));
         assert!(html.contains("<th>detect@</th>"));
@@ -363,8 +400,8 @@ mod tests {
     #[test]
     fn rendering_is_deterministic() {
         let report = sample_report();
-        let first = render_report(&report, &[], "toy", "none");
-        let second = render_report(&report, &[], "toy", "none");
+        let first = render_report(&report, &sample_record(), &[], "toy", "none");
+        let second = render_report(&report, &sample_record(), &[], "toy", "none");
         assert_eq!(first, second);
     }
 }

@@ -19,7 +19,7 @@
 
 use mmaes_netlist::{Netlist, SecretId, StableCones, WireId};
 use mmaes_sim::LANES;
-use mmaes_telemetry::{Event, Observer, ProbeHealth, Stopwatch};
+use mmaes_telemetry::{Event, Observer, ProbeHealth, RunRecord, Stopwatch};
 
 pub use crate::config::{
     CampaignMode, Durability, EvaluationConfig, SecretDomain, DECISIVE_MARGIN,
@@ -201,7 +201,7 @@ impl<'a> FixedVsRandom<'a> {
     /// * [`CampaignError::Worker`] — a batch exhausted the supervisor's
     ///   retry budget (see [`crate::supervisor`]).
     pub fn try_run(&self) -> Result<LeakageReport, CampaignError> {
-        self.try_run_impl(false).map(|(report, _)| report)
+        self.try_run_impl(false, false).map(|(report, ..)| report)
     }
 
     /// Like [`FixedVsRandom::try_run`], but additionally returns the
@@ -221,14 +221,36 @@ impl<'a> FixedVsRandom<'a> {
     ///
     /// Identical to [`FixedVsRandom::try_run`].
     pub fn try_run_with_tables(&self) -> Result<(LeakageReport, Vec<ProbeTable>), CampaignError> {
-        self.try_run_impl(true)
-            .map(|(report, tables)| (report, tables.expect("tables were requested")))
+        self.try_run_impl(true, false)
+            .map(|(report, tables, _)| (report, tables))
+    }
+
+    /// Like [`FixedVsRandom::try_run`], but also returns the
+    /// campaign's final [`RunRecord`] — the figures the observer saw in
+    /// `campaign_finished`, built even with no observer attached — and,
+    /// when `keep_tables` is set, the tables of
+    /// [`FixedVsRandom::try_run_with_tables`] (empty otherwise). A
+    /// command-line verb reads its summary's wall time and throughput
+    /// from this record, so the summary agrees with every other surface.
+    ///
+    /// # Errors
+    ///
+    /// Identical to [`FixedVsRandom::try_run`].
+    pub fn try_run_recorded(
+        &self,
+        keep_tables: bool,
+    ) -> Result<(LeakageReport, Vec<ProbeTable>, RunRecord), CampaignError> {
+        self.try_run_impl(keep_tables, true)
+            .map(|(report, tables, record)| {
+                (report, tables, record.expect("a record was requested"))
+            })
     }
 
     fn try_run_impl(
         &self,
         keep_tables: bool,
-    ) -> Result<(LeakageReport, Option<Vec<ProbeTable>>), CampaignError> {
+        keep_record: bool,
+    ) -> Result<(LeakageReport, Vec<ProbeTable>, Option<RunRecord>), CampaignError> {
         let config = &self.config;
         let watch = Stopwatch::start();
         let perf = self.observer.perf();
@@ -519,14 +541,6 @@ impl<'a> FixedVsRandom<'a> {
                     .filter(|table| !table.is_dense())
                     .count() as u64,
             );
-            if self.observer.enabled() {
-                if let Some(snapshot) = perf.snapshot() {
-                    self.observer.emit(&Event::PerfSnapshot {
-                        scope: "campaign".to_owned(),
-                        snapshot,
-                    });
-                }
-            }
         }
         let report = LeakageReport {
             design: self.netlist.name().to_owned(),
@@ -542,7 +556,24 @@ impl<'a> FixedVsRandom<'a> {
             table_bytes,
             results,
         };
-        if health_enabled {
+        let record = (keep_record || self.observer.enabled()).then(|| {
+            let worst = report.worst();
+            RunRecord {
+                max_minus_log10_p: worst.map_or(0.0, |result| result.minus_log10_p),
+                worst_label: worst.map(|result| result.label.clone()).unwrap_or_default(),
+                leaking: report.leaking().len(),
+                passed: report.passed(),
+                finished: true,
+                ..engine.record(&context, &state, traces)
+            }
+        });
+        if let Some(record) = record.as_ref().filter(|_| self.observer.enabled()) {
+            if let Some(snapshot) = &record.perf {
+                self.observer.emit(&Event::PerfSnapshot {
+                    scope: "campaign".to_owned(),
+                    snapshot: snapshot.clone(),
+                });
+            }
             self.observer.emit(&Event::HealthSummary(health::assess(
                 std::mem::take(&mut probe_healths),
                 traces,
@@ -552,24 +583,13 @@ impl<'a> FixedVsRandom<'a> {
                 config.statistic,
                 CHECKPOINT_TOP_PROBES,
             )));
-        }
-        if self.observer.enabled() {
-            self.observer.emit(&Event::CampaignFinished {
-                design: report.design.clone(),
-                traces: report.traces,
-                wall_ms: watch.elapsed_ms(),
-                passed: report.passed(),
-                max_minus_log10_p: report
-                    .worst()
-                    .map(|result| result.minus_log10_p)
-                    .unwrap_or(0.0),
-                leaking: report.leaking().len(),
-                early_stopped: state.early_stopped,
-            });
+            self.observer.emit(&Event::CampaignFinished(record.clone()));
         }
         // Each table is dropped as soon as its columns are collected, so
         // the hand-back never holds a second copy of every table.
-        let tables = keep_tables.then(|| {
+        let tables = if !keep_tables {
+            Vec::new()
+        } else {
             probe_sets
                 .iter()
                 .zip(std::mem::take(&mut state.tables))
@@ -581,8 +601,8 @@ impl<'a> FixedVsRandom<'a> {
                     samples: table.samples(),
                 })
                 .collect()
-        });
-        Ok((report, tables))
+        };
+        Ok((report, tables, record))
     }
 }
 
@@ -906,7 +926,11 @@ mod tests {
             .any(|event| matches!(event, Event::SimProgress { .. })));
         assert!(matches!(
             events.last(),
-            Some(Event::CampaignFinished { passed: false, .. })
+            Some(Event::CampaignFinished(RunRecord {
+                passed: false,
+                finished: true,
+                ..
+            }))
         ));
     }
 

@@ -37,7 +37,7 @@ use std::time::Duration;
 use mmaes_netlist::{Netlist, SecretId, WireId};
 use mmaes_sim::{SimStats, Simulator, LANES};
 use mmaes_telemetry::{
-    Checkpoint, Event, Observer, PerfRecorder, ProbeHealth, ProbePoint, Stopwatch,
+    Checkpoint, Event, Observer, PerfRecorder, ProbeHealth, ProbePoint, RunRecord, Stopwatch,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -303,6 +303,33 @@ pub(crate) struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
+    /// The run record at `traces`: the campaign's identity and budget,
+    /// the wall time on its one stopwatch, and the state's flags, cell
+    /// evaluations, table bytes and perf snapshot. Callers fill in the
+    /// statistic's figures; only observed or recorded runs build one.
+    pub(crate) fn record(
+        &self,
+        context: &FoldContext<'_>,
+        state: &CampaignState,
+        traces: u64,
+    ) -> RunRecord {
+        RunRecord {
+            design: self.netlist.name().to_owned(),
+            model: self.config.model.name().to_owned(),
+            order: self.config.order,
+            probe_sets: self.probe_sets.len(),
+            traces,
+            traces_target: context.batches * LANES as u64,
+            wall_ms: context.watch.elapsed_ms(),
+            early_stopped: state.early_stopped,
+            interrupted: state.interrupted,
+            cell_evals: context.prior_cell_evals + state.folded.cell_evals,
+            table_bytes: state.tables.iter().map(Table::resident_bytes).sum(),
+            perf: context.perf.snapshot(),
+            ..RunRecord::default()
+        }
+    }
+
     /// Runs the sampling pipeline from `state.batches_done` to
     /// `context.batches` (or an early stop / interrupt / fatal fault),
     /// one window at a time.
@@ -778,21 +805,24 @@ impl<'a> Engine<'a> {
                         leaking: value > config.threshold,
                     })
                     .collect();
-                self.observer.emit(&Event::CampaignCheckpoint(Checkpoint {
-                    traces: traces_so_far,
-                    traces_target: context.batches * LANES as u64,
-                    elapsed_ms: context.watch.elapsed_ms(),
-                    traces_per_sec: context.watch.rate(traces_so_far),
+                let leaking = running
+                    .iter()
+                    .filter(|&&(_, value)| value > config.threshold)
+                    .count();
+                let record = RunRecord {
                     max_minus_log10_p,
                     worst_label: context
                         .probe_sets
                         .get(worst_index)
                         .map(|set| set.label.clone())
                         .unwrap_or_default(),
-                    probes,
-                }));
+                    leaking,
+                    ..self.record(context, state, traces_so_far)
+                };
+                let elapsed_ms = record.wall_ms;
+                self.observer
+                    .emit(&Event::CampaignCheckpoint(Checkpoint { record, probes }));
                 let stats = state.folded;
-                let elapsed_ms = context.watch.elapsed_ms();
                 let interval = stats
                     .delta_since(state.last_stats)
                     .rates(elapsed_ms.saturating_sub(state.last_elapsed_ms) as f64 / 1000.0);

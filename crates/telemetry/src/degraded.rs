@@ -110,11 +110,6 @@ pub fn snapshot() -> Vec<DegradedEntry> {
         .collect()
 }
 
-/// Whether any subsystem is degraded.
-pub fn is_degraded() -> bool {
-    !registry().is_empty()
-}
-
 /// Clears the registry. Called by CLI entry points before a run and by
 /// [`crate::failpoint::scoped`] test guards; the registry is
 /// process-global, so long-lived embedders should clear between
@@ -130,13 +125,11 @@ mod tests {
     #[test]
     fn marks_accumulate_and_render_deterministically() {
         let _guard = crate::failpoint::scoped("");
-        assert!(!is_degraded());
         assert_eq!(to_json(&snapshot()), "[]");
         mark("status-file", "create /tmp/x.tmp: full");
         mark("snapshot", "write eq6.tmp: full");
         mark("snapshot", "rename eq6.tmp: full");
         let entries = snapshot();
-        assert!(is_degraded());
         assert_eq!(entries.len(), 2);
         // BTreeMap keys: "snapshot" sorts before "status-file".
         assert_eq!(entries[0].subsystem, "snapshot");

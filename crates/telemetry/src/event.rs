@@ -3,6 +3,7 @@
 use crate::degraded::{self, DegradedEntry};
 use crate::json::{array, JsonObject};
 use crate::perf::PerfSnapshot;
+use crate::record::RunRecord;
 
 /// Version of the JSONL event schema and of the `summary` line. Bumped
 /// on any field addition; consumers should treat unknown fields as
@@ -27,10 +28,11 @@ use crate::perf::PerfSnapshot;
 /// values — `"gtest"` or `"ttest"`, empty on summaries of runs that
 /// never sampled; v9: `build_info` on `summary` no longer carries a
 /// `bench_schema` entry — the `mmaes bench` record it versioned is
-/// gone). The campaign *snapshot* file carries its own
-/// independent version
+/// gone; v10: `campaign_finished` carries `traces_per_sec` and
+/// `interrupted`, both read from the campaign's final [`RunRecord`]).
+/// The campaign *snapshot* file carries its own independent version
 /// (`mmaes_leakage::snapshot::SNAPSHOT_SCHEMA_VERSION`, currently 2).
-pub const EVENT_SCHEMA_VERSION: u64 = 9;
+pub const EVENT_SCHEMA_VERSION: u64 = 10;
 
 /// One probing set's running statistic at a checkpoint.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,60 +173,28 @@ impl HealthCheckpoint {
 /// A periodic mid-campaign snapshot (PROLEAD's intermediate reports).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
-    /// Traces accumulated so far.
-    pub traces: u64,
-    /// The campaign's trace target.
-    pub traces_target: u64,
-    /// Wall time since the campaign started, in milliseconds.
-    pub elapsed_ms: u64,
-    /// Current overall throughput, traces per second.
-    pub traces_per_sec: f64,
-    /// Running maximum `-log10(p)` over all probing sets.
-    pub max_minus_log10_p: f64,
-    /// Label of the probing set attaining the maximum.
-    pub worst_label: String,
+    /// The run record at this checkpoint.
+    pub record: RunRecord,
     /// Per-probe-set running values (the trajectory payload; campaigns
     /// include the top sets plus every set over the threshold).
     pub probes: Vec<ProbePoint>,
 }
 
-/// The machine-readable one-line verdict every CLI run ends with.
+/// The machine-readable one-line verdict every CLI run ends with: the
+/// run's [`RunRecord`] plus what only the producing tool knows.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunSummary {
     /// The producing tool (`"mmaes evaluate"`, `"exp_e2"`, …).
     pub tool: String,
     /// Run identifier (experiment id or design spec).
     pub id: String,
-    /// Design evaluated.
-    pub design: String,
     /// Randomness schedule(s) involved.
     pub schedule: String,
-    /// Probing model, when applicable.
+    /// Probing model as the CLI spells it, when applicable.
     pub model: String,
     /// Leakage statistic the run's campaigns applied — `"gtest"` or
     /// `"ttest"`, empty when the run never sampled (schema v8).
     pub statistic: String,
-    /// Probing order, when applicable (0 = not applicable).
-    pub order: usize,
-    /// Traces simulated (0 when not a sampling run).
-    pub traces: u64,
-    /// Maximum observed `-log10(p)` (0 when not a sampling run).
-    pub max_minus_log10_p: f64,
-    /// The run's verdict (leakage evaluation: "no leak found";
-    /// experiments: "matches the paper").
-    pub passed: bool,
-    /// Wall time of the run, in milliseconds.
-    pub wall_ms: u64,
-    /// Overall throughput, traces per second of wall time (0 when not a
-    /// sampling run).
-    pub traces_per_sec: f64,
-    /// Combinational cell evaluations performed by the run's
-    /// simulator(s) (0 when unknown).
-    pub cell_evals: u64,
-    /// Whether the run was interrupted (SIGINT/SIGTERM) and stopped
-    /// cooperatively before finishing; `passed` then reflects the
-    /// evidence gathered so far, not a final verdict (schema v3).
-    pub interrupted: bool,
     /// Worker threads the run's campaigns sharded batches across
     /// (schema v4); 1 for single-threaded, 0 when not applicable.
     pub threads: u64,
@@ -240,11 +210,18 @@ pub struct RunSummary {
     pub degraded: Vec<DegradedEntry>,
     /// Free-form extras appended to the JSON object.
     pub extra: Vec<(String, String)>,
+    /// The figures: design, order, traces, max `-log10(p)`, verdict,
+    /// wall time and throughput, cell evaluations and the interrupt
+    /// flag. A single-campaign verb hands in the campaign's final
+    /// record; a multi-campaign tool totals its traces against its own
+    /// stopwatch.
+    pub record: RunRecord,
 }
 
 impl RunSummary {
     /// Renders the summary as a single JSON line.
     pub fn to_json_line(&self) -> String {
+        let record = &self.record;
         let mut build_info = JsonObject::new()
             .string("version", env!("CARGO_PKG_VERSION"))
             .unsigned("event_schema", EVENT_SCHEMA_VERSION);
@@ -255,24 +232,24 @@ impl RunSummary {
             .string("type", "summary")
             .string("tool", &self.tool)
             .string("id", &self.id)
-            .string("design", &self.design)
+            .string("design", &record.design)
             .string("schedule", &self.schedule)
             .string("model", &self.model)
             // Which leakage test produced `max_minus_log10_p`
             // (schema v8); empty when the run never sampled.
             .string("statistic", &self.statistic)
-            .unsigned("order", self.order as u64)
-            .unsigned("traces", self.traces)
-            .float("max_minus_log10_p", self.max_minus_log10_p)
-            .boolean("passed", self.passed)
-            .unsigned("wall_ms", self.wall_ms)
+            .unsigned("order", record.order as u64)
+            .unsigned("traces", record.traces)
+            .float("max_minus_log10_p", record.max_minus_log10_p)
+            .boolean("passed", record.passed)
+            .unsigned("wall_ms", record.wall_ms)
             // `elapsed_ms` aliases `wall_ms` (schema v2): downstream
             // perf tooling reads one canonical duration key across
             // summaries and checkpoints.
-            .unsigned("elapsed_ms", self.wall_ms)
-            .float("traces_per_sec", self.traces_per_sec)
-            .unsigned("cell_evals", self.cell_evals)
-            .boolean("interrupted", self.interrupted)
+            .unsigned("elapsed_ms", record.wall_ms)
+            .float("traces_per_sec", record.traces_per_sec())
+            .unsigned("cell_evals", record.cell_evals)
+            .boolean("interrupted", record.interrupted)
             .unsigned("threads", self.threads)
             // Attribution for archived runs (schema v6): which crate
             // version wrote this line, under which artifact schemas.
@@ -314,23 +291,9 @@ pub enum Event {
         /// Traces accumulated when it crossed.
         traces: u64,
     },
-    /// A campaign completed (or early-stopped on a decisive verdict).
-    CampaignFinished {
-        /// Design under evaluation.
-        design: String,
-        /// Traces actually simulated.
-        traces: u64,
-        /// Wall time, milliseconds.
-        wall_ms: u64,
-        /// Whether no probing set exceeded the threshold.
-        passed: bool,
-        /// Final maximum `-log10(p)`.
-        max_minus_log10_p: f64,
-        /// Number of leaking probing sets.
-        leaking: usize,
-        /// Whether the campaign stopped before its trace budget.
-        early_stopped: bool,
-    },
+    /// A campaign completed, early-stopped on a decisive verdict, or
+    /// was interrupted: its final run record.
+    CampaignFinished(RunRecord),
     /// Simulator counters (reported at checkpoint cadence). The rates
     /// are computed over the interval since the previous report
     /// (schema v2), so they track *current* throughput, not the
@@ -425,7 +388,7 @@ impl Event {
             Event::CampaignStarted { .. } => "campaign_started",
             Event::CampaignCheckpoint(_) => "checkpoint",
             Event::ProbeFlagged { .. } => "probe_flagged",
-            Event::CampaignFinished { .. } => "campaign_finished",
+            Event::CampaignFinished(_) => "campaign_finished",
             Event::SimProgress { .. } => "sim_progress",
             Event::EnumerationStarted { .. } => "enumeration_started",
             Event::EnumerationProgress { .. } => "enumeration_progress",
@@ -456,18 +419,15 @@ impl Event {
                 .unsigned("probe_sets", *probe_sets as u64)
                 .unsigned("traces_target", *traces_target)
                 .finish(),
-            Event::CampaignCheckpoint(checkpoint) => JsonObject::new()
+            Event::CampaignCheckpoint(Checkpoint { record, probes }) => JsonObject::new()
                 .string("type", self.kind())
-                .unsigned("traces", checkpoint.traces)
-                .unsigned("traces_target", checkpoint.traces_target)
-                .unsigned("elapsed_ms", checkpoint.elapsed_ms)
-                .float("traces_per_sec", checkpoint.traces_per_sec)
-                .float("max_minus_log10_p", checkpoint.max_minus_log10_p)
-                .string("worst_label", &checkpoint.worst_label)
-                .raw(
-                    "probes",
-                    &array(checkpoint.probes.iter().map(ProbePoint::to_json)),
-                )
+                .unsigned("traces", record.traces)
+                .unsigned("traces_target", record.traces_target)
+                .unsigned("elapsed_ms", record.wall_ms)
+                .float("traces_per_sec", record.traces_per_sec())
+                .float("max_minus_log10_p", record.max_minus_log10_p)
+                .string("worst_label", &record.worst_label)
+                .raw("probes", &array(probes.iter().map(ProbePoint::to_json)))
                 .finish(),
             Event::ProbeFlagged {
                 label,
@@ -479,23 +439,17 @@ impl Event {
                 .float("minus_log10_p", *minus_log10_p)
                 .unsigned("traces", *traces)
                 .finish(),
-            Event::CampaignFinished {
-                design,
-                traces,
-                wall_ms,
-                passed,
-                max_minus_log10_p,
-                leaking,
-                early_stopped,
-            } => JsonObject::new()
+            Event::CampaignFinished(record) => JsonObject::new()
                 .string("type", self.kind())
-                .string("design", design)
-                .unsigned("traces", *traces)
-                .unsigned("wall_ms", *wall_ms)
-                .boolean("passed", *passed)
-                .float("max_minus_log10_p", *max_minus_log10_p)
-                .unsigned("leaking", *leaking as u64)
-                .boolean("early_stopped", *early_stopped)
+                .string("design", &record.design)
+                .unsigned("traces", record.traces)
+                .unsigned("wall_ms", record.wall_ms)
+                .float("traces_per_sec", record.traces_per_sec())
+                .boolean("passed", record.passed)
+                .float("max_minus_log10_p", record.max_minus_log10_p)
+                .unsigned("leaking", record.leaking as u64)
+                .boolean("early_stopped", record.early_stopped)
+                .boolean("interrupted", record.interrupted)
                 .finish(),
             Event::SimProgress {
                 cycles,
@@ -615,12 +569,14 @@ mod tests {
                 traces_target: 200_000,
             },
             Event::CampaignCheckpoint(Checkpoint {
-                traces: 64_000,
-                traces_target: 200_000,
-                elapsed_ms: 1200,
-                traces_per_sec: 53_333.0,
-                max_minus_log10_p: 7.3,
-                worst_label: "kronecker/G7/v1".into(),
+                record: RunRecord {
+                    traces: 64_000,
+                    traces_target: 200_000,
+                    wall_ms: 1200,
+                    max_minus_log10_p: 7.3,
+                    worst_label: "kronecker/G7/v1".into(),
+                    ..RunRecord::default()
+                },
                 probes: vec![ProbePoint {
                     label: "kronecker/G7/v1".into(),
                     minus_log10_p: 7.3,
@@ -632,15 +588,15 @@ mod tests {
                 minus_log10_p: 5.2,
                 traces: 32_000,
             },
-            Event::CampaignFinished {
+            Event::CampaignFinished(RunRecord {
                 design: "kronecker".into(),
                 traces: 200_000,
                 wall_ms: 4000,
-                passed: false,
                 max_minus_log10_p: 308.0,
                 leaking: 4,
-                early_stopped: false,
-            },
+                finished: true,
+                ..RunRecord::default()
+            }),
             Event::SimProgress {
                 cycles: 21_875,
                 cell_evals: 10_000_000,
@@ -683,22 +639,22 @@ mod tests {
             Event::RunSummary(RunSummary {
                 tool: "mmaes evaluate".into(),
                 id: "kronecker:de-meyer-eq6".into(),
-                design: "kronecker".into(),
                 schedule: "de-meyer-eq6".into(),
                 model: "glitch".into(),
                 statistic: "gtest".into(),
-                order: 1,
-                traces: 200_000,
-                max_minus_log10_p: 308.0,
-                passed: false,
-                wall_ms: 4000,
-                traces_per_sec: 50_000.0,
-                cell_evals: 10_000_000,
-                interrupted: false,
                 threads: 4,
                 schemas: vec![("snapshot_schema".into(), 1)],
                 degraded: Vec::new(),
                 extra: vec![("leaking".into(), "4".into())],
+                record: RunRecord {
+                    design: "kronecker".into(),
+                    order: 1,
+                    traces: 200_000,
+                    max_minus_log10_p: 308.0,
+                    wall_ms: 4000,
+                    cell_evals: 10_000_000,
+                    ..RunRecord::default()
+                },
             }),
         ];
         for event in &events {
@@ -728,15 +684,18 @@ mod tests {
     fn summary_carries_the_v2_perf_fields() {
         let summary = RunSummary {
             tool: "mmaes evaluate".into(),
-            wall_ms: 1500,
-            traces_per_sec: 42_000.5,
-            cell_evals: 123,
+            record: RunRecord {
+                traces: 63_000,
+                wall_ms: 1500,
+                cell_evals: 123,
+                ..RunRecord::default()
+            },
             ..RunSummary::default()
         };
         let line = summary.to_json_line();
         assert!(line.contains("\"wall_ms\":1500"), "{line}");
         assert!(line.contains("\"elapsed_ms\":1500"), "{line}");
-        assert!(line.contains("\"traces_per_sec\":42000.5"), "{line}");
+        assert!(line.contains("\"traces_per_sec\":42000"), "{line}");
         assert!(line.contains("\"cell_evals\":123"), "{line}");
     }
 
@@ -745,7 +704,10 @@ mod tests {
         let finished = RunSummary::default();
         assert!(finished.to_json_line().contains("\"interrupted\":false"));
         let interrupted = RunSummary {
-            interrupted: true,
+            record: RunRecord {
+                interrupted: true,
+                ..RunRecord::default()
+            },
             ..RunSummary::default()
         };
         assert!(interrupted.to_json_line().contains("\"interrupted\":true"));
@@ -856,6 +818,20 @@ mod tests {
             degraded[0].get("incidents").and_then(|v| v.as_u64()),
             Some(3)
         );
+    }
+
+    #[test]
+    fn campaign_finished_carries_the_v10_rate_and_interrupt_flag() {
+        let line = Event::CampaignFinished(RunRecord {
+            traces: 6_400,
+            wall_ms: 200,
+            interrupted: true,
+            finished: true,
+            ..RunRecord::default()
+        })
+        .to_json_line();
+        assert!(line.contains("\"traces_per_sec\":32000"), "{line}");
+        assert!(line.contains("\"interrupted\":true"), "{line}");
     }
 
     #[test]

@@ -13,11 +13,17 @@
 //!   to leave in place: the disabled (null) observer is a single `Option`
 //!   check and instrumented code is expected to gate any expensive
 //!   snapshot computation on [`Observer::enabled`];
+//! * one [`RunRecord`] per checkpoint and at exit — identity, traces
+//!   against the budget, wall time from the campaign's single
+//!   [`Stopwatch`], the verdict so far, cell evaluations, table bytes
+//!   and the perf snapshot. Every surface (the summary line,
+//!   `status.json`, `/metrics`, the progress line, the HTML report)
+//!   renders that record; throughput and ETA are its methods
+//!   ([`RunRecord::traces_per_sec`], [`RunRecord::eta_seconds`]) and
+//!   are derived nowhere else;
 //! * three bundled [`Sink`]s — [`HumanProgressSink`] (stderr: traces/s,
 //!   ETA, running max `-log10(p)`), [`JsonlSink`] (a replayable run
 //!   record, one JSON object per line), and [`MemorySink`] (tests);
-//! * [`Counter`] / [`Stopwatch`] primitives for monotonic counting and
-//!   wall-clock spans;
 //! * a performance-observability layer ([`perf`]): scoped [`Span`]
 //!   timers, named counters, and fixed-bucket duration histograms in a
 //!   [`PerfRecorder`] carried by the [`Observer`] — near-zero overhead
@@ -44,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod chrome_trace;
-mod counters;
 pub mod degraded;
 mod event;
 pub mod failpoint;
@@ -52,11 +57,12 @@ pub mod json;
 pub mod metrics;
 mod observer;
 pub mod perf;
+mod record;
 mod sink;
 pub mod status;
+mod stopwatch;
 
 pub use chrome_trace::chrome_trace;
-pub use counters::{interval_rate, Counter, Stopwatch};
 pub use degraded::DegradedEntry;
 pub use event::{
     Checkpoint, Event, HealthCheckpoint, ProbeHealth, ProbePoint, RunSummary, EVENT_SCHEMA_VERSION,
@@ -65,5 +71,7 @@ pub use failpoint::Fault;
 pub use metrics::{MetricsRegistry, MetricsServer, MetricsSink};
 pub use observer::Observer;
 pub use perf::{PerfRecorder, PerfSnapshot, PhaseStats, Span};
-pub use sink::{HumanProgressSink, JsonlSink, MemorySink, NullSink, Sink};
+pub use record::RunRecord;
+pub use sink::{HumanProgressSink, JsonlSink, MemorySink, Sink};
 pub use status::{StatusFileSink, StatusModel, STATUS_SCHEMA_VERSION};
+pub use stopwatch::Stopwatch;

@@ -24,7 +24,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::event::Event;
-use crate::perf::{bucket_index, bucket_lower_bound_us, PhaseStats, BUCKET_COUNT};
+use crate::perf::{bucket_lower_bound_us, PhaseStats, BUCKET_COUNT};
+use crate::record::RunRecord;
 use crate::sink::Sink;
 use crate::status::StatusModel;
 
@@ -117,16 +118,6 @@ impl MetricsRegistry {
         registry.gauges.get(&sanitize(name)).copied()
     }
 
-    /// Records one duration observation into a histogram (the perf
-    /// layer's log2-µs buckets).
-    pub fn observe_duration(&self, name: &str, duration: Duration) {
-        let mut registry = self.inner.registry.lock().unwrap();
-        let histogram = registry.histograms.entry(sanitize(name)).or_default();
-        histogram.buckets[bucket_index(duration)] += 1;
-        histogram.count += 1;
-        histogram.sum_us += duration.as_micros();
-    }
-
     /// Folds a frozen perf phase into a histogram named
     /// `{prefix}_{phase}_duration_us` — the bucket layouts are
     /// identical, so the merge is exact.
@@ -139,6 +130,14 @@ impl MetricsRegistry {
         }
         histogram.count += phase.count;
         histogram.sum_us += (phase.total_ns / 1_000) as u128;
+    }
+
+    /// Sets the progress gauges from a run record: traces, throughput
+    /// and the running maximum `-log10(p)`.
+    fn record_gauges(&self, record: &RunRecord) {
+        self.gauge_set("mmaes_traces", record.traces as f64);
+        self.gauge_set("mmaes_traces_per_sec", record.traces_per_sec());
+        self.gauge_set("mmaes_max_minus_log10_p", record.max_minus_log10_p);
     }
 
     /// Publishes the latest status document (served at `/status`).
@@ -230,9 +229,7 @@ impl Sink for MetricsSink {
             }
             Event::CampaignCheckpoint(checkpoint) => {
                 registry.counter_add("mmaes_checkpoints_total", 1);
-                registry.gauge_set("mmaes_traces", checkpoint.traces as f64);
-                registry.gauge_set("mmaes_traces_per_sec", checkpoint.traces_per_sec);
-                registry.gauge_set("mmaes_max_minus_log10_p", checkpoint.max_minus_log10_p);
+                registry.record_gauges(&checkpoint.record);
             }
             Event::ProbeFlagged { .. } => {
                 registry.counter_add("mmaes_probes_flagged_total", 1);
@@ -261,9 +258,10 @@ impl Sink for MetricsSink {
                     health.fresh_bits_per_trace as f64,
                 );
             }
-            Event::CampaignFinished { passed, .. } => {
+            Event::CampaignFinished(record) => {
                 registry.counter_add("mmaes_campaigns_finished_total", 1);
-                registry.gauge_set("mmaes_campaign_passed", if *passed { 1.0 } else { 0.0 });
+                registry.gauge_set("mmaes_campaign_passed", f64::from(u8::from(record.passed)));
+                registry.record_gauges(record);
             }
             Event::PerfSnapshot { snapshot, .. } => {
                 for phase in &snapshot.phases {
@@ -406,10 +404,13 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_cumulative_and_bounded_like_perf() {
+        let recorder = crate::PerfRecorder::enabled();
+        recorder.record_duration("latency", Duration::from_micros(3));
+        recorder.record_duration("latency", Duration::from_micros(3));
+        recorder.record_duration("latency", Duration::from_secs(40));
+        let snapshot = recorder.snapshot().expect("enabled");
         let registry = MetricsRegistry::new();
-        registry.observe_duration("latency", Duration::from_micros(3));
-        registry.observe_duration("latency", Duration::from_micros(3));
-        registry.observe_duration("latency", Duration::from_secs(40));
+        registry.absorb_phase("t", snapshot.phase("latency").expect("recorded"));
         let body = registry.render_prometheus();
         // 3 µs lands in the bucket whose upper bound is the first
         // lower bound above 3; the 40 s outlier only shows at +Inf.
@@ -418,13 +419,16 @@ mod tests {
             .find(|&lower| lower > 3)
             .unwrap();
         assert!(
-            body.contains(&format!("latency_bucket{{le=\"{bound}\"}} 2")),
+            body.contains(&format!("t_latency_duration_us_bucket{{le=\"{bound}\"}} 2")),
             "{body}"
         );
-        assert!(body.contains("latency_bucket{le=\"+Inf\"} 3"), "{body}");
-        assert!(body.contains("latency_count 3"), "{body}");
         assert!(
-            body.contains(&format!("latency_sum {}", 6 + 40_000_000)),
+            body.contains("t_latency_duration_us_bucket{le=\"+Inf\"} 3"),
+            "{body}"
+        );
+        assert!(body.contains("t_latency_duration_us_count 3"), "{body}");
+        assert!(
+            body.contains(&format!("t_latency_duration_us_sum {}", 6 + 40_000_000)),
             "{body}"
         );
     }
@@ -451,12 +455,14 @@ mod tests {
             traces_target: 1000,
         });
         sink.on_event(&Event::CampaignCheckpoint(Checkpoint {
-            traces: 640,
-            traces_target: 1000,
-            elapsed_ms: 5,
-            traces_per_sec: 100.0,
-            max_minus_log10_p: 4.2,
-            worst_label: "g/v1".into(),
+            record: RunRecord {
+                traces: 640,
+                traces_target: 1000,
+                wall_ms: 5,
+                max_minus_log10_p: 4.2,
+                worst_label: "g/v1".into(),
+                ..RunRecord::default()
+            },
             probes: vec![ProbePoint {
                 label: "g/v1".into(),
                 minus_log10_p: 4.2,
@@ -468,6 +474,49 @@ mod tests {
         // The /status document tracks the same checkpoint.
         let status = crate::json::parse(&registry.status()).expect("status parses");
         assert_eq!(status.get("traces").and_then(|v| v.as_u64()), Some(640));
+    }
+
+    #[test]
+    fn progress_gauges_are_exported_without_checkpoints() {
+        // `--checkpoints 0`: the campaign goes straight from started to
+        // finished, and the final record alone must set the gauges.
+        let registry = MetricsRegistry::new();
+        let mut sink = MetricsSink::new(registry.clone(), 1);
+        sink.on_event(&Event::CampaignStarted {
+            design: "g".into(),
+            model: "glitch".into(),
+            order: 1,
+            probe_sets: 3,
+            traces_target: 64_000,
+        });
+        let record = RunRecord {
+            design: "g".into(),
+            traces: 64_000,
+            traces_target: 64_000,
+            wall_ms: 31,
+            max_minus_log10_p: 25.7328,
+            leaking: 2,
+            finished: true,
+            ..RunRecord::default()
+        };
+        sink.on_event(&Event::CampaignFinished(record.clone()));
+        assert_eq!(registry.counter("mmaes_checkpoints_total"), 0);
+        assert_eq!(registry.gauge("mmaes_traces"), Some(64_000.0));
+        assert_eq!(
+            registry.gauge("mmaes_traces_per_sec"),
+            Some(record.traces_per_sec())
+        );
+        assert_eq!(registry.gauge("mmaes_max_minus_log10_p"), Some(25.7328));
+        let body = registry.render_prometheus();
+        assert!(body.contains("mmaes_traces 64000\n"), "{body}");
+        assert!(
+            body.contains(&format!(
+                "mmaes_traces_per_sec {}\n",
+                format_value(record.traces_per_sec())
+            )),
+            "{body}"
+        );
+        assert!(body.contains("mmaes_max_minus_log10_p 25.7328\n"), "{body}");
     }
 
     #[test]

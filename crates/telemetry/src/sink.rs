@@ -21,15 +21,6 @@ pub trait Sink: Send {
     fn flush(&mut self) {}
 }
 
-/// Discards everything. The zero-cost default — an [`crate::Observer`]
-/// with no sinks never even constructs events.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn on_event(&mut self, _event: &Event) {}
-}
-
 /// Writes one JSON object per line — a replayable run record
 /// (`--metrics FILE.jsonl`).
 ///
@@ -122,12 +113,6 @@ impl HumanProgressSink {
         }
     }
 
-    /// Overrides the checkpoint throttle interval.
-    pub fn with_min_interval(mut self, interval: Duration) -> Self {
-        self.min_interval = interval;
-        self
-    }
-
     fn throttled(&mut self) -> bool {
         let now = Instant::now();
         if let Some(last) = self.last_line {
@@ -163,21 +148,22 @@ impl Sink for HumanProgressSink {
                 if self.throttled() {
                     return;
                 }
-                let remaining = checkpoint.traces_target.saturating_sub(checkpoint.traces);
-                let eta = if checkpoint.traces_per_sec > 0.0 {
-                    format!("{:.0}s", remaining as f64 / checkpoint.traces_per_sec)
+                let record = &checkpoint.record;
+                let eta = record.eta_seconds();
+                let eta = if eta.is_finite() {
+                    format!("{eta:.0}s")
                 } else {
                     "?".to_owned()
                 };
                 eprintln!(
                     "[{:>3.0}%] {} traces  {:>8.0} traces/s  eta {}  \
                      max -log10(p) {:.2} ({})",
-                    100.0 * checkpoint.traces as f64 / checkpoint.traces_target.max(1) as f64,
-                    checkpoint.traces,
-                    checkpoint.traces_per_sec,
+                    100.0 * record.traces as f64 / record.traces_target.max(1) as f64,
+                    record.traces,
+                    record.traces_per_sec(),
                     eta,
-                    checkpoint.max_minus_log10_p,
-                    checkpoint.worst_label,
+                    record.max_minus_log10_p,
+                    record.worst_label,
                 );
             }
             Event::ProbeFlagged {
@@ -188,26 +174,27 @@ impl Sink for HumanProgressSink {
                 "[flag] {label} crossed the threshold at {traces} traces \
                  (-log10(p) = {minus_log10_p:.2})"
             ),
-            Event::CampaignFinished {
-                design,
-                traces,
-                wall_ms,
-                passed,
-                max_minus_log10_p,
-                leaking,
-                early_stopped,
-            } => {
-                let verdict = if *passed {
+            Event::CampaignFinished(record) => {
+                let verdict = if record.interrupted {
+                    "interrupted, partial statistics"
+                } else if record.passed {
                     "no leakage detected"
                 } else {
                     "LEAKAGE"
                 };
-                let stop = if *early_stopped { ", early stop" } else { "" };
+                let stop = if record.early_stopped {
+                    ", early stop"
+                } else {
+                    ""
+                };
                 eprintln!(
-                    "[done] {design}: {verdict} — {leaking} leaking sets, \
-                     max -log10(p) {max_minus_log10_p:.2}, {traces} traces \
-                     in {:.1}s{stop}",
-                    *wall_ms as f64 / 1000.0,
+                    "[done] {}: {verdict} — {} leaking sets, \
+                     max -log10(p) {:.2}, {} traces in {:.1}s{stop}",
+                    record.design,
+                    record.leaking,
+                    record.max_minus_log10_p,
+                    record.traces,
+                    record.wall_ms as f64 / 1000.0,
                 );
             }
             Event::SimProgress { .. } => {}

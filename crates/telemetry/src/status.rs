@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 
 use crate::event::{Event, HealthCheckpoint, EVENT_SCHEMA_VERSION};
 use crate::json::{array, number, JsonObject};
-use crate::perf::PerfSnapshot;
+use crate::record::RunRecord;
 
 /// Version of the `--status-file` document. Independent of the event
 /// schema: the status file is a point-in-time projection, not a log.
@@ -42,29 +42,16 @@ struct TrackedProbe {
 /// the model starts empty and fills in whatever the stream provides.
 #[derive(Debug, Default)]
 pub struct StatusModel {
-    design: String,
-    model: String,
-    order: u64,
-    probe_sets: u64,
-    traces_target: u64,
-    traces: u64,
-    max_minus_log10_p: f64,
-    worst_label: String,
+    /// The latest run record: identity, progress, verdict and every
+    /// wall-clock figure the document shows.
+    record: RunRecord,
     /// The latest checkpoint's probe cut, in checkpoint order.
     top: Vec<(String, TrackedProbe)>,
     /// Accumulated `(traces, -log10(p))` trajectories per label.
     trajectories: BTreeMap<String, Vec<(u64, f64)>>,
     health: Option<HealthCheckpoint>,
-    finished: bool,
-    passed: bool,
-    early_stopped: bool,
-    interrupted: bool,
-    leaking: u64,
-    // Wall-clock-dependent fields, rendered under `runtime` only.
+    /// Worker threads of the producing run, rendered under `runtime`.
     threads: u64,
-    elapsed_ms: u64,
-    traces_per_sec: f64,
-    perf: Option<PerfSnapshot>,
 }
 
 impl StatusModel {
@@ -90,21 +77,18 @@ impl StatusModel {
                 probe_sets,
                 traces_target,
             } => {
-                self.design = design.clone();
-                self.model = model.clone();
-                self.order = *order as u64;
-                self.probe_sets = *probe_sets as u64;
-                self.traces_target = *traces_target;
-                self.finished = false;
+                self.record = RunRecord {
+                    design: design.clone(),
+                    model: model.clone(),
+                    order: *order,
+                    probe_sets: *probe_sets,
+                    traces_target: *traces_target,
+                    ..RunRecord::default()
+                };
                 true
             }
             Event::CampaignCheckpoint(checkpoint) => {
-                self.traces = checkpoint.traces;
-                self.traces_target = checkpoint.traces_target;
-                self.elapsed_ms = checkpoint.elapsed_ms;
-                self.traces_per_sec = checkpoint.traces_per_sec;
-                self.max_minus_log10_p = checkpoint.max_minus_log10_p;
-                self.worst_label = checkpoint.worst_label.clone();
+                self.record = checkpoint.record.clone();
                 self.top = checkpoint
                     .probes
                     .iter()
@@ -127,48 +111,20 @@ impl StatusModel {
                     self.trajectories
                         .entry(probe.label.clone())
                         .or_default()
-                        .push((checkpoint.traces, probe.minus_log10_p));
+                        .push((checkpoint.record.traces, probe.minus_log10_p));
                 }
                 // The paired health event follows and triggers the
                 // write; checkpoints alone persist too in case the
                 // producer has health computation disabled.
                 true
             }
-            Event::Health(health) => {
+            Event::Health(health) | Event::HealthSummary(health) => {
                 self.health = Some(health.clone());
-                self.traces = health.traces;
                 true
             }
-            Event::HealthSummary(health) => {
-                self.health = Some(health.clone());
-                self.traces = health.traces;
+            Event::CampaignFinished(record) => {
+                self.record = record.clone();
                 true
-            }
-            Event::CampaignFinished {
-                traces,
-                wall_ms,
-                passed,
-                max_minus_log10_p,
-                leaking,
-                early_stopped,
-                ..
-            } => {
-                self.finished = true;
-                self.traces = *traces;
-                self.elapsed_ms = *wall_ms;
-                self.passed = *passed;
-                self.max_minus_log10_p = *max_minus_log10_p;
-                self.leaking = *leaking as u64;
-                self.early_stopped = *early_stopped;
-                true
-            }
-            Event::PerfSnapshot { snapshot, .. } => {
-                self.perf = Some(snapshot.clone());
-                false
-            }
-            Event::RunSummary(summary) => {
-                self.interrupted = summary.interrupted;
-                summary.interrupted
             }
             _ => false,
         }
@@ -195,36 +151,32 @@ impl StatusModel {
                 .raw("trajectory", &trajectory)
                 .finish()
         }));
-        let eta_seconds = if self.traces_per_sec > 0.0 && !self.finished {
-            self.traces_target.saturating_sub(self.traces) as f64 / self.traces_per_sec
-        } else {
-            f64::INFINITY // renders as null: no rate measured yet
-        };
+        let record = &self.record;
         let mut runtime = JsonObject::new()
             .unsigned("threads", self.threads)
-            .unsigned("elapsed_ms", self.elapsed_ms)
-            .float("traces_per_sec", self.traces_per_sec)
-            .float("eta_seconds", eta_seconds);
-        if let Some(perf) = &self.perf {
+            .unsigned("elapsed_ms", record.wall_ms)
+            .float("traces_per_sec", record.traces_per_sec())
+            .float("eta_seconds", record.eta_seconds());
+        if let Some(perf) = &record.perf {
             runtime = runtime.raw("utilization", &perf.fill_json(JsonObject::new()).finish());
         }
         let mut object = JsonObject::new()
             .string("type", "status")
             .unsigned("status_schema", STATUS_SCHEMA_VERSION)
             .unsigned("event_schema", EVENT_SCHEMA_VERSION)
-            .string("design", &self.design)
-            .string("model", &self.model)
-            .unsigned("order", self.order)
-            .unsigned("probe_sets", self.probe_sets)
-            .unsigned("traces", self.traces)
-            .unsigned("traces_target", self.traces_target)
-            .boolean("finished", self.finished)
-            .boolean("passed", self.passed)
-            .boolean("early_stopped", self.early_stopped)
-            .boolean("interrupted", self.interrupted)
-            .unsigned("leaking", self.leaking)
-            .float("max_minus_log10_p", self.max_minus_log10_p)
-            .string("worst_label", &self.worst_label)
+            .string("design", &record.design)
+            .string("model", &record.model)
+            .unsigned("order", record.order as u64)
+            .unsigned("probe_sets", record.probe_sets as u64)
+            .unsigned("traces", record.traces)
+            .unsigned("traces_target", record.traces_target)
+            .boolean("finished", record.finished)
+            .boolean("passed", record.passed)
+            .boolean("early_stopped", record.early_stopped)
+            .boolean("interrupted", record.interrupted)
+            .unsigned("leaking", record.leaking as u64)
+            .float("max_minus_log10_p", record.max_minus_log10_p)
+            .string("worst_label", &record.worst_label)
             .raw("top", &top)
             // Fault containment (event schema v7): subsystems that
             // exhausted their write-retry budget and fell back to
@@ -326,12 +278,14 @@ mod tests {
 
     fn checkpoint(traces: u64, value: f64) -> Event {
         Event::CampaignCheckpoint(Checkpoint {
-            traces,
-            traces_target: 1000,
-            elapsed_ms: 17,
-            traces_per_sec: 123.4,
-            max_minus_log10_p: value,
-            worst_label: "g/v1".into(),
+            record: RunRecord {
+                traces,
+                traces_target: 1000,
+                wall_ms: 17,
+                max_minus_log10_p: value,
+                worst_label: "g/v1".into(),
+                ..RunRecord::default()
+            },
             probes: vec![ProbePoint {
                 label: "g/v1".into(),
                 minus_log10_p: value,
@@ -420,15 +374,15 @@ mod tests {
         sink.on_event(&checkpoint(500, 3.0));
         let first = fs::read_to_string(&path).expect("status written");
         crate::json::parse(first.trim()).expect("first write parses");
-        sink.on_event(&Event::CampaignFinished {
+        sink.on_event(&Event::CampaignFinished(RunRecord {
             design: "g".into(),
             traces: 1000,
             wall_ms: 99,
-            passed: false,
             max_minus_log10_p: 6.0,
             leaking: 1,
-            early_stopped: false,
-        });
+            finished: true,
+            ..RunRecord::default()
+        }));
         let last = fs::read_to_string(&path).expect("status rewritten");
         let parsed = crate::json::parse(last.trim()).expect("final write parses");
         assert_eq!(parsed.get("finished").and_then(|v| v.as_bool()), Some(true));
@@ -507,12 +461,14 @@ mod tests {
                 })
                 .collect();
             model.absorb(&Event::CampaignCheckpoint(Checkpoint {
-                traces: 100 * (wave + 1),
-                traces_target: 1000,
-                elapsed_ms: 1,
-                traces_per_sec: 1.0,
-                max_minus_log10_p: 1.0,
-                worst_label: "g/v0".into(),
+                record: RunRecord {
+                    traces: 100 * (wave + 1),
+                    traces_target: 1000,
+                    wall_ms: 1,
+                    max_minus_log10_p: 1.0,
+                    worst_label: "g/v0".into(),
+                    ..RunRecord::default()
+                },
                 probes,
             }));
         }
