@@ -252,3 +252,33 @@ fn surfaces_agree_on_an_interrupted_run() {
     assert!(record.interrupted);
     assert_eq!(record.traces, 500 * 64);
 }
+
+#[test]
+fn a_resumed_leg_rates_only_the_traces_it_ran() {
+    let path = std::env::temp_dir().join(format!(
+        "mmaes-surfaces-{}-resumed.snapshot",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let mut first_leg = config(4);
+    first_leg.durability.snapshot_path = Some(path.clone());
+    first_leg.durability.stop_after_batches = Some(100);
+    let circuit = build_kronecker(&KroneckerRandomness::de_meyer_eq6()).expect("valid netlist");
+    let (interrupted, _, _) = FixedVsRandom::new(&circuit.netlist, first_leg)
+        .try_run_recorded(false)
+        .expect("first leg runs");
+    assert!(interrupted.interrupted && interrupted.traces == 6_400);
+
+    let mut resumed = config(4);
+    resumed.durability.snapshot_path = Some(path.clone());
+    resumed.durability.resume = true;
+    let record = assert_surfaces_agree("resumed", resumed);
+    let _ = std::fs::remove_file(&path);
+    // The record covers the whole budget, but this leg's stopwatch
+    // timed only the 57,600 traces after the snapshot: every surface's
+    // rate must be those over its wall.
+    assert_eq!(record.traces, 64_000);
+    assert!(record.wall_ms > 0, "a measurable leg");
+    let leg_rate = (64_000 - 6_400) as f64 * 1000.0 / record.wall_ms as f64;
+    assert_eq!(printed(record.traces_per_sec()), printed(leg_rate));
+}

@@ -15,7 +15,7 @@
 //! This module holds the configuration surface (re-exported from
 //! [`crate::config`]), the [`FixedVsRandom`] builder API and the report
 //! assembly; the staged scheduler that actually runs the campaign lives
-//! in [`crate::engine`].
+//! in `engine.rs`.
 
 use mmaes_netlist::{Netlist, SecretId, StableCones, WireId};
 use mmaes_sim::LANES;
@@ -416,6 +416,7 @@ impl<'a> FixedVsRandom<'a> {
             batches,
             checkpoint_every,
             prior_cell_evals,
+            prior_batches: state.batches_done,
             fresh_bits_per_trace,
         };
         let run_result = engine.run(&context, &mut state);
@@ -518,9 +519,8 @@ impl<'a> FixedVsRandom<'a> {
         drop(final_sweep);
 
         let cell_evals = prior_cell_evals + state.folded.cell_evals;
-        // Actual resident table bytes (exact for dense stores, a
-        // per-entry estimate for hashed ones) — deterministic, so it
-        // survives the byte-identity contract.
+        // Resident table bytes from the tables' logical content —
+        // deterministic, so it survives the byte-identity contract.
         let table_bytes: u64 = state.tables.iter().map(Table::resident_bytes).sum();
         if perf.is_enabled() {
             perf.add("traces", traces);
@@ -585,8 +585,9 @@ impl<'a> FixedVsRandom<'a> {
             )));
             self.observer.emit(&Event::CampaignFinished(record.clone()));
         }
-        // Each table is dropped as soon as its columns are collected, so
-        // the hand-back never holds a second copy of every table.
+        // A sorted table hands over its column vector, and a flat one is
+        // dropped as soon as its columns are collected, so the hand-back
+        // never holds a second copy of every table.
         let tables = if !keep_tables {
             Vec::new()
         } else {
@@ -596,9 +597,9 @@ impl<'a> FixedVsRandom<'a> {
                 .map(|(set, table)| ProbeTable {
                     label: set.label.clone(),
                     set: set.clone(),
-                    columns: table.columns().collect(),
                     overflow: table.overflow(),
                     samples: table.samples(),
+                    columns: table.into_columns(),
                 })
                 .collect()
         };
@@ -1055,7 +1056,7 @@ mod tests {
     #[test]
     fn sharded_overflow_tables_match_single_threaded() {
         let _failpoints = no_failpoints();
-        // With a one-key cap every table overflows. The hashed store
+        // With a one-key cap every table overflows. A sorted table
         // keeps the smallest key whatever order the shards finish in,
         // so the overflowing tables match too.
         let netlist = blatantly_leaky();

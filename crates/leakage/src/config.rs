@@ -2,7 +2,7 @@
 //! durability guarantees.
 //!
 //! Split out of `campaign.rs` so the builder API, the staged engine
-//! ([`crate::engine`]) and the CLI all share one configuration surface.
+//! (`engine.rs`) and the CLI all share one configuration surface.
 
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
@@ -137,11 +137,11 @@ pub struct EvaluationConfig {
     /// resumes fine on 1 thread.
     pub threads: usize,
     /// Which contingency-table store the campaign uses. Campaigns run
-    /// [`TabulatorMode::Dense`] (the default): per probing set, a
-    /// direct-indexed table whenever the set's full key space fits
-    /// `max_table_keys` (see
-    /// [`crate::probe::ProbeSet::dense_index_width`]), the hashed store
-    /// otherwise. [`TabulatorMode::Hashed`] forces the hashed store on
+    /// [`TabulatorMode::Dense`] (the default): per probing set, a dense
+    /// table whenever the set's full key space fits `max_table_keys`
+    /// (see [`crate::probe::ProbeSet::dense_index_width`]), a sorted
+    /// table capped at `max_table_keys` otherwise.
+    /// [`TabulatorMode::Hashed`] forces the capped sorted table on
     /// every set; it is not a user option, only the hook of the
     /// campaign-level differential suites (`tabulator_differential.rs`,
     /// `fault_containment.rs`). Both give byte-identical reports and

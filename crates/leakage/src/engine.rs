@@ -11,14 +11,17 @@
 //! Within a window, workers claim chunks of batches from a shared
 //! counter, simulate each batch under supervision and absorb its
 //! observations into their tables: narrow dense tables take bit-planes
-//! (counted by minterm), wider dense tables packed `u32` indices,
-//! hashed tables `u128` keys. Both stores absorb
-//! commutatively (a hashed table keeps the cap smallest keys it has
-//! seen, see [`crate::tabulate`]), so the order in which batches finish
-//! cannot change a table. At one thread the worker runs on the calling
-//! thread and absorbs straight into the campaign's tables; at more
-//! threads each worker owns shard tables, merged at the end of the
-//! window. Every window end funnels through [`Engine::after_batch`] —
+//! (counted by minterm), wider dense tables packed `u32` indices, the
+//! remaining sets `u128` keys. Both layouts absorb commutatively (a
+//! capped sorted table keeps the cap smallest keys it has seen, see
+//! [`crate::tabulate`]), so the order in which batches finish cannot
+//! change a table. At one thread the worker runs on the calling thread
+//! and absorbs straight into the campaign's tables; at more threads
+//! each worker owns shard tables, merged at the end of the window.
+//! Either way the worker settles the tables it wrote before the window
+//! ends, so every reader after it — checkpoint, snapshot, emergency
+//! flush, final sweep — walks settled tables. Every window end funnels
+//! through [`Engine::after_batch`] —
 //! the single checkpoint / health / snapshot / early-stop / interrupt
 //! decision point — which then sees the same `batches_done` and the
 //! same tables at every thread count. That is what makes reports,
@@ -121,18 +124,20 @@ impl RngCore for BufferedRng {
 }
 
 /// Builds the contingency table for one probing set under the
-/// configured [`TabulatorMode`]: a dense direct-indexed table when the
-/// set's full key space fits the cap (it then cannot overflow), laid
-/// out for the campaign's trace budget, and the hashed store, capped at
-/// `max_table_keys`, otherwise.
+/// configured [`TabulatorMode`]: a dense table when the set's full key
+/// space fits the cap (it then cannot overflow), laid out for the
+/// campaign's trace budget, and a sorted table capped at
+/// `max_table_keys` otherwise.
 pub(crate) fn make_table(set: &ProbeSet, config: &EvaluationConfig) -> Table {
     let cap = config.max_table_keys;
+    let sorted = || Table::sorted(set.observation_bits(config.model), cap);
     match config.tabulator {
-        TabulatorMode::Dense => set.dense_index_width(config.model, cap).map_or_else(
-            || Table::hashed(cap),
-            |width| Table::dense_for_traces(width, config.traces),
-        ),
-        TabulatorMode::Hashed => Table::hashed(cap),
+        TabulatorMode::Dense => set
+            .dense_index_width(config.model, cap)
+            .map_or_else(sorted, |width| {
+                Table::dense_for_traces(width, config.traces)
+            }),
+        TabulatorMode::Hashed => sorted(),
     }
 }
 
@@ -222,6 +227,9 @@ pub(crate) struct FoldContext<'a> {
     pub(crate) batches: u64,
     pub(crate) checkpoint_every: u64,
     pub(crate) prior_cell_evals: u64,
+    /// Batches restored from a snapshot: counted in `batches_done`, but
+    /// not run under this leg's stopwatch.
+    pub(crate) prior_batches: u64,
     /// Fresh randomness the input driver draws per trace, in bits —
     /// the health layer's randomness-consumption accounting.
     pub(crate) fresh_bits_per_trace: u64,
@@ -238,7 +246,8 @@ enum Lanes {
     /// Packed indices for a wider dense table
     /// ([`ProbeSet::observation_indices`]).
     Indices([u32; LANES]),
-    /// Observation keys for a hashed table ([`ProbeSet::observation_keys`]).
+    /// Observation keys for a set too wide to be dense
+    /// ([`ProbeSet::observation_keys`]).
     Keys(Box<[u128; LANES]>),
 }
 
@@ -319,6 +328,7 @@ impl<'a> Engine<'a> {
             order: self.config.order,
             probe_sets: self.probe_sets.len(),
             traces,
+            resumed_traces: context.prior_batches * LANES as u64,
             traces_target: context.batches * LANES as u64,
             wall_ms: context.watch.elapsed_ms(),
             early_stopped: state.early_stopped,
@@ -536,7 +546,8 @@ impl<'a> Engine<'a> {
     /// (or turns fatal), so the absorbed batches are exactly the
     /// contiguous range below the claim counter. Stops claiming once
     /// the window is exhausted, another worker's batch turned fatal, or
-    /// the interrupt flag is raised. Returns the simulator work it
+    /// the interrupt flag is raised, and then settles `tables`, in
+    /// parallel with the other workers. Returns the simulator work it
     /// absorbed and its fatal fault, if any.
     #[allow(clippy::too_many_arguments)]
     fn work(
@@ -551,7 +562,8 @@ impl<'a> Engine<'a> {
     ) -> (SimStats, Option<CampaignError>) {
         let interrupt = &self.config.durability.interrupt;
         let mut absorbed = SimStats::default();
-        while !window.stop.load(Ordering::Acquire) {
+        let mut fault = None;
+        'claims: while !window.stop.load(Ordering::Acquire) {
             let chunk = window.next.fetch_add(window.chunk, Ordering::Relaxed);
             if chunk >= window.end {
                 break;
@@ -564,7 +576,8 @@ impl<'a> Engine<'a> {
                     Ok(outcome) => outcome,
                     Err(error) => {
                         window.stop.store(true, Ordering::Release);
-                        return (absorbed, Some(error));
+                        fault = Some(error);
+                        break 'claims;
                     }
                 };
                 let _span = perf.span("tabulate");
@@ -586,7 +599,9 @@ impl<'a> Engine<'a> {
                 break;
             }
         }
-        (absorbed, None)
+        let _span = perf.span("tabulate");
+        tables.iter_mut().for_each(Table::settle);
+        (absorbed, fault)
     }
 
     /// Runs one batch under supervision, retrying in place: a faulted

@@ -158,7 +158,7 @@ impl ProbeSet {
     /// sets: packs each lane's observation into a `u32` index using the
     /// *same* bit layout, so the index is bit-for-bit the zero-extended
     /// `u128` key — which is why a dense table's walk in index order
-    /// serializes in the exact sorted-key order the hashed store emits. The
+    /// serializes in the exact sorted-key order a sorted table holds. The
     /// [`ProbeSet::observation_planes`] are transposed into indices
     /// whole. Only called for sets whose
     /// [`ProbeSet::dense_index_width`] fits `u32`, so no overflow-mix arm

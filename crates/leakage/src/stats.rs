@@ -1281,7 +1281,7 @@ mod tests {
             use crate::tabulate::Table;
             let mask = (1u128 << width) - 1;
             let mut dense = Table::dense(width);
-            let mut hashed = Table::hashed(cap);
+            let mut hashed = Table::sorted(width, cap);
             for &(key, count, random) in &raw {
                 let mut cell = [0, 0];
                 cell[usize::from(random)] = count;

@@ -1,75 +1,60 @@
 //! Contingency-table tabulation engines (DESIGN.md §5a).
 //!
 //! A fixed-vs-random campaign spends most of its time turning
-//! observations into contingency-table counts. This module provides two
-//! table stores behind one [`Table`] type:
+//! observations into contingency-table counts, kept in one [`Table`]
+//! type with two layouts:
 //!
-//! * **Dense** — cells indexed by the packed observation key. Selected
-//!   per probing set when the set's exact key-space width fits
-//!   (`2^width ≤ max_table_keys`, width ≤ [`MAX_DENSE_WIDTH`]):
-//!   absorption needs no key comparison, no sorting and no per-batch
-//!   allocation, and the table can never overflow its cap. A dense
-//!   table has one of two layouts, chosen once from the campaign's trace
-//!   budget (`Table::dense_for_traces`). It is **flat**, a
-//!   `Vec<[u64; 2]>` of every cell, when the key space holds at most
-//!   [`DENSE_CELLS_PER_TRACE`] cells per trace the table can receive;
-//!   otherwise it is **mapped**, a hash map from `u32` index to cell
-//!   holding only the cells seen, since a budget of `n` traces can fill
-//!   at most `n` of them.
-//! * **Hashed** — a `HashMap<u128, [u64; 2]>` for sets wider than the
-//!   dense rule admits. It keeps at most `cap` keys: the **`cap`
-//!   smallest keys it has seen**, by key value, with every other key's
-//!   counts pooled into one overflow bucket. An arriving key larger than every retained key
-//!   of a full table goes to overflow; a smaller one evicts the largest
-//!   retained key, whose counts move to overflow. A key in the `cap`
-//!   smallest is therefore never pooled, and any other key ends up
-//!   pooled, so the final state depends only on the multiset of
-//!   observations — not on arrival order, batching or sharding.
+//! * **Flat** — every cell of a dense key space, a `Vec<[u64; 2]>`
+//!   indexed by the packed observation key. A set's key space is dense
+//!   when its exact width fits (`2^width ≤ max_table_keys`, width ≤
+//!   [`MAX_DENSE_WIDTH`]), and flat when it also holds at most
+//!   [`DENSE_CELLS_PER_TRACE`] cells per trace the table can receive
+//!   (`Table::dense_for_traces`): absorption is an array add.
+//! * **Sorted** — the columns seen, as a key-sorted
+//!   `Vec<(u128, [u64; 2])>`, plus an append-only log of the lanes
+//!   absorbed since the table was last settled; for every other set.
+//!   Absorbing a batch appends its keys to the log, and
+//!   [`Table::settle`] sorts the log, run-length counts it and merges it
+//!   into the columns in one linear pass.
 //!
-//! Both hash maps use `KeyHash`, a fixed multiplicative hash: keys are
-//! simulated observations, not attacker input, so a keyed SipHash buys
-//! nothing and costs most of a probe. The one outside source of keys is
-//! a snapshot being resumed; a crafted one could make its own resume
-//! slow, never its counts wrong.
+//! A sorted table keeps at most `cap` keys: the **`cap` smallest keys it
+//! has seen**, by key value, with every other key's counts pooled into
+//! one overflow bucket. Settling applies the rule by truncation, which
+//! is exact: a key outside the `cap` smallest of a set of keys stays
+//! outside for every superset, so the final state depends only on the
+//! multiset of observations — not on arrival order, settle points or
+//! sharding. On a dense key space `cap = 2^width`: the table never
+//! overflows and stays a dense table ([`Table::is_dense`]). The log is
+//! bounded without a knob: a batch that would take it past
+//! `max(columns, LOG_FLOOR)` entries settles it first, so each settle
+//! sorts about as many lanes as its merge rewrites columns, which keeps
+//! a campaign without checkpoints amortised `O(n log n)` and within
+//! about twice its columns of memory.
 //!
-//! A dense table absorbs a batch in one of two forms, picked by width.
-//! Sets at most [`MAX_MINTERM_WIDTH`] bits wide hand over the
-//! observation's bit-planes ([`Table::absorb_planes`]): a shared AND tree
+//! Batches arrive in one of three forms, picked by the set's width.
+//! Dense sets at most [`MAX_MINTERM_WIDTH`] bits wide (always flat) hand
+//! over bit-planes ([`Table::absorb_planes`]): a shared AND tree
 //! ([`for_each_minterm`]) splits the 64 lanes by key, and each cell grows
-//! by two popcounts, so no lane is visited. Such tables are always flat.
-//! Wider dense sets hand over per-lane `u32` indices, built by two 32×32
-//! bit-matrix transposes of the planes ([`Table::absorb_indices`]),
-//! which pick the layout once per batch. Hashed tables take per-lane
-//! `u128` keys ([`Table::absorb_keys`]). All three forms count exactly
-//! the same cells, since a minterm's popcount is the number of lanes
-//! whose packed key is that minterm's key.
+//! by two popcounts. Wider dense sets hand over per-lane `u32` indices,
+//! built by two 32×32 bit-matrix transposes of the planes
+//! ([`Table::absorb_indices`]); the rest, per-lane `u128` keys
+//! ([`Table::absorb_keys`]). All three count the same cells, and both
+//! layouts absorb **commutatively**, so workers absorb into their own
+//! shard tables and [`Table::merge_from`] folds them under the same rule.
 //!
-//! Both stores absorb **commutatively**, which is what lets the campaign
-//! engine run one windowed driver: workers absorb into their own shard
-//! tables and [`Table::merge_from`] folds them under the same rule.
-//!
-//! Byte-identity across the two stores is structural, not statistical:
-//! a dense-eligible set has at most `2^width ≤ max_table_keys` distinct
-//! keys, so the hashed store never overflows on it either, and because
-//! keys are packed with bit `i` of the observation at key bit `i`, the
-//! dense index order *is* the sorted-u128-key order the hashed store
-//! serializes in. Same cells, same order, same bytes — in either dense
-//! layout.
+//! Byte-identity across the layouts is structural: a dense-eligible set
+//! never overflows, and keys are packed with bit `i` of the observation
+//! at key bit `i`, so flat index order *is* sorted-key order. Same
+//! cells, same order, same bytes.
 //!
 //! Readers never copy a table: [`Table::columns`] walks it in place, in
-//! key order, and the statistic sweeps, the snapshot encoder and the
-//! final hand-back all consume that walk. A dense table keeps an
-//! occupancy bitmap, one bit per key, which every writer sets exactly
-//! when a cell becomes non-zero, so the walk reads one bitmap word per
-//! 64 keys and then only the occupied cells (`trailing_zeros`), from the
-//! flat array or the map: a wide table holding few keys is cheap to
-//! read. A hashed table memoizes its sorted entries until the next
-//! absorption, so a checkpoint's statistic sweep, its snapshot and the
-//! final report share one sort.
-
-use std::cell::OnceCell;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasher, Hasher};
+//! key order, for the statistic sweeps, the snapshot encoder and the
+//! final hand-back. A flat table's walk reads its occupancy bitmap, set
+//! by every writer exactly when a cell becomes non-zero, one word per
+//! 64 keys and then only the occupied cells; a sorted table's walk is a
+//! slice. A sorted table must be settled before it is read: the campaign
+//! engine settles every table at each window end, and reading one with
+//! unsettled lanes panics.
 
 use mmaes_sim::LANES;
 
@@ -89,42 +74,43 @@ pub const MAX_MINTERM_WIDTH: usize = 6;
 /// Cells per receivable trace up to which a dense table is flat
 /// (`Table::dense_for_traces`): a `2^width`-key table stays a flat
 /// array while `2^width ≤ DENSE_CELLS_PER_TRACE · traces`, and keeps
-/// only its seen cells in a map beyond that. At 4, every table of E2's
+/// only its seen cells, sorted, beyond that. At 4, every table of E2's
 /// paper and default budgets stays flat, while the sparse 16–20-bit
-/// tables of a short glitch+transition run become maps. DESIGN.md §5a
+/// tables of a short glitch+transition run are sorted. DESIGN.md §5a
 /// records the factors 2, 4 and 8 that chose it.
 pub const DENSE_CELLS_PER_TRACE: u64 = 4;
 
-/// Fixed per-table bookkeeping bytes (struct header, overflow, memo
-/// slot) counted by [`Table::resident_bytes`].
+/// Log entries a sorted table may hold whatever its column count: a
+/// batch that would take the log past `max(columns, LOG_FLOOR)` settles
+/// it first. 4,096 packed lanes are 32 KiB, a sort that stays in cache,
+/// and 64 batches, more than a checkpoint window of a short campaign.
+const LOG_FLOOR: usize = 4096;
+
+/// Fixed per-table bookkeeping bytes (struct header, overflow, log
+/// header) counted by [`Table::resident_bytes`].
 const TABLE_OVERHEAD_BYTES: u64 = 48;
 
-/// Bytes per flat dense cell: one `[u64; 2]`.
+/// Bytes per flat cell: one `[u64; 2]`.
 const DENSE_CELL_BYTES: u64 = 16;
 
-/// Estimated resident bytes per mapped dense entry: 24 bytes of payload
-/// (`u32` index + `[u64; 2]` cell, aligned) plus hash-table bucket
-/// overhead, at the same 1.5× as [`HASHED_ENTRY_BYTES`].
-const MAPPED_ENTRY_BYTES: u64 = 36;
-
-/// Estimated resident bytes per hashed entry: 32 bytes of payload
-/// (`u128` key + `[u64; 2]` cell) plus hash-table bucket overhead.
-const HASHED_ENTRY_BYTES: u64 = 48;
+/// Bytes per sorted column: a `u128` key and a `[u64; 2]` cell.
+const SORTED_COLUMN_BYTES: u64 = 32;
 
 /// Which contingency-table store a campaign uses.
 ///
 /// Not a user option: campaigns run [`TabulatorMode::Dense`], and
 /// `Hashed` is the hook the campaign-level differential suites use to
-/// force the sparse store on every probing set. Both produce
-/// byte-identical reports, CSVs, trajectories and snapshots whenever no
-/// table overflows its cap.
+/// force the sorted store, with the cap of a set too wide to be dense,
+/// on every probing set. Both produce byte-identical reports, CSVs,
+/// trajectories and snapshots whenever no table overflows its cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TabulatorMode {
-    /// Direct-indexed flat tables for every set that fits the selection
-    /// rule, the hashed store for the rest. The default.
+    /// Dense tables (flat or sorted by the trace budget) for every set
+    /// that fits the selection rule, capped sorted tables for the rest.
+    /// The default.
     #[default]
     Dense,
-    /// The hashed store for every set.
+    /// Capped sorted tables for every set.
     Hashed,
 }
 
@@ -138,112 +124,28 @@ impl TabulatorMode {
     }
 }
 
-/// The tables' hash: a fixed folded multiply (the 128-bit product of
-/// the key's two halves, each xored with a constant, with its halves
-/// xored together), so every key bit reaches both the low bits that
-/// pick a bucket and the high bits that tag it.
-#[derive(Debug, Clone, Copy, Default)]
-struct KeyHash;
-
-impl BuildHasher for KeyHash {
-    type Hasher = KeyHasher;
-
-    fn build_hasher(&self) -> KeyHasher {
-        KeyHasher(0)
-    }
-}
-
-/// The state of one [`KeyHash`] hash.
-#[derive(Debug, Clone, Copy)]
-struct KeyHasher(u64);
-
-impl KeyHasher {
-    const LOW: u64 = 0x243f_6a88_85a3_08d3;
-    const HIGH: u64 = 0x1319_8a2e_0370_7344;
-}
-
-impl Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, value: u32) {
-        self.write_u64(u64::from(value));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, value: u64) {
-        self.0 = folded_multiply(self.0 ^ value ^ Self::LOW, Self::HIGH);
-    }
-
-    #[inline]
-    fn write_u128(&mut self, value: u128) {
-        self.0 = folded_multiply(
-            self.0 ^ value as u64 ^ Self::LOW,
-            (value >> 64) as u64 ^ Self::HIGH,
-        );
-    }
-}
-
-/// The full product of `a` and `b`, its high half xored into its low.
-#[inline]
-fn folded_multiply(a: u64, b: u64) -> u64 {
-    let full = u128::from(a) * u128::from(b);
-    full as u64 ^ (full >> 64) as u64
-}
-
-/// The two table stores.
+/// The two table layouts.
 #[derive(Debug, Clone)]
 enum Store {
-    Hashed(Sparse),
-    Dense(Dense),
+    Flat(Flat),
+    Sorted(Sorted),
 }
 
-/// The dense store: cells indexed by the packed observation key, and an
-/// occupancy bitmap whose bit `i` is set exactly when cell `i` is
-/// non-zero (counts only ever increment, so those are the keys seen).
+/// The flat layout: every cell of the key space, and an occupancy
+/// bitmap whose bit `i` is set exactly when cell `i` is non-zero (counts
+/// only ever increment, so those are the keys seen).
 #[derive(Debug, Clone)]
-struct Dense {
-    /// The key space, `2^width`.
-    len: usize,
-    cells: Cells,
+struct Flat {
+    cells: Vec<[u64; 2]>,
     occupied: Vec<u64>,
 }
 
-/// A dense table's cells, in the layout its budget chose.
-#[derive(Debug, Clone)]
-enum Cells {
-    /// Every cell of the key space.
-    Flat(Vec<[u64; 2]>),
-    /// Only the non-zero cells, by index.
-    Mapped(HashMap<u32, [u64; 2], KeyHash>),
-}
-
-impl Dense {
-    fn new(len: usize, flat: bool) -> Self {
-        Dense {
-            len,
-            cells: if flat {
-                Cells::Flat(vec![[0, 0]; len])
-            } else {
-                Cells::Mapped(HashMap::default())
-            },
+impl Flat {
+    fn new(len: usize) -> Self {
+        Flat {
+            cells: vec![[0, 0]; len],
             occupied: vec![0; len.div_ceil(64)],
         }
-    }
-
-    /// An empty store with this one's key space and layout.
-    fn empty_like(&self) -> Self {
-        Dense::new(self.len, matches!(self.cells, Cells::Flat(_)))
     }
 
     /// Adds `cell` at `index`.
@@ -251,61 +153,38 @@ impl Dense {
         if cell[0] | cell[1] == 0 {
             return;
         }
-        match &mut self.cells {
-            Cells::Flat(cells) => add(&mut cells[index], cell),
-            Cells::Mapped(cells) => add(cells.entry(index as u32).or_default(), cell),
-        }
+        add(&mut self.cells[index], cell);
         mark(&mut self.occupied, index);
     }
 
-    /// Counts one batch of per-lane indices, choosing the layout once.
+    /// Counts one batch of per-lane indices.
     fn absorb_indices(&mut self, indices: &[u32; LANES], lane_groups: u64) {
-        let occupied = &mut self.occupied;
-        match &mut self.cells {
-            Cells::Flat(cells) => {
-                for (lane, &index) in indices.iter().enumerate() {
-                    cells[index as usize][((lane_groups >> lane) & 1) as usize] += 1;
-                    mark(occupied, index as usize);
-                }
-            }
-            Cells::Mapped(cells) => {
-                // A mapped key space is wider than 8 bits, so a whole
-                // number of bitmap words: marking first bounds-checks.
-                for (lane, &index) in indices.iter().enumerate() {
-                    mark(occupied, index as usize);
-                    cells.entry(index).or_default()[((lane_groups >> lane) & 1) as usize] += 1;
-                }
-            }
+        for (lane, &index) in indices.iter().enumerate() {
+            self.cells[index as usize][((lane_groups >> lane) & 1) as usize] += 1;
+            mark(&mut self.occupied, index as usize);
         }
     }
 
-    /// Moves every cell of `from`, which must have the same key space
-    /// and layout, into this store, leaving `from` empty.
-    fn merge_from(&mut self, from: &mut Dense) {
-        assert_eq!(self.len, from.len, "mismatched dense widths");
-        match (&mut self.cells, &mut from.cells) {
-            (Cells::Flat(into), Cells::Flat(cells)) => {
-                // Only the source's occupied cells are non-zero.
-                for (word, (into_bits, from_bits)) in
-                    self.occupied.iter_mut().zip(&mut from.occupied).enumerate()
-                {
-                    let mut bits = std::mem::take(from_bits);
-                    *into_bits |= bits;
-                    while bits != 0 {
-                        let index = word * 64 + bits.trailing_zeros() as usize;
-                        add(&mut into[index], std::mem::take(&mut cells[index]));
-                        bits &= bits - 1;
-                    }
-                }
+    /// Moves every cell of `from`, which must have the same key space,
+    /// into this store, leaving `from` empty.
+    fn merge_from(&mut self, from: &mut Flat) {
+        assert_eq!(
+            self.cells.len(),
+            from.cells.len(),
+            "mismatched dense widths"
+        );
+        // Only the source's occupied cells are non-zero.
+        for (word, (into_bits, from_bits)) in
+            self.occupied.iter_mut().zip(&mut from.occupied).enumerate()
+        {
+            let mut bits = std::mem::take(from_bits);
+            *into_bits |= bits;
+            while bits != 0 {
+                let index = word * 64 + bits.trailing_zeros() as usize;
+                let cell = std::mem::take(&mut from.cells[index]);
+                add(&mut self.cells[index], cell);
+                bits &= bits - 1;
             }
-            (Cells::Mapped(into), Cells::Mapped(cells)) => {
-                for (index, cell) in cells.drain() {
-                    add(into.entry(index).or_default(), cell);
-                    mark(&mut self.occupied, index as usize);
-                    from.occupied[index as usize / 64] = 0;
-                }
-            }
-            _ => panic!("merge_from requires matching dense layouts"),
         }
     }
 
@@ -313,12 +192,7 @@ impl Dense {
     /// the key space; zero-count entries are unseen keys and skipped.
     fn restore(&mut self, counts: Vec<(u128, [u64; 2])>) {
         self.occupied.fill(0);
-        match &mut self.cells {
-            Cells::Flat(cells) => cells.fill([0, 0]),
-            Cells::Mapped(cells) => {
-                *cells = HashMap::with_capacity_and_hasher(counts.len(), KeyHash);
-            }
-        }
+        self.cells.fill([0, 0]);
         for (key, cell) in counts {
             self.add(key as usize, cell);
         }
@@ -326,21 +200,10 @@ impl Dense {
 
     /// Walks the occupied cells in index order.
     fn columns(&self) -> Columns<'_> {
-        let bits = Occupied::new(&self.occupied);
-        Columns(match &self.cells {
-            Cells::Flat(cells) => Walk::Flat { cells, bits },
-            Cells::Mapped(cells) => Walk::Mapped { cells, bits },
+        Columns(Walk::Flat {
+            cells: &self.cells,
+            bits: Occupied::new(&self.occupied),
         })
-    }
-
-    /// See [`Table::resident_bytes`].
-    fn resident_bytes(&self) -> u64 {
-        match &self.cells {
-            Cells::Flat(cells) => DENSE_CELL_BYTES * cells.len() as u64,
-            Cells::Mapped(cells) => {
-                MAPPED_ENTRY_BYTES * cells.len() as u64 + 8 * self.occupied.len() as u64
-            }
-        }
     }
 }
 
@@ -350,82 +213,194 @@ fn mark(occupied: &mut [u64], index: usize) {
     occupied[index / 64] |= 1 << (index % 64);
 }
 
-/// The hashed store: the `cap` smallest keys seen, with their counts.
+/// The sorted layout: the settled columns in key order, at most `cap`
+/// of them, and the lanes absorbed since.
 #[derive(Debug, Clone)]
-struct Sparse {
-    counts: HashMap<u128, [u64; 2], KeyHash>,
+struct Sorted {
+    columns: Vec<(u128, [u64; 2])>,
+    log: Log,
     cap: usize,
-    /// Max-heap over the retained keys, built the first time the table
-    /// is full and kept in step with `counts` from then on. Empty until
-    /// then, so a table that never reaches its cap pays nothing for the
-    /// eviction order.
-    retained: BinaryHeap<u128>,
-    /// The `(key, cell)` entries sorted by key, memoized until the next
-    /// absorption. Every writer drops it once per call.
-    sorted: OnceCell<Vec<(u128, [u64; 2])>>,
+    /// Laid out for a dense key space of `cap` keys, which it never
+    /// overflows.
+    dense: bool,
 }
 
-impl Sparse {
-    fn new(cap: usize) -> Self {
-        Sparse {
-            counts: HashMap::default(),
+/// The lanes a sorted table absorbed since it was last settled, each
+/// with its population, in the narrowest form the table's key width
+/// allows (DESIGN.md §5a measures the two).
+#[derive(Debug, Clone)]
+enum Log {
+    /// Keys below `2^63`, packed as `key << 1 | random`: one `u64` sort
+    /// groups each key's lanes.
+    Narrow(Vec<u64>),
+    /// Any key, beside its population (`1` = random).
+    Wide(Vec<(u128, u8)>),
+}
+
+impl Sorted {
+    /// An empty table over `width`-bit keys keeping at most `cap` of
+    /// them.
+    fn new(width: usize, cap: usize, dense: bool) -> Self {
+        Sorted {
+            columns: Vec::new(),
+            log: if width < 64 {
+                Log::Narrow(Vec::new())
+            } else {
+                Log::Wide(Vec::new())
+            },
             cap,
-            retained: BinaryHeap::new(),
-            sorted: OnceCell::new(),
+            dense,
         }
     }
 
-    /// The smallest-keys rule: adds `cell` to `key` while keeping at
-    /// most `cap` keys, and returns the counts that must be pooled into
-    /// overflow instead (the arriving cell, or the evicted largest
-    /// key's cell). The caller drops the sorted memo.
-    #[inline]
-    fn absorb(&mut self, key: u128, cell: [u64; 2]) -> Option<[u64; 2]> {
-        if self.counts.len() < self.cap {
-            add(self.counts.entry(key).or_default(), cell);
-            return None;
+    /// An empty table with this one's key width, cap and density.
+    fn empty_like(&self) -> Self {
+        let log = match self.log {
+            Log::Narrow(_) => Log::Narrow(Vec::new()),
+            Log::Wide(_) => Log::Wide(Vec::new()),
+        };
+        Sorted {
+            columns: Vec::new(),
+            log,
+            ..*self
         }
-        if let Some(slot) = self.counts.get_mut(&key) {
-            add(slot, cell);
-            return None;
+    }
+
+    fn log_len(&self) -> usize {
+        match &self.log {
+            Log::Narrow(log) => log.len(),
+            Log::Wide(log) => log.len(),
         }
-        if self.retained.is_empty() {
-            self.retained.extend(self.counts.keys().copied());
+    }
+
+    /// The columns, which must be settled.
+    fn settled(&self) -> &[(u128, [u64; 2])] {
+        assert!(
+            self.log_len() == 0,
+            "a sorted table read before it was settled"
+        );
+        &self.columns
+    }
+
+    /// Logs one batch of per-lane keys (lane populations as in
+    /// [`Table::absorb_keys`]), settling first if the batch would take
+    /// the log past `max(columns, LOG_FLOOR)` entries.
+    fn append(
+        &mut self,
+        keys: impl Iterator<Item = u128>,
+        lane_groups: u64,
+        overflow: &mut [u64; 2],
+    ) {
+        if self.log_len() + LANES > self.columns.len().max(LOG_FLOOR) {
+            self.settle(overflow);
         }
-        match self.retained.peek() {
-            Some(&largest) if key < largest => {
-                self.retained.pop();
-                self.retained.push(key);
-                let evicted = self
-                    .counts
-                    .remove(&largest)
-                    .expect("heap mirrors the table");
-                self.counts.insert(key, cell);
-                Some(evicted)
+        let random = |lane: usize| (lane_groups >> lane) & 1;
+        match &mut self.log {
+            Log::Narrow(log) => log.extend(
+                keys.enumerate()
+                    .map(|(lane, key)| (key as u64) << 1 | random(lane)),
+            ),
+            Log::Wide(log) => log.extend(
+                keys.enumerate()
+                    .map(|(lane, key)| (key, random(lane) as u8)),
+            ),
+        }
+    }
+
+    /// Sorts the log, run-length counts it and merges it into the
+    /// columns.
+    fn settle(&mut self, overflow: &mut [u64; 2]) {
+        let runs = match &mut self.log {
+            Log::Narrow(log) => {
+                run_lengths(log, |entry| (u128::from(entry >> 1), (entry & 1) as usize))
             }
-            _ => Some(cell),
+            Log::Wide(log) => run_lengths(log, |(key, random)| (key, usize::from(random))),
+        };
+        self.merge(&runs, overflow);
+    }
+
+    /// Merges `runs`, distinct keys in ascending order, into the columns
+    /// in one backward pass, then pools every column past the `cap`
+    /// smallest into `overflow`.
+    fn merge(&mut self, runs: &[(u128, [u64; 2])], overflow: &mut [u64; 2]) {
+        let columns = &mut self.columns;
+        let mut read = columns.len();
+        columns.resize(read + runs.len(), (0, [0, 0]));
+        let mut write = columns.len();
+        for &(key, cell) in runs.iter().rev() {
+            while read > 0 && columns[read - 1].0 > key {
+                read -= 1;
+                write -= 1;
+                columns[write] = columns[read];
+            }
+            write -= 1;
+            columns[write] = if read > 0 && columns[read - 1].0 == key {
+                read -= 1;
+                let mut sum = columns[read].1;
+                add(&mut sum, cell);
+                (key, sum)
+            } else {
+                (key, cell)
+            };
+        }
+        // Each run that met a settled key left one slot empty.
+        if write > read {
+            columns.copy_within(write.., read);
+            columns.truncate(columns.len() - (write - read));
+        }
+        if columns.len() > self.cap {
+            for (_, cell) in columns.drain(self.cap..) {
+                add(overflow, cell);
+            }
         }
     }
 
-    /// Walks the retained entries in key order, sorting them once per
-    /// absorption.
-    fn columns(&self) -> Columns<'_> {
-        let sorted = self.sorted.get_or_init(|| {
-            let mut entries: Vec<(u128, [u64; 2])> = self
-                .counts
-                .iter()
-                .map(|(&key, &cell)| (key, cell))
-                .collect();
-            entries.sort_unstable_by_key(|&(key, _)| key);
-            entries
-        });
-        Columns::from(sorted.as_slice())
+    /// Replaces the contents with `counts`, adopting them as they are
+    /// when already sorted.
+    fn restore(&mut self, mut counts: Vec<(u128, [u64; 2])>, overflow: &mut [u64; 2]) {
+        if !counts.is_sorted_by(|a, b| a.0 < b.0) {
+            counts.sort_unstable_by_key(|&(key, _)| key);
+            counts.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                if same {
+                    add(&mut kept.1, next.1);
+                }
+                same
+            });
+        }
+        *self = Sorted {
+            columns: counts,
+            ..self.empty_like()
+        };
+        self.merge(&[], overflow);
     }
+}
+
+/// Sorts `log` and drains it into `(key, [fixed, random])` runs in key
+/// order; `split` unpacks an entry into its key and population.
+fn run_lengths<E: Ord + Copy>(
+    log: &mut Vec<E>,
+    split: impl Fn(E) -> (u128, usize),
+) -> Vec<(u128, [u64; 2])> {
+    log.sort_unstable();
+    let mut runs: Vec<(u128, [u64; 2])> = Vec::new();
+    for entry in log.drain(..) {
+        let (key, random) = split(entry);
+        match runs.last_mut() {
+            Some((last, cell)) if *last == key => cell[random] += 1,
+            _ => {
+                let mut cell = [0, 0];
+                cell[random] = 1;
+                runs.push((key, cell));
+            }
+        }
+    }
+    runs
 }
 
 /// A contingency table over observation keys for one probing set:
 /// `[fixed, random]` counts per key, and an overflow bucket past the key
-/// cap (hashed store only — dense tables cannot overflow).
+/// cap (sorted layout only — dense tables cannot overflow).
 #[derive(Debug, Clone)]
 pub struct Table {
     store: Store,
@@ -442,9 +417,10 @@ impl Table {
         }
     }
 
-    /// An empty hashed table retaining at most `cap` keys.
-    pub fn hashed(cap: usize) -> Self {
-        Table::with_store(Store::Hashed(Sparse::new(cap)))
+    /// An empty sorted table over `width`-bit keys retaining at most
+    /// `cap` of them.
+    pub fn sorted(width: usize, cap: usize) -> Self {
+        Table::with_store(Store::Sorted(Sorted::new(width, cap, false)))
     }
 
     /// An empty flat dense table of `2^width` cells.
@@ -455,15 +431,16 @@ impl Table {
     /// the selection rule first.
     pub fn dense(width: usize) -> Self {
         assert!(width <= MAX_DENSE_WIDTH, "dense width {width} too wide");
-        Table::with_store(Store::Dense(Dense::new(1usize << width, true)))
+        Table::with_store(Store::Flat(Flat::new(1 << width)))
     }
 
     /// An empty dense table over `2^width` keys, laid out for a campaign
     /// of `traces` traces: flat when `2^width ≤`
-    /// [`DENSE_CELLS_PER_TRACE`] `×` the traces it can receive, mapped
-    /// otherwise. A campaign absorbs whole batches of [`LANES`] traces,
-    /// so a table receives `traces` rounded up to a batch, and one of at
-    /// most [`MAX_MINTERM_WIDTH`] bits is always flat.
+    /// [`DENSE_CELLS_PER_TRACE`] `×` the traces it can receive, sorted
+    /// with a cap of `2^width` otherwise. A campaign absorbs whole
+    /// batches of [`LANES`] traces, so a table receives `traces` rounded
+    /// up to a batch, and one of at most [`MAX_MINTERM_WIDTH`] bits is
+    /// always flat.
     ///
     /// # Panics
     ///
@@ -478,21 +455,24 @@ impl Table {
         if 1u64 << width <= DENSE_CELLS_PER_TRACE.saturating_mul(receivable) {
             return Table::dense(width);
         }
-        Table::with_store(Store::Dense(Dense::new(1usize << width, false)))
+        Table::with_store(Store::Sorted(Sorted::new(width, 1 << width, true)))
     }
 
-    /// An empty table with this table's store layout — a worker's shard.
+    /// An empty table with this table's layout — a worker's shard.
     pub fn empty_like(&self) -> Self {
-        match &self.store {
-            Store::Hashed(sparse) => Table::hashed(sparse.cap),
-            Store::Dense(dense) => Table::with_store(Store::Dense(dense.empty_like())),
-        }
+        Table::with_store(match &self.store {
+            Store::Flat(flat) => Store::Flat(Flat::new(flat.cells.len())),
+            Store::Sorted(sorted) => Store::Sorted(sorted.empty_like()),
+        })
     }
 
-    /// Whether this table uses the dense direct-indexed store (in either
-    /// layout).
+    /// Whether this is a dense table: laid out for a key space it can
+    /// never overflow (flat, or sorted with the key space as its cap).
     pub fn is_dense(&self) -> bool {
-        matches!(self.store, Store::Dense(_))
+        match &self.store {
+            Store::Flat(_) => true,
+            Store::Sorted(sorted) => sorted.dense,
+        }
     }
 
     /// Total samples absorbed (both populations, overflow included).
@@ -505,72 +485,69 @@ impl Table {
         self.overflow
     }
 
-    /// Adds `cell` to `key`'s counts — on the hashed store under the
-    /// smallest-keys rule (see the module docs).
+    /// Adds `cell` to `key`'s counts — on a sorted table by merging it
+    /// straight into the columns, under the smallest-keys rule (see the
+    /// module docs). A zero cell is no observation.
     ///
     /// # Panics
     ///
-    /// Panics if `key` lies outside a dense table's key space.
+    /// Panics if `key` lies outside a flat table's key space.
     pub fn absorb(&mut self, key: u128, cell: [u64; 2]) {
+        if cell == [0, 0] {
+            return;
+        }
         self.samples += cell[0] + cell[1];
         match &mut self.store {
-            Store::Dense(dense) => {
+            Store::Flat(flat) => {
                 let index = usize::try_from(key)
                     .ok()
-                    .filter(|&index| index < dense.len)
+                    .filter(|&index| index < flat.cells.len())
                     .expect("dense key");
-                dense.add(index, cell);
+                flat.add(index, cell);
             }
-            Store::Hashed(sparse) => {
-                sparse.sorted.take();
-                if let Some(pooled) = sparse.absorb(key, cell) {
-                    add(&mut self.overflow, pooled);
-                }
-            }
+            Store::Sorted(sorted) => sorted.merge(&[(key, cell)], &mut self.overflow),
         }
     }
 
     /// Absorbs one batch of per-lane observation keys: lane `i` belongs
-    /// to the random population when bit `i` of `lane_groups` is set.
+    /// to the random population when bit `i` of `lane_groups` is set. A
+    /// sorted table only logs them, until [`Table::settle`].
     ///
     /// # Panics
     ///
-    /// Panics if a key lies outside a dense table's key space.
+    /// Panics if a key lies outside a flat table's key space.
     pub fn absorb_keys(&mut self, keys: &[u128; LANES], lane_groups: u64) {
         match &mut self.store {
-            Store::Dense(_) => {
+            Store::Flat(_) => {
                 let indices = keys.map(|key| u32::try_from(key).expect("dense key"));
                 self.absorb_indices(&indices, lane_groups);
             }
-            Store::Hashed(sparse) => {
+            Store::Sorted(sorted) => {
                 self.samples += LANES as u64;
-                sparse.sorted.take();
-                for (lane, &key) in keys.iter().enumerate() {
-                    let mut cell = [0, 0];
-                    cell[((lane_groups >> lane) & 1) as usize] = 1;
-                    if let Some(pooled) = sparse.absorb(key, cell) {
-                        add(&mut self.overflow, pooled);
-                    }
-                }
+                sorted.append(keys.iter().copied(), lane_groups, &mut self.overflow);
             }
         }
     }
 
-    /// Absorbs one batch of per-lane packed indices directly — the
-    /// dense fast path: [`LANES`] increments, in the layout chosen once
-    /// for the batch. Lane populations as in [`Table::absorb_keys`].
+    /// Absorbs one batch of per-lane packed indices — the dense path:
+    /// [`LANES`] increments of a flat table, or [`LANES`] log entries of
+    /// a sorted one. Lane populations as in [`Table::absorb_keys`].
     ///
     /// # Panics
     ///
-    /// Panics on a hashed table, or if an index exceeds the table's
-    /// width — an internal invariant violation, since indices are
-    /// packed from exactly the bits the width was computed from.
+    /// Panics if an index exceeds a flat table's width — an internal
+    /// invariant violation, since indices are packed from exactly the
+    /// bits the width was computed from.
     pub fn absorb_indices(&mut self, indices: &[u32; LANES], lane_groups: u64) {
-        let Store::Dense(dense) = &mut self.store else {
-            unreachable!("absorb_indices on a hashed table");
-        };
         self.samples += LANES as u64;
-        dense.absorb_indices(indices, lane_groups);
+        match &mut self.store {
+            Store::Flat(flat) => flat.absorb_indices(indices, lane_groups),
+            Store::Sorted(sorted) => sorted.append(
+                indices.iter().map(|&index| u128::from(index)),
+                lane_groups,
+                &mut self.overflow,
+            ),
+        }
     }
 
     /// Absorbs one batch given as bit-planes — the narrow dense path:
@@ -582,17 +559,12 @@ impl Table {
     ///
     /// # Panics
     ///
-    /// Panics on a hashed or mapped table (a dense table this narrow is
-    /// always flat), if the table is not `2^planes.len()` cells, or if
-    /// `planes` is wider than [`MAX_MINTERM_WIDTH`].
+    /// Panics on a sorted table (a dense table this narrow is always
+    /// flat), if the table is not `2^planes.len()` cells, or if `planes`
+    /// is wider than [`MAX_MINTERM_WIDTH`].
     pub fn absorb_planes(&mut self, planes: &[u64], lane_groups: u64) {
-        let Store::Dense(Dense {
-            cells: Cells::Flat(cells),
-            occupied,
-            ..
-        }) = &mut self.store
-        else {
-            unreachable!("absorb_planes on a hashed or mapped table");
+        let Store::Flat(Flat { cells, occupied }) = &mut self.store else {
+            unreachable!("absorb_planes on a sorted table");
         };
         assert_eq!(cells.len(), 1 << planes.len(), "plane count != width");
         self.samples += LANES as u64;
@@ -608,103 +580,135 @@ impl Table {
         occupied[0] |= seen;
     }
 
+    /// Merges the lanes a sorted table logged since it was last settled
+    /// into its columns, pooling past-cap keys into overflow. Every
+    /// reader needs it; it is a no-op on a flat or settled table.
+    pub fn settle(&mut self) {
+        if let Store::Sorted(sorted) = &mut self.store {
+            sorted.settle(&mut self.overflow);
+        }
+    }
+
     /// Folds `other` into `self` and drains `other` back to empty — the
     /// merge a multi-threaded campaign runs once per checkpoint window
-    /// over each worker's shard tables. Hashed tables merge under the
-    /// smallest-keys rule, so the result equals absorbing both
-    /// observation streams into one table, in any order.
+    /// over each worker's shard tables. Both tables are settled first,
+    /// and sorted tables merge under the smallest-keys rule, so the
+    /// result equals absorbing both observation streams into one table,
+    /// in any order.
     ///
     /// # Panics
     ///
-    /// Panics if the two tables' store layouts differ (shards are built
-    /// with [`Table::empty_like`]).
+    /// Panics if the two tables' layouts differ (shards are built with
+    /// [`Table::empty_like`]).
     pub fn merge_from(&mut self, other: &mut Table) {
+        self.settle();
+        other.settle();
         self.samples += std::mem::take(&mut other.samples);
         add(&mut self.overflow, std::mem::take(&mut other.overflow));
         match (&mut self.store, &mut other.store) {
-            (Store::Dense(into), Store::Dense(from)) => into.merge_from(from),
-            (Store::Hashed(into), Store::Hashed(from)) => {
-                let from = std::mem::replace(from, Sparse::new(from.cap));
-                into.sorted.take();
-                for (key, cell) in from.counts {
-                    if let Some(pooled) = into.absorb(key, cell) {
-                        add(&mut self.overflow, pooled);
-                    }
-                }
+            (Store::Flat(into), Store::Flat(from)) => into.merge_from(from),
+            (Store::Sorted(into), Store::Sorted(from)) => {
+                into.merge(&from.columns, &mut self.overflow);
+                from.columns.clear();
             }
             _ => panic!("merge_from requires matching table layouts"),
         }
     }
 
-    /// Restores serialized state (sorted `(key, cell)` pairs, overflow,
-    /// samples) into this table — the resume path. A dense table whose
-    /// key space cannot hold a key (a foreign or hand-edited snapshot)
-    /// falls back to a hashed store with the dense key space as its cap
-    /// rather than failing; a hashed table past its cap pools its
-    /// largest keys into overflow. A dense table keeps its layout and
-    /// skips zero-count entries, which are unseen keys there.
+    /// Restores serialized state (`(key, cell)` pairs, overflow,
+    /// samples) into this table — the resume path. A sorted table adopts
+    /// already-sorted pairs as its columns without copying them, sorts
+    /// any other input, and pools keys past its cap into overflow. A
+    /// dense table skips zero-count entries, which are unseen keys there;
+    /// one whose key space cannot hold a key (a foreign or hand-edited
+    /// snapshot) falls back to a sorted table capped at that key space
+    /// rather than failing.
     pub fn restore(&mut self, mut counts: Vec<(u128, [u64; 2])>, overflow: [u64; 2], samples: u64) {
         self.overflow = overflow;
         self.samples = samples;
-        if let Store::Dense(dense) = &mut self.store {
-            if counts.iter().all(|&(key, _)| key < dense.len as u128) {
-                dense.restore(counts);
+        if let Store::Flat(flat) = &mut self.store {
+            if counts
+                .iter()
+                .all(|&(key, _)| key < flat.cells.len() as u128)
+            {
+                flat.restore(counts);
                 return;
             }
-            self.store = Store::Hashed(Sparse::new(dense.len));
+            // Its observations still fit the dense key space.
+            self.store = Store::Sorted(Sorted::new(MAX_DENSE_WIDTH, flat.cells.len(), false));
         }
-        let Store::Hashed(sparse) = &mut self.store else {
-            unreachable!("dense handled above");
+        let Store::Sorted(sorted) = &mut self.store else {
+            unreachable!("flat handled above");
         };
-        *sparse = Sparse::new(sparse.cap);
-        counts.sort_unstable_by_key(|&(key, _)| key);
-        let kept = counts.len().min(sparse.cap);
-        for &(_, cell) in &counts[kept..] {
-            add(&mut self.overflow, cell);
+        sorted.dense &= counts.iter().all(|&(key, _)| key < sorted.cap as u128);
+        if sorted.dense {
+            counts.retain(|&(_, cell)| cell != [0, 0]);
         }
-        sparse.counts = counts.into_iter().take(kept).collect();
+        sorted.restore(counts, &mut self.overflow);
     }
 
     /// The `(key, cell)` columns in sorted key order, read in place. The
     /// G statistic is a float sum, so a deterministic column order is
     /// what makes checkpoint trajectories byte-identical across runs and
-    /// resume legs; for the dense store the walk over the occupancy
-    /// bitmap *is* sorted-key order, because the packed index equals the
-    /// key.
+    /// resume legs; for a flat table the walk over the occupancy bitmap
+    /// *is* sorted-key order, because the packed index equals the key.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a sorted table with lanes not yet settled
+    /// ([`Table::settle`]).
     pub fn columns(&self) -> Columns<'_> {
         match &self.store {
-            Store::Dense(dense) => dense.columns(),
-            Store::Hashed(sparse) => sparse.columns(),
+            Store::Flat(flat) => flat.columns(),
+            Store::Sorted(sorted) => Columns::from(sorted.settled()),
+        }
+    }
+
+    /// The columns of [`Table::columns`], collected: a sorted table
+    /// hands over its column vector.
+    ///
+    /// # Panics
+    ///
+    /// As [`Table::columns`].
+    pub fn into_columns(self) -> Vec<(u128, [u64; 2])> {
+        match self.store {
+            Store::Flat(flat) => flat.columns().collect(),
+            Store::Sorted(sorted) => {
+                sorted.settled();
+                sorted.columns
+            }
         }
     }
 
     /// Distinct observation keys retained (the overflow bucket excluded):
-    /// for a dense table, its bitmap's popcount.
+    /// for a flat table, its bitmap's popcount.
+    ///
+    /// # Panics
+    ///
+    /// As [`Table::columns`].
     pub fn distinct_keys(&self) -> usize {
-        match &self.store {
-            Store::Dense(dense) => dense.columns().len(),
-            Store::Hashed(sparse) => sparse.counts.len(),
-        }
+        self.columns().len()
     }
 
     /// Resident bytes of the table store, from its logical content, never
-    /// from allocator state or hash-map capacity, so the figure is
+    /// from allocator state or vector capacity, so the figure is
     /// deterministic across thread counts and resume legs.
     ///
-    /// * Flat dense: the cell array, fully allocated up front. Its
-    ///   occupancy bitmap (one bit per 16-byte cell, 1/128 more) is not
-    ///   counted, so the figure stays the one perfbench checks for E2's
-    ///   tables (35,884,144 bytes) until the benchmark's expectation
-    ///   changes.
-    /// * Mapped dense: a per-entry estimate including bucket overhead,
-    ///   plus the occupancy bitmap, which is most of a sparse table.
-    /// * Hashed: a per-entry estimate including bucket overhead; the
-    ///   sorted memo is not counted.
+    /// * Flat: the cell array, fully allocated up front. Its occupancy
+    ///   bitmap (one bit per 16-byte cell, 1/128 more) is not counted,
+    ///   so the figure stays the one perfbench checks for E2's tables
+    ///   (35,884,144 bytes) until the benchmark's expectation changes.
+    /// * Sorted: 32 bytes per settled column. The log is empty whenever
+    ///   the table may be read, so it is not counted.
+    ///
+    /// # Panics
+    ///
+    /// As [`Table::columns`].
     pub fn resident_bytes(&self) -> u64 {
         TABLE_OVERHEAD_BYTES
             + match &self.store {
-                Store::Dense(dense) => dense.resident_bytes(),
-                Store::Hashed(sparse) => HASHED_ENTRY_BYTES * sparse.counts.len() as u64,
+                Store::Flat(flat) => DENSE_CELL_BYTES * flat.cells.len() as u64,
+                Store::Sorted(sorted) => SORTED_COLUMN_BYTES * sorted.settled().len() as u64,
             }
     }
 }
@@ -724,14 +728,9 @@ pub struct Columns<'a>(Walk<'a>);
 
 #[derive(Debug, Clone)]
 enum Walk<'a> {
-    /// A flat dense store's occupied cells.
+    /// A flat table's occupied cells.
     Flat {
         cells: &'a [[u64; 2]],
-        bits: Occupied<'a>,
-    },
-    /// A mapped dense store's cells, looked up in bitmap order.
-    Mapped {
-        cells: &'a HashMap<u32, [u64; 2], KeyHash>,
         bits: Occupied<'a>,
     },
     /// Entries already sorted by key.
@@ -800,16 +799,12 @@ impl Iterator for Columns<'_> {
                 let index = bits.next()?;
                 Some((index as u128, cells[index]))
             }
-            Walk::Mapped { cells, bits } => {
-                let index = bits.next()?;
-                Some((index as u128, cells[&(index as u32)]))
-            }
         }
     }
 
     /// Dispatches on the walk once, not per column, so that the loops of
     /// `for_each`, `sum` and the other folding consumers are specialized
-    /// to one store.
+    /// to one layout.
     fn fold<B, F>(self, init: B, mut f: F) -> B
     where
         F: FnMut(B, Self::Item) -> B,
@@ -823,21 +818,14 @@ impl Iterator for Columns<'_> {
                 }
                 acc
             }
-            Walk::Mapped { cells, mut bits } => {
-                let mut acc = init;
-                while let Some(index) = bits.next() {
-                    acc = f(acc, (index as u128, cells[&(index as u32)]));
-                }
-                acc
-            }
         }
     }
 
-    /// Exact: a dense walk counts the bits left in its bitmap.
+    /// Exact: a flat walk counts the bits left in its bitmap.
     fn size_hint(&self) -> (usize, Option<usize>) {
         let len = match &self.0 {
             Walk::Sorted(entries) => entries.len(),
-            Walk::Flat { bits, .. } | Walk::Mapped { bits, .. } => bits.len(),
+            Walk::Flat { bits, .. } => bits.len(),
         };
         (len, Some(len))
     }
@@ -910,21 +898,16 @@ mod tests {
     use super::*;
     use crate::stats::g_columns;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// The table's columns, collected.
     fn collected(table: &Table) -> Vec<(u128, [u64; 2])> {
         table.columns().collect()
     }
 
-    /// Whether `table` is a flat dense table.
+    /// Whether `table` is a flat table.
     fn is_flat(table: &Table) -> bool {
-        matches!(
-            table.store,
-            Store::Dense(Dense {
-                cells: Cells::Flat(_),
-                ..
-            })
-        )
+        matches!(table.store, Store::Flat(_))
     }
 
     /// The table's `(fixed, random)` G-test columns, collected.
@@ -960,10 +943,75 @@ mod tests {
         mixed ^ (mixed >> 31)
     }
 
+    /// Counts one batch of lanes into an oracle of every observation.
+    fn observe_batch(
+        oracle: &mut BTreeMap<u128, [u64; 2]>,
+        keys: &[u128; LANES],
+        lane_groups: u64,
+    ) {
+        for (lane, &key) in keys.iter().enumerate() {
+            oracle.entry(key).or_default()[((lane_groups >> lane) & 1) as usize] += 1;
+        }
+    }
+
+    /// The smallest-keys rule by definition: the oracle's `cap` smallest
+    /// keys with their counts, and every other key's counts pooled.
+    fn smallest_keys(
+        oracle: &BTreeMap<u128, [u64; 2]>,
+        cap: usize,
+    ) -> (Vec<(u128, [u64; 2])>, [u64; 2]) {
+        let kept = oracle
+            .iter()
+            .take(cap)
+            .map(|(&key, &cell)| (key, cell))
+            .collect();
+        let mut pooled = [0, 0];
+        for &cell in oracle.values().skip(cap) {
+            add(&mut pooled, cell);
+        }
+        (kept, pooled)
+    }
+
+    #[test]
+    fn the_log_never_outgrows_its_columns_or_the_floor() {
+        // Distinct keys grow the columns as fast as the log; five
+        // repeated keys keep the columns tiny, so the floor bounds it.
+        for distinct in [true, false] {
+            let mut table = Table::sorted(40, usize::MAX);
+            for batch in 0..400u128 {
+                let keys = std::array::from_fn(|lane| {
+                    if distinct {
+                        batch * 64 + lane as u128
+                    } else {
+                        lane as u128 % 5
+                    }
+                });
+                table.absorb_keys(&keys, batch as u64);
+                let Store::Sorted(sorted) = &table.store else {
+                    unreachable!("built sorted");
+                };
+                let bound = sorted.columns.len().max(LOG_FLOOR);
+                assert!(sorted.log_len() <= bound, "{} > {bound}", sorted.log_len());
+                assert!(sorted.log_len() > 0);
+            }
+            table.settle();
+            assert_eq!(table.samples(), 400 * 64);
+            assert_eq!(table.distinct_keys(), if distinct { 25_600 } else { 5 });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "read before it was settled")]
+    fn reading_an_unsettled_table_panics() {
+        let mut table = Table::dense_for_traces(16, 64);
+        table.absorb_indices(&[7; LANES], 0);
+        let _ = table.columns();
+    }
+
     #[test]
     fn dense_and_hashed_agree_on_a_fixed_stream() {
         let mut dense = Table::dense(4);
-        let mut hashed = Table::hashed(16);
+        let mut hashed = Table::sorted(4, 16);
         let keys = [(3, 0), (3, 1), (15, 1), (0, 0), (3, 0)];
         absorb_all(&mut dense, &keys);
         absorb_all(&mut hashed, &keys);
@@ -1050,8 +1098,9 @@ mod tests {
         direct.absorb_indices(&indices, lane_groups);
         let mut dense = Table::dense(3);
         dense.absorb_keys(&keys, lane_groups);
-        let mut hashed = Table::hashed(8);
+        let mut hashed = Table::sorted(3, 8);
         hashed.absorb_keys(&keys, lane_groups);
+        hashed.settle();
         assert_eq!(collected(&direct), collected(&dense));
         assert_eq!(collected(&direct), collected(&hashed));
         assert_eq!(direct.samples(), LANES as u64);
@@ -1082,7 +1131,7 @@ mod tests {
         for empty in [
             Table::dense(2),
             Table::dense_for_traces(9, 1),
-            Table::hashed(4),
+            Table::sorted(2, 4),
         ] {
             let mut table = empty.clone();
             absorb_all(&mut table, &[(1, 0)]);
@@ -1090,6 +1139,7 @@ mod tests {
             absorb_all(&mut table, &[(2, 1)]);
             assert_eq!(table.columns().len(), 2, "stale columns after absorb");
             table.absorb_keys(&[0u128; LANES], 0);
+            table.settle();
             assert_eq!(table.columns().len(), 3, "stale columns after a batch");
             let mut other = table.empty_like();
             absorb_all(&mut other, &[(3, 0)]);
@@ -1109,7 +1159,7 @@ mod tests {
         for empty in [
             Table::dense(3),
             Table::dense_for_traces(9, 1),
-            Table::hashed(8),
+            Table::sorted(3, 8),
         ] {
             let mut table = empty.clone();
             absorb_all(&mut table, &[(1, 0), (5, 1)]);
@@ -1127,6 +1177,51 @@ mod tests {
             absorb_all(&mut resumed, &[(2, 1)]);
             assert_eq!(collected(&resumed), [(1, [1, 0]), (2, [0, 1]), (5, [0, 1])]);
             assert_eq!(g_pairs(&resumed).len(), saved.len() + 1);
+        }
+
+        // A sorted table adopts sorted columns as they are, without a
+        // copy.
+        let mut adopted = Table::dense_for_traces(9, 1);
+        let saved = vec![(1, [1, 0]), (3, [2, 2]), (5, [0, 1])];
+        let address = saved.as_ptr();
+        adopted.restore(saved, [0, 0], 6);
+        let Store::Sorted(sorted) = &adopted.store else {
+            panic!("a sparse dense table is sorted");
+        };
+        assert_eq!(
+            sorted.columns.as_ptr(),
+            address,
+            "restore copied the columns"
+        );
+
+        // A foreign file's columns out of order are sorted, on every
+        // layout, and later batches land on the right keys.
+        let unsorted = vec![(5, [0, 1]), (1, [1, 0]), (3, [2, 2])];
+        for empty in [
+            Table::dense(3),
+            Table::dense_for_traces(9, 1),
+            Table::sorted(3, 8),
+        ] {
+            let mut table = empty.clone();
+            table.restore(unsorted.clone(), [0, 0], 6);
+            assert_eq!(collected(&table), [(1, [1, 0]), (3, [2, 2]), (5, [0, 1])]);
+            table.absorb_keys(&[3; LANES], 0);
+            table.settle();
+            assert_eq!(collected(&table)[1], (3, [66, 2]));
+            assert_eq!(table.samples(), 70);
+        }
+
+        // Past its cap, a sorted table pools the largest keys, sorted
+        // input or not, and a pooled key that arrives again stays pooled.
+        for input in [unsorted.clone(), collected(&adopted)] {
+            let mut capped = Table::sorted(3, 2);
+            capped.restore(input, [1, 0], 7);
+            assert_eq!(collected(&capped), [(1, [1, 0]), (3, [2, 2])]);
+            assert_eq!(capped.overflow(), [1, 1]);
+            capped.absorb_keys(&[5; LANES], u64::MAX);
+            capped.settle();
+            assert_eq!(collected(&capped), [(1, [1, 0]), (3, [2, 2])]);
+            assert_eq!(capped.overflow(), [1, 65]);
         }
     }
 
@@ -1167,7 +1262,7 @@ mod tests {
         // The larger keys arrive first and are evicted by the smaller
         // ones: the table keeps the cap smallest keys, whatever the
         // arrival order.
-        let mut table = Table::hashed(2);
+        let mut table = Table::sorted(3, 2);
         absorb_all(&mut table, &[(4, 1), (3, 1), (1, 0), (3, 0), (2, 0)]);
         assert_eq!(collected(&table), &[(1u128, [1u64, 0u64]), (2, [1, 0])]);
         assert_eq!(table.overflow(), [1, 2], "keys 3 and 4 pooled");
@@ -1185,6 +1280,10 @@ mod tests {
         table.restore(vec![(1, [5, 6]), (999, [1, 2])], [0, 0], 14);
         assert!(!table.is_dense(), "foreign snapshot forces the fallback");
         assert_eq!(collected(&table), &[(1u128, [5u64, 6u64]), (999, [1, 2])]);
+        let mut sparse = Table::dense_for_traces(9, 1);
+        sparse.restore(vec![(1, [5, 6]), (999, [1, 2])], [0, 0], 14);
+        assert!(!sparse.is_dense(), "the sorted layout falls back too");
+        assert_eq!(collected(&sparse), collected(&table));
         let mut fits = Table::dense(2);
         fits.restore(vec![(1, [5, 6]), (3, [1, 2])], [0, 0], 14);
         assert!(fits.is_dense());
@@ -1193,7 +1292,7 @@ mod tests {
 
     #[test]
     fn restore_pools_keys_past_the_hashed_cap() {
-        let mut table = Table::hashed(1);
+        let mut table = Table::sorted(4, 1);
         table.restore(vec![(1, [5, 6]), (9, [1, 2])], [1, 0], 15);
         assert_eq!(collected(&table), &[(1u128, [5u64, 6u64])]);
         assert_eq!(table.overflow(), [2, 2]);
@@ -1204,34 +1303,36 @@ mod tests {
     fn resident_bytes_track_the_store() {
         let dense = Table::dense(4);
         assert_eq!(dense.resident_bytes(), 48 + 16 * 16);
-        let mut hashed = Table::hashed(8);
-        assert_eq!(hashed.resident_bytes(), 48);
-        absorb_all(&mut hashed, &[(1, 0), (2, 1)]);
-        assert_eq!(hashed.resident_bytes(), 48 + 2 * 48);
-        // A mapped table counts its entries and its 2^16-bit bitmap,
-        // whatever capacity its map grew to: a table merged from a shard
-        // that once held many keys reads like one absorbed directly.
-        let mut mapped = Table::dense_for_traces(16, 12_800);
-        assert!(!is_flat(&mapped));
-        assert_eq!(mapped.resident_bytes(), 48 + 8192);
-        absorb_all(&mut mapped, &[(1, 0), (2, 1), (2, 0)]);
-        assert_eq!(mapped.resident_bytes(), 48 + 2 * 36 + 8192);
-        let mut shard = mapped.empty_like();
-        let many: Vec<(u128, usize)> = (0..5_000).map(|key| (key, 0)).collect();
-        absorb_all(&mut shard, &many);
-        let mut grown = mapped.empty_like();
+        let mut capped = Table::sorted(40, 8);
+        assert_eq!(capped.resident_bytes(), 48);
+        absorb_all(&mut capped, &[(1, 0), (2, 1)]);
+        assert_eq!(capped.resident_bytes(), 48 + 2 * 32);
+        // A sorted table counts 32 bytes per settled column, whatever
+        // capacity its vectors grew to: a table merged from a shard that
+        // once held many keys reads like one absorbed directly.
+        let mut sparse = Table::dense_for_traces(16, 12_800);
+        assert!(!is_flat(&sparse));
+        assert_eq!(sparse.resident_bytes(), 48);
+        absorb_all(&mut sparse, &[(1, 0), (2, 1), (2, 0)]);
+        assert_eq!(sparse.resident_bytes(), 48 + 2 * 32);
+        let mut shard = sparse.empty_like();
+        for batch in 0..80 {
+            shard.absorb_keys(&std::array::from_fn(|lane| batch * 64 + lane as u128), 0);
+        }
+        let mut grown = sparse.empty_like();
         grown.merge_from(&mut shard);
+        assert_eq!(grown.resident_bytes(), 48 + 5_120 * 32);
         absorb_all(&mut shard, &[(1, 0), (2, 1), (2, 0)]);
-        let mut merged = mapped.empty_like();
+        let mut merged = sparse.empty_like();
         merged.merge_from(&mut shard);
-        assert_eq!(merged.resident_bytes(), mapped.resident_bytes());
-        assert_eq!(collected(&merged), collected(&mapped));
+        assert_eq!(merged.resident_bytes(), sparse.resident_bytes());
+        assert_eq!(collected(&merged), collected(&sparse));
     }
 
     #[test]
     fn dense_layout_follows_the_trace_budget() {
         // sbox-eq9-trans: 12,800 traces fill at most 1.2% of a 20-bit
-        // table, so its 16–20-bit tables are mapped and 15 bits stay flat.
+        // table, so its 16–20-bit tables are sorted and 15 bits stay flat.
         for (width, traces, flat) in [
             (15, 12_800, true),
             (16, 12_800, false),
@@ -1275,7 +1376,7 @@ mod tests {
                 .map(|&(key, group)| ((key as u128) & (cap as u128 - 1), group as usize))
                 .collect();
             let mut dense = Table::dense(width);
-            let mut hashed = Table::hashed(cap);
+            let mut hashed = Table::sorted(width, cap);
             absorb_all(&mut dense, &keys);
             absorb_all(&mut hashed, &keys);
             prop_assert_eq!(g_pairs(&dense), g_pairs(&hashed));
@@ -1287,7 +1388,7 @@ mod tests {
 
         /// The three absorption forms count the same batch identically:
         /// minterm popcounts over bit-planes, transposed `u32` indices
-        /// and per-lane `u128` keys (on both stores), for every narrow
+        /// and per-lane `u128` keys (on both layouts), for every narrow
         /// width and for all-fixed, all-random and mixed populations.
         #[test]
         fn plane_index_and_key_absorption_agree(
@@ -1301,7 +1402,8 @@ mod tests {
                 let mut by_planes = Table::dense(width);
                 let mut by_indices = Table::dense(width);
                 let mut by_keys = Table::dense(width);
-                let mut hashed = Table::hashed(1 << width);
+                let mut hashed = Table::sorted(width, 1 << width);
+                let mut sorted_indices = Table::sorted(width, 1 << width);
                 for (planes, random_groups) in &batches {
                     let lane_groups = population.unwrap_or(*random_groups);
                     let planes = &planes[..width];
@@ -1311,12 +1413,14 @@ mod tests {
                     let mut indices = [0u32; LANES];
                     planes_to_indices(&padded, &mut indices);
                     by_indices.absorb_indices(&indices, lane_groups);
+                    sorted_indices.absorb_indices(&indices, lane_groups);
                     let keys: [u128; LANES] = std::array::from_fn(|lane| lane_key(planes, lane));
                     by_keys.absorb_keys(&keys, lane_groups);
                     hashed.absorb_keys(&keys, lane_groups);
                 }
                 let expected = by_keys.columns().collect::<Vec<_>>();
-                for table in [&mut by_planes, &mut by_indices, &mut hashed] {
+                for table in [&mut by_planes, &mut by_indices, &mut hashed, &mut sorted_indices] {
+                    table.settle();
                     prop_assert_eq!(collected(table), expected.as_slice());
                     prop_assert_eq!(table.samples(), (LANES * batches.len()) as u64);
                     prop_assert_eq!(table.overflow(), [0, 0]);
@@ -1324,21 +1428,26 @@ mod tests {
             }
         }
 
-        /// The occupancy bitmap against every writer, in both dense
-        /// layouts: a dense table laid out for a budget of `2^budget`
-        /// traces and fed a random mix of single observations, plane
-        /// batches, index batches, shard merges and save/restore round
-        /// trips walks exactly the columns a capacity-matched hashed
-        /// table sorts, and `distinct_keys()` and `samples()` count
-        /// them. Widths up to 12 span several bitmap words and, at small
-        /// budgets, give mapped tables from 9 bits up; plane batches run
-        /// where the width allows them (always on a flat table) and fall
-        /// back to index batches elsewhere.
+        /// Every writer against the smallest-keys rule, on both layouts:
+        /// a dense table laid out for a budget of `2^budget` traces, an
+        /// uncapped sorted table and one capped at 1–8 keys are fed a
+        /// random mix of single observations, plane batches, index
+        /// batches, shard merges and save/restore round trips, and
+        /// settled at random points. Whenever they are settled, the
+        /// dense table walks exactly the uncapped table's columns, and
+        /// both equal a `BTreeMap` oracle of every observation; the
+        /// capped table holds the oracle's `cap` smallest keys and pools
+        /// the rest into overflow; and `distinct_keys()` and `samples()`
+        /// count them. Widths up to 12 span several bitmap words and, at
+        /// small budgets, give sorted dense tables from 9 bits up; plane
+        /// batches run where the width allows them (always on a flat
+        /// table) and fall back to index batches elsewhere.
         #[test]
         fn dense_column_walk_matches_hashed_sorted_columns(
             width in 1usize..=12,
             budget in 0u32..12,
-            steps in prop::collection::vec((0u8..5, any::<u64>()), 1..24),
+            cap in 1usize..=8,
+            steps in prop::collection::vec((0u8..5, any::<u64>(), any::<bool>()), 1..24),
         ) {
             let mask = (1u64 << width) - 1;
             let traces = 1u64 << budget;
@@ -1346,9 +1455,11 @@ mod tests {
             let flat = is_flat(&dense);
             let receivable = traces.div_ceil(LANES as u64) * LANES as u64;
             prop_assert_eq!(flat, 1u64 << width <= DENSE_CELLS_PER_TRACE * receivable);
-            prop_assert!(flat || width > MAX_MINTERM_WIDTH, "a narrow table is mapped");
-            let mut hashed = Table::hashed(1 << width);
-            for &(writer, seed) in &steps {
+            prop_assert!(flat || width > MAX_MINTERM_WIDTH, "a narrow table is sorted");
+            let mut hashed = Table::sorted(width, 1 << width);
+            let mut capped = Table::sorted(width, cap);
+            let mut oracle = BTreeMap::new();
+            for (step, &(writer, seed, settle)) in steps.iter().enumerate() {
                 let mut state = seed;
                 let lane_groups = splitmix(&mut state);
                 // Sparse planes: each observed bit is set in ~1/4 of the
@@ -1357,49 +1468,67 @@ mod tests {
                     .map(|_| splitmix(&mut state) & splitmix(&mut state))
                     .collect();
                 let keys: [u128; LANES] = std::array::from_fn(|lane| lane_key(&planes, lane));
+                let mut padded = [0u64; MAX_DENSE_WIDTH];
+                padded[..width].copy_from_slice(&planes);
+                let mut indices = [0u32; LANES];
+                planes_to_indices(&padded, &mut indices);
+                if (1..=3).contains(&writer) {
+                    observe_batch(&mut oracle, &keys, lane_groups);
+                }
                 match writer {
                     0 => {
                         let key = u128::from(seed & mask);
                         let cell = [seed >> 60, ((seed >> 56) & 0xf) + 1];
-                        dense.absorb(key, cell);
-                        hashed.absorb(key, cell);
+                        add(oracle.entry(key).or_default(), cell);
+                        for table in [&mut dense, &mut hashed, &mut capped] {
+                            table.absorb(key, cell);
+                        }
                     }
-                    1 if width <= MAX_MINTERM_WIDTH => {
+                    1 if flat && width <= MAX_MINTERM_WIDTH => {
                         dense.absorb_planes(&planes, lane_groups);
                         hashed.absorb_keys(&keys, lane_groups);
+                        capped.absorb_keys(&keys, lane_groups);
                     }
                     1 | 2 => {
-                        let mut padded = [0u64; MAX_DENSE_WIDTH];
-                        padded[..width].copy_from_slice(&planes);
-                        let mut indices = [0u32; LANES];
-                        planes_to_indices(&padded, &mut indices);
                         dense.absorb_indices(&indices, lane_groups);
-                        hashed.absorb_keys(&keys, lane_groups);
+                        hashed.absorb_indices(&indices, lane_groups);
+                        capped.absorb_keys(&keys, lane_groups);
                     }
                     3 => {
-                        let mut dense_shard = dense.empty_like();
-                        let mut hashed_shard = hashed.empty_like();
-                        dense_shard.absorb_keys(&keys, lane_groups);
-                        hashed_shard.absorb_keys(&keys, lane_groups);
-                        dense.merge_from(&mut dense_shard);
-                        hashed.merge_from(&mut hashed_shard);
-                        prop_assert_eq!(dense_shard.columns().len(), 0);
+                        for table in [&mut dense, &mut hashed, &mut capped] {
+                            let mut shard = table.empty_like();
+                            shard.absorb_keys(&keys, lane_groups);
+                            if settle {
+                                shard.settle();
+                            }
+                            table.merge_from(&mut shard);
+                            prop_assert_eq!(shard.columns().len(), 0);
+                            prop_assert_eq!(shard.samples(), 0);
+                        }
                     }
                     _ => {
-                        let mut restored = Table::dense_for_traces(width, traces);
-                        restored.restore(collected(&dense), dense.overflow(), dense.samples());
-                        dense = restored;
-                        hashed.restore(collected(&hashed), hashed.overflow(), hashed.samples());
+                        for table in [&mut dense, &mut hashed, &mut capped] {
+                            table.settle();
+                            let mut restored = table.empty_like();
+                            restored.restore(collected(table), table.overflow(), table.samples());
+                            *table = restored;
+                        }
                     }
                 }
                 prop_assert!(dense.is_dense());
                 prop_assert_eq!(is_flat(&dense), flat, "a writer changed the layout");
+                if !settle && step + 1 < steps.len() {
+                    continue;
+                }
+                for table in [&mut dense, &mut hashed, &mut capped] {
+                    table.settle();
+                }
                 let walked = collected(&dense);
-                let sorted = collected(&hashed);
-                prop_assert_eq!(&walked, &sorted);
+                prop_assert_eq!(&walked, &collected(&hashed));
+                prop_assert_eq!(&walked, &smallest_keys(&oracle, usize::MAX).0);
                 prop_assert_eq!(dense.columns().len(), walked.len());
                 // `fold` dispatches once per walk; from a partly
-                // consumed walk it must yield the rest, on both stores.
+                // consumed walk it must yield the rest, on both layouts.
                 for table in [&dense, &hashed] {
                     let mut columns = table.columns();
                     let skipped = usize::from(columns.next().is_some());
@@ -1412,10 +1541,15 @@ mod tests {
                 prop_assert_eq!(dense.distinct_keys(), walked.len());
                 prop_assert!(walked.iter().all(|&(_, cell)| cell[0] | cell[1] != 0));
                 prop_assert_eq!(dense.samples(), hashed.samples());
+                prop_assert_eq!(dense.overflow(), [0, 0]);
+                let (kept, pooled) = smallest_keys(&oracle, cap);
+                prop_assert_eq!(collected(&capped), kept);
+                prop_assert_eq!(capped.overflow(), pooled);
+                prop_assert_eq!(capped.samples(), dense.samples());
             }
         }
 
-        /// Below the dense threshold the hashed store pools overflow:
+        /// Below the dense threshold a sorted table pools overflow:
         /// mass is conserved and the bucket is one extra column.
         #[test]
         fn hashed_overflow_conserves_mass(
@@ -1426,7 +1560,7 @@ mod tests {
                 .iter()
                 .map(|&(key, group)| ((key as u128) & 0xff, group as usize))
                 .collect();
-            let mut table = Table::hashed(cap);
+            let mut table = Table::sorted(8, cap);
             absorb_all(&mut table, &keys);
             prop_assert!(table.distinct_keys() <= cap);
             let tallied: u64 = g_pairs(&table)
@@ -1437,44 +1571,83 @@ mod tests {
             prop_assert_eq!(table.samples(), keys.len() as u64);
         }
 
-        /// The hashed store's final state depends only on the multiset
-        /// of observations: any arrival order, and any split into
-        /// shards joined by `merge_from`, gives the same table — with
-        /// caps both below and above the number of distinct keys.
+        /// A sorted table's final state depends only on the multiset of
+        /// observations: any arrival order, any settle points, and any
+        /// split into shards folded by `merge_from` in any order give the
+        /// columns and overflow of a `BTreeMap` oracle of the
+        /// smallest-keys rule — with caps of 1–8 both below and above
+        /// the number of distinct keys, and with narrow and wide
+        /// (`u128`-logged) keys.
         #[test]
         fn hashed_tables_do_not_depend_on_order_or_sharding(
-            raw in prop::collection::vec((0u64..48, any::<bool>()), 1..300),
-            cap in 1usize..64,
+            batches in prop::collection::vec((0u8..3, any::<u64>()), 1..40),
+            range in 1u64..16,
+            cap in 1usize..=8,
+            wide in any::<bool>(),
             seed in any::<u64>(),
             shards in 1usize..6,
         ) {
-            let keys: Vec<(u128, usize)> = raw
+            let (width, base) = if wide { (128, 1u128 << 100) } else { (4, 0) };
+            let batches: Vec<(u8, [u128; LANES], u64)> = batches
                 .iter()
-                .map(|&(key, group)| (key as u128, group as usize))
+                .map(|&(mode, batch_seed)| {
+                    let mut state = batch_seed;
+                    let keys = std::array::from_fn(|_| base + u128::from(splitmix(&mut state) % range));
+                    (mode, keys, splitmix(&mut state))
+                })
                 .collect();
-            let mut reference = Table::hashed(cap);
-            absorb_all(&mut reference, &keys);
-            prop_assert!(reference.distinct_keys() <= cap);
+            let mut oracle = BTreeMap::new();
+            for (_, keys, lane_groups) in &batches {
+                observe_batch(&mut oracle, keys, *lane_groups);
+            }
+            let (kept, pooled) = smallest_keys(&oracle, cap);
 
-            let shuffled = permuted(&keys, seed);
-            let mut reordered = Table::hashed(cap);
-            absorb_all(&mut reordered, &shuffled);
+            // Mode 0 logs a batch, 1 logs and settles, 2 absorbs its
+            // lanes one by one.
+            let feed = |table: &mut Table, batches: &[(u8, [u128; LANES], u64)]| {
+                for &(mode, keys, lane_groups) in batches {
+                    if mode == 2 {
+                        for (lane, &key) in keys.iter().enumerate() {
+                            let mut cell = [0, 0];
+                            cell[((lane_groups >> lane) & 1) as usize] = 1;
+                            table.absorb(key, cell);
+                        }
+                    } else {
+                        table.absorb_keys(&keys, lane_groups);
+                    }
+                    if mode == 1 {
+                        table.settle();
+                    }
+                }
+            };
+            let mut reference = Table::sorted(width, cap);
+            feed(&mut reference, &batches);
 
-            let mut merged = Table::hashed(cap);
-            for shard in 0..shards {
-                let mut local = merged.empty_like();
-                let part: Vec<(u128, usize)> =
-                    shuffled.iter().skip(shard).step_by(shards).copied().collect();
-                absorb_all(&mut local, &part);
-                prop_assert!(local.distinct_keys() <= cap);
-                merged.merge_from(&mut local);
-                prop_assert_eq!(local.samples(), 0);
+            let shuffled = permuted(&batches, seed);
+            let mut reordered = Table::sorted(width, cap);
+            feed(&mut reordered, &shuffled);
+
+            let mut locals: Vec<Table> = (0..shards)
+                .map(|shard| {
+                    let mut local = reference.empty_like();
+                    let part: Vec<_> = shuffled.iter().skip(shard).step_by(shards).copied().collect();
+                    feed(&mut local, &part);
+                    local
+                })
+                .collect();
+            let mut merged = Table::sorted(width, cap);
+            for shard in permuted(&(0..shards).collect::<Vec<_>>(), seed ^ 1) {
+                merged.merge_from(&mut locals[shard]);
+                prop_assert_eq!(locals[shard].samples(), 0);
+                prop_assert_eq!(locals[shard].columns().len(), 0);
             }
 
-            for table in [&mut reordered, &mut merged] {
-                prop_assert_eq!(collected(table), collected(&reference));
-                prop_assert_eq!(table.overflow(), reference.overflow());
-                prop_assert_eq!(table.samples(), reference.samples());
+            for table in [&mut reference, &mut reordered, &mut merged] {
+                table.settle();
+                prop_assert_eq!(collected(table), kept.as_slice());
+                prop_assert_eq!(table.overflow(), pooled);
+                prop_assert_eq!(table.samples(), (LANES * batches.len()) as u64);
+                prop_assert!(table.distinct_keys() <= cap);
             }
         }
     }

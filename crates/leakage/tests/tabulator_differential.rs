@@ -1,6 +1,6 @@
-//! Differential tests for the two contingency-table stores, driven
-//! through [`EvaluationConfig::tabulator`]: the dense direct-indexed
-//! fast path and the hashed store must produce byte-identical reports,
+//! Differential tests for the two contingency-table modes, driven
+//! through [`EvaluationConfig::tabulator`]: dense tables and capped
+//! sorted tables on every set must produce byte-identical reports,
 //! CSVs and trajectories — across thread counts, across a resume leg
 //! that switches stores mid-campaign, and in mixed campaigns where a
 //! narrow key cap sends only some probing sets down the dense path and
@@ -110,7 +110,7 @@ fn a_narrow_key_cap_mixes_stores_without_changing_the_statistics() {
         "the narrow cap must make some hashed tables overflow"
     );
 
-    // The hashed store keeps each table's 16 smallest keys whatever
+    // A capped sorted table keeps its 16 smallest keys whatever
     // order batches arrive in, so neither the store mix, the thread
     // count nor an interrupt at 4 threads resumed at 1 may change a
     // byte of the CSV or the snapshot.

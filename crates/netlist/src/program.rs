@@ -102,8 +102,7 @@ struct Run {
 }
 
 /// The combinational logic of a [`Netlist`], compiled to runs of
-/// independent single-opcode instructions (see the
-/// [module docs](self)).
+/// independent single-opcode instructions (see the module docs).
 ///
 /// A program borrows nothing: it holds only indices into the wire-value
 /// and register-state vectors the caller supplies to [`CellProgram::run`],

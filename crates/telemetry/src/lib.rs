@@ -28,7 +28,7 @@
 //!   timers, named counters, and fixed-bucket duration histograms in a
 //!   [`PerfRecorder`] carried by the [`Observer`] — near-zero overhead
 //!   when disabled, `perf_snapshot` events when enabled;
-//!   [`chrome_trace`] renders a frozen snapshot into a deterministic
+//!   [`chrome_trace()`] renders a frozen snapshot into a deterministic
 //!   `chrome://tracing` JSON timeline;
 //! * a live-status layer ([`metrics`], [`status`]): a lock-cheap
 //!   metrics registry with deterministic Prometheus text exposition

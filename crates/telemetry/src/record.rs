@@ -24,6 +24,9 @@ pub struct RunRecord {
     /// Traces accumulated so far (the whole budget's worth on a
     /// resumed run, including earlier legs).
     pub traces: u64,
+    /// The part of `traces` restored from an earlier leg's snapshot,
+    /// which this leg's stopwatch never timed.
+    pub resumed_traces: u64,
     /// The trace budget.
     pub traces_target: u64,
     /// Wall time since the producer's stopwatch started, milliseconds.
@@ -53,11 +56,12 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
-    /// Overall throughput: traces per second of `wall_ms` (0 before a
-    /// millisecond has passed).
+    /// This leg's throughput: the traces it ran (`traces` less
+    /// `resumed_traces`) per second of `wall_ms` (0 before a millisecond
+    /// has passed).
     pub fn traces_per_sec(&self) -> f64 {
         if self.wall_ms > 0 {
-            self.traces as f64 * 1000.0 / self.wall_ms as f64
+            self.traces.saturating_sub(self.resumed_traces) as f64 * 1000.0 / self.wall_ms as f64
         } else {
             0.0
         }
@@ -99,5 +103,20 @@ mod tests {
         };
         assert_eq!(fresh.traces_per_sec(), 0.0);
         assert_eq!(fresh.eta_seconds(), f64::INFINITY);
+    }
+
+    #[test]
+    fn a_resumed_leg_rates_only_the_traces_it_ran() {
+        // 6,000 of 7,000 traces came from the snapshot; this leg ran
+        // 1,000 in half a second and has 2,000 left.
+        let record = RunRecord {
+            traces: 7_000,
+            resumed_traces: 6_000,
+            traces_target: 9_000,
+            wall_ms: 500,
+            ..RunRecord::default()
+        };
+        assert_eq!(record.traces_per_sec(), 2_000.0);
+        assert_eq!(record.eta_seconds(), 1.0);
     }
 }
