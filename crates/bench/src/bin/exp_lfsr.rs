@@ -60,7 +60,7 @@ fn main() {
     let wide_clean = transition_passed.contains(&(8, true));
     let mut summary = run.base_summary("exp_lfsr", "LFSR", total_traces);
     summary.schedule = "lfsr-embedded".to_owned();
-    summary.model = "glitch+transition".to_owned();
+    summary.record.model = ProbeModel::GlitchTransition.name().to_owned();
     summary.record.max_minus_log10_p = worst;
     summary.record.passed = narrow_leaks && wide_clean;
     summary.extra = vec![

@@ -154,7 +154,7 @@ fn main() {
     }
     let mut summary = run.base_summary("exp_search", "SEARCH", total_traces);
     summary.schedule = "search".to_owned();
-    summary.model = "glitch+transition".to_owned();
+    summary.record.model = ProbeModel::GlitchTransition.name().to_owned();
     summary.record.max_minus_log10_p = worst;
     summary.record.passed = eq9_found && transition_survivors == 0 && sweep2_mismatches == 0;
     summary.extra = vec![

@@ -459,7 +459,6 @@ fn evaluate(arguments: &[String]) {
         csv_path = Some(args.value());
         true
     });
-    let model = config.model;
     let (report, _, record) =
         unwrap_campaign(campaign(&design, config, &run.observer).try_run_recorded(false));
     if !run.quiet() {
@@ -476,7 +475,6 @@ fn evaluate(arguments: &[String]) {
     }
     let mut summary = run.record_summary("mmaes evaluate", &arguments[0], record);
     summary.schedule = design.schedule.clone();
-    summary.model = model_name(model).to_owned();
     run.finish_with(summary);
 }
 
@@ -591,7 +589,6 @@ fn explain(arguments: &[String]) {
     }
     let mut summary = run.record_summary("mmaes explain", spec, record);
     summary.schedule = design.schedule.clone();
-    summary.model = model_name(campaign_model).to_owned();
     summary.extra = vec![("findings".to_owned(), bundles.len().to_string())];
     run.finish_with(summary);
 }
@@ -1027,13 +1024,6 @@ fn chaos(arguments: &[String]) {
     });
 }
 
-fn model_name(model: ProbeModel) -> &'static str {
-    match model {
-        ProbeModel::Glitch => "glitch",
-        ProbeModel::GlitchTransition => "glitch+transition",
-    }
-}
-
 fn verify(arguments: &[String]) {
     let Some(spec) = arguments.first() else {
         eprintln!("verify needs a design");
@@ -1057,7 +1047,7 @@ fn verify(arguments: &[String]) {
         }
         true
     });
-    let model = model_name(config.model);
+    let model = config.model.name();
     let run = RunOptions::start(flags, ExperimentBudget::default());
     let report = ExactVerifier::with_config(&design.netlist, config)
         .with_observer(run.observer.clone())
@@ -1069,10 +1059,10 @@ fn verify(arguments: &[String]) {
     // thread count, no traces.
     let mut summary = run.base_summary("mmaes verify", spec, 0);
     summary.schedule = design.schedule.clone();
-    summary.model = model.to_owned();
     summary.statistic = String::new();
     summary.threads = 0;
     summary.record.design = design.netlist.name().to_owned();
+    summary.record.model = model.to_owned();
     summary.record.passed = !report.leak_found();
     summary.record.cell_evals = report.cell_evals;
     summary.extra = vec![

@@ -1,8 +1,9 @@
 //! One run, every surface: the summary line, `status.json` (body and
 //! `runtime`), the Prometheus exposition, the final `campaign_finished`
 //! event and the HTML report header all render the campaign's final
-//! run record, so they agree exactly on traces, wall time, throughput,
-//! the maximum `-log10(p)`, the leaking count and the verdict.
+//! run record, so they agree exactly on the probing model, traces, wall
+//! time, throughput, the maximum `-log10(p)`, the leaking count and the
+//! verdict.
 
 use mmaes_bench::{html, ObserverFlags, RunOptions};
 use mmaes_circuits::build_kronecker;
@@ -40,6 +41,10 @@ fn u64_at(value: &JsonValue, key: &str) -> u64 {
 
 fn bool_at(value: &JsonValue, key: &str) -> bool {
     value.get(key).and_then(JsonValue::as_bool).expect(key)
+}
+
+fn str_at<'a>(value: &'a JsonValue, key: &str) -> &'a str {
+    value.get(key).and_then(JsonValue::as_str).expect(key)
 }
 
 /// Runs the Eq. 6 Kronecker campaign with every surface attached and
@@ -116,6 +121,16 @@ fn assert_surfaces_agree(tag: &str, config: EvaluationConfig) -> RunRecord {
     let status = parse(document.trim()).expect("status parses");
     let runtime = status.get("runtime").expect("runtime block");
     assert_eq!(u64_at(&status, "traces"), traces, "{tag}: status traces");
+    assert_eq!(
+        str_at(&line, "model"),
+        str_at(&status, "model"),
+        "{tag}: one spelling of the probing model"
+    );
+    assert_eq!(
+        str_at(&status, "model"),
+        record.model,
+        "{tag}: status model"
+    );
     assert_eq!(
         u64_at(runtime, "elapsed_ms"),
         record.wall_ms,

@@ -14,23 +14,22 @@
 //!
 //! This module holds the configuration surface (re-exported from
 //! [`crate::config`]), the [`FixedVsRandom`] builder API and the report
-//! assembly; the staged scheduler that actually runs the campaign lives
-//! in `engine.rs`.
+//! assembly; the staged scheduler that runs the campaign and sweeps its
+//! tables into verdicts lives in `engine.rs`.
 
 use mmaes_netlist::{Netlist, SecretId, StableCones, WireId};
 use mmaes_sim::LANES;
-use mmaes_telemetry::{Event, Observer, ProbeHealth, RunRecord, Stopwatch};
+use mmaes_telemetry::{Event, Observer, RunRecord, Stopwatch};
 
 pub use crate::config::{
     CampaignMode, Durability, EvaluationConfig, SecretDomain, DECISIVE_MARGIN,
 };
-use crate::engine::{CampaignState, Engine, FoldContext, CHECKPOINT_TOP_PROBES};
+use crate::engine::{CampaignState, Engine};
 pub use crate::error::CampaignError;
-use crate::health;
 use crate::probe::{enumerate_probe_sets, ProbeSet};
 use crate::report::{LeakageReport, ProbeResult};
 use crate::snapshot::{self, SnapshotError};
-use crate::stats::{g_columns, pooling_summary};
+use crate::stats::g_columns;
 use crate::tabulate::{Columns, Table};
 
 /// FNV-1a over the canonical description of every sampling-relevant
@@ -201,7 +200,7 @@ impl<'a> FixedVsRandom<'a> {
     /// * [`CampaignError::Worker`] — a batch exhausted the supervisor's
     ///   retry budget (see [`crate::supervisor`]).
     pub fn try_run(&self) -> Result<LeakageReport, CampaignError> {
-        self.try_run_impl(false, false).map(|(report, ..)| report)
+        self.try_run_recorded(false).map(|(report, ..)| report)
     }
 
     /// Like [`FixedVsRandom::try_run`], but additionally returns the
@@ -221,7 +220,7 @@ impl<'a> FixedVsRandom<'a> {
     ///
     /// Identical to [`FixedVsRandom::try_run`].
     pub fn try_run_with_tables(&self) -> Result<(LeakageReport, Vec<ProbeTable>), CampaignError> {
-        self.try_run_impl(true, false)
+        self.try_run_recorded(true)
             .map(|(report, tables, _)| (report, tables))
     }
 
@@ -240,17 +239,6 @@ impl<'a> FixedVsRandom<'a> {
         &self,
         keep_tables: bool,
     ) -> Result<(LeakageReport, Vec<ProbeTable>, RunRecord), CampaignError> {
-        self.try_run_impl(keep_tables, true)
-            .map(|(report, tables, record)| {
-                (report, tables, record.expect("a record was requested"))
-            })
-    }
-
-    fn try_run_impl(
-        &self,
-        keep_tables: bool,
-        keep_record: bool,
-    ) -> Result<(LeakageReport, Vec<ProbeTable>, Option<RunRecord>), CampaignError> {
         let config = &self.config;
         let watch = Stopwatch::start();
         let perf = self.observer.perf();
@@ -328,59 +316,36 @@ impl<'a> FixedVsRandom<'a> {
             .collect();
         let controls = self.netlist.control_inputs();
 
-        // Randomness-consumption accounting for the health layer: the
-        // masking randomness the driver draws per lane per cycle —
-        // d−1 random shares per secret bit, one bit per free mask,
-        // eight bits per non-zero byte bus — over the trace's
-        // `0..=warmup_cycles` driven cycles. The secret value itself
-        // is the population variable, not masking randomness.
-        let sharing_bits_per_cycle: u64 = secrets
-            .iter()
-            .map(|(_, shares)| ((shares.len() - 1) * shares[0].len()) as u64)
-            .sum();
-        let mask_bits_per_cycle =
-            free_masks.len() as u64 + 8 * self.nonzero_byte_buses.len() as u64;
-        let fresh_bits_per_trace =
-            (sharing_bits_per_cycle + mask_bits_per_cycle) * (config.warmup_cycles as u64 + 1);
-
         let batches = config.traces.div_ceil(LANES as u64);
         let durability = &config.durability;
         let fingerprint = self.fingerprint(&probe_sets);
         let mut state = CampaignState::new(&probe_sets, config);
-        // Cell evaluations folded in by previous (interrupted) legs.
-        let mut prior_cell_evals = 0u64;
         // A crash between tmp-write and rename leaves a stale `.tmp`
         // sibling; reap it before touching the snapshot so a torn file
         // can never be mistaken for (or block) campaign state.
         if let Some(path) = &durability.snapshot_path {
             snapshot::reap_stale_tmp(path);
         }
-        if durability.resume {
-            if let Some(path) = &durability.snapshot_path {
-                if path.exists() {
-                    let saved = snapshot::load(path)?;
-                    if saved.config_fingerprint != fingerprint {
-                        return Err(SnapshotError::ConfigMismatch {
-                            found: saved.config_fingerprint,
-                            expected: fingerprint,
-                        }
-                        .into());
-                    }
-                    if saved.total_batches != batches || saved.tables.len() != probe_sets.len() {
-                        return Err(SnapshotError::ConfigMismatch {
-                            found: saved.config_fingerprint,
-                            expected: fingerprint,
-                        }
-                        .into());
-                    }
-                    state.batches_done = saved.batches_done.min(batches);
-                    prior_cell_evals = saved.cell_evals;
-                    for (index, table) in saved.tables.into_iter().enumerate() {
-                        state.flagged[index] = table.flagged;
-                        state.trajectories[index] = table.trajectory;
-                        state.tables[index].restore(table.counts, table.overflow, table.samples);
-                    }
+        let resume_from = durability.snapshot_path.as_ref();
+        if let Some(path) = resume_from.filter(|path| durability.resume && path.exists()) {
+            let saved = snapshot::load(path)?;
+            if saved.config_fingerprint != fingerprint
+                || saved.total_batches != batches
+                || saved.tables.len() != probe_sets.len()
+            {
+                return Err(SnapshotError::ConfigMismatch {
+                    found: saved.config_fingerprint,
+                    expected: fingerprint,
                 }
+                .into());
+            }
+            state.batches_done = saved.batches_done.min(batches);
+            state.prior_batches = state.batches_done;
+            state.prior_cell_evals = saved.cell_evals;
+            for (index, table) in saved.tables.into_iter().enumerate() {
+                state.flagged[index] = table.flagged;
+                state.trajectories[index] = table.trajectory;
+                state.tables[index].restore(table.counts, table.overflow, table.samples);
             }
         }
         if self.observer.enabled() {
@@ -392,11 +357,6 @@ impl<'a> FixedVsRandom<'a> {
                 traces_target: batches * LANES as u64,
             });
         }
-        // Interim statistics every `checkpoint_every` batches; 0 = never,
-        // keeping the sampling loop on the uninstrumented fast path.
-        let checkpoint_every = batches
-            .checked_div(config.checkpoints)
-            .map_or(0, |every| every.max(1));
         let engine = Engine {
             netlist: self.netlist,
             config,
@@ -407,19 +367,17 @@ impl<'a> FixedVsRandom<'a> {
             nonzero_byte_buses: &self.nonzero_byte_buses,
             control_schedules: &self.control_schedules,
             observer: &self.observer,
-        };
-        let context = FoldContext {
-            probe_sets: &probe_sets,
-            watch: &watch,
-            perf,
+            watch,
             fingerprint,
             batches,
-            checkpoint_every,
-            prior_cell_evals,
-            prior_batches: state.batches_done,
-            fresh_bits_per_trace,
+            // Interim statistics every `checkpoint_every` batches; 0 =
+            // never, keeping the sampling loop on the uninstrumented
+            // fast path.
+            checkpoint_every: batches
+                .checked_div(config.checkpoints)
+                .map_or(0, |every| every.max(1)),
         };
-        let run_result = engine.run(&context, &mut state);
+        let run_result = engine.run(&mut state);
 
         // Final snapshot: covers interruption, early stop, normal
         // completion (resuming a completed snapshot reproduces the
@@ -427,162 +385,90 @@ impl<'a> FixedVsRandom<'a> {
         // itself failed, an emergency flush of the contiguous folded
         // prefix before the error propagates, so the traces already
         // simulated are never lost.
-        if let Some(path) = &durability.snapshot_path {
-            let _span = perf.span("snapshot");
-            let bytes = state.encode_snapshot(&context, config.statistic);
-            if let Err(error) = snapshot::save_bytes_with_retry(&bytes, path) {
-                if run_result.is_ok() {
-                    // A healthy run whose final state cannot be
-                    // persisted is a typed error: the caller asked for
-                    // durability and did not get it.
-                    return Err(error.into());
-                }
-                // The run error is the root cause and wins; record the
-                // failed emergency flush alongside it.
-                mmaes_telemetry::degraded::mark(
-                    "snapshot",
-                    &format!("emergency flush failed: {error}"),
-                );
+        let final_path = durability.snapshot_path.as_ref();
+        if let Some(Err(error)) = final_path.map(|path| engine.save_snapshot(&state, path)) {
+            if run_result.is_ok() {
+                // A healthy run whose final state cannot be persisted
+                // is a typed error: the caller asked for durability and
+                // did not get it.
+                return Err(error.into());
             }
+            // The run error is the root cause and wins; record the
+            // failed emergency flush alongside it.
+            mmaes_telemetry::degraded::mark(
+                "snapshot",
+                &format!("emergency flush failed: {error}"),
+            );
         }
         run_result?;
 
-        let traces = state.batches_done * LANES as u64;
-        let statistic = config.statistic.as_statistic();
         let final_sweep = perf.span("g_test");
-        let health_enabled = self.observer.enabled();
-        let mut probe_healths: Vec<ProbeHealth> = Vec::new();
-        let mut results: Vec<ProbeResult> = probe_sets
+        let sweep = engine.sweep(&state, true);
+        let results: Vec<ProbeResult> = sweep
+            .ranked
             .iter()
-            .zip(&state.tables)
-            .enumerate()
-            .map(|(index, (set, table))| {
-                let overflow = table.overflow();
-                let summary = pooling_summary(g_columns(table.columns(), overflow));
-                let pooled_fraction = if summary.total_mass > 0 {
-                    summary.pooled_mass as f64 / summary.total_mass as f64
-                } else {
-                    0.0
-                };
-                let distinct_keys = table.distinct_keys();
-                let trajectory = std::mem::take(&mut state.trajectories[index]);
-                let result = match statistic.evaluate_columns(table.columns(), overflow) {
-                    Some(test) => ProbeResult {
-                        label: set.label.clone(),
-                        probe_count: set.wires.len(),
-                        cone_size: set.observed.len(),
-                        samples: table.samples(),
-                        distinct_keys,
-                        pooled_columns: summary.pooled_columns,
-                        pooled_fraction,
-                        g_statistic: test.statistic,
-                        df: test.df,
-                        minus_log10_p: test.minus_log10_p,
-                        testable: true,
-                        leaking: test.minus_log10_p > config.threshold,
-                        trajectory,
-                    },
-                    None => ProbeResult {
-                        label: set.label.clone(),
-                        probe_count: set.wires.len(),
-                        cone_size: set.observed.len(),
-                        samples: table.samples(),
-                        distinct_keys,
-                        pooled_columns: summary.pooled_columns,
-                        pooled_fraction,
-                        g_statistic: 0.0,
-                        df: 0.0,
-                        minus_log10_p: 0.0,
-                        testable: false,
-                        leaking: false,
-                        trajectory,
-                    },
-                };
-                if health_enabled {
-                    probe_healths.push(health::probe_health(
-                        &set.label,
-                        &summary,
-                        result.minus_log10_p,
-                        &result.trajectory,
-                        traces,
-                        config.threshold,
-                    ));
+            .map(|&(index, minus_log10_p)| {
+                let (set, table) = (&probe_sets[index], &state.tables[index]);
+                let outcome = sweep.outcomes[index];
+                ProbeResult {
+                    label: set.label.clone(),
+                    probe_count: set.wires.len(),
+                    cone_size: set.observed.len(),
+                    samples: table.samples(),
+                    distinct_keys: table.distinct_keys(),
+                    pooled_columns: sweep.summaries[index].pooled_columns,
+                    pooled_fraction: sweep.summaries[index].pooled_fraction(),
+                    g_statistic: outcome.map_or(0.0, |test| test.statistic),
+                    df: outcome.map_or(0.0, |test| test.df),
+                    minus_log10_p,
+                    testable: outcome.is_some(),
+                    leaking: outcome.is_some() && minus_log10_p > config.threshold,
+                    trajectory: std::mem::take(&mut state.trajectories[index]),
                 }
-                result
             })
             .collect();
-        results.sort_by(|a, b| {
-            b.minus_log10_p
-                .partial_cmp(&a.minus_log10_p)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
         drop(final_sweep);
 
-        let cell_evals = prior_cell_evals + state.folded.cell_evals;
-        // Resident table bytes from the tables' logical content —
-        // deterministic, so it survives the byte-identity contract.
-        let table_bytes: u64 = state.tables.iter().map(Table::resident_bytes).sum();
         if perf.is_enabled() {
-            perf.add("traces", traces);
-            perf.add("cell_evals", cell_evals);
-            perf.add(
-                "keys_tabulated",
-                state.tables.iter().map(Table::samples).sum(),
-            );
-            perf.add(
-                "dense_tables",
-                state.tables.iter().filter(|table| table.is_dense()).count() as u64,
-            );
-            perf.add(
-                "hashed_tables",
-                state
-                    .tables
-                    .iter()
-                    .filter(|table| !table.is_dense())
-                    .count() as u64,
-            );
+            let dense_tables = state.tables.iter().filter(|table| table.is_dense()).count();
+            let keys_tabulated = state.tables.iter().map(Table::samples).sum();
+            perf.add("traces", sweep.traces);
+            perf.add("cell_evals", state.cell_evals());
+            perf.add("keys_tabulated", keys_tabulated);
+            perf.add("dense_tables", dense_tables as u64);
+            perf.add("hashed_tables", (state.tables.len() - dense_tables) as u64);
         }
+        let mut record = RunRecord {
+            finished: true,
+            ..engine.record(&state, &sweep)
+        };
         let report = LeakageReport {
             design: self.netlist.name().to_owned(),
             model: config.model,
             order: config.order,
-            traces,
+            traces: record.traces,
             threshold: config.threshold,
             statistic: config.statistic,
             probe_sets_truncated: truncated,
             early_stopped: state.early_stopped,
             interrupted: state.interrupted,
-            cell_evals,
-            table_bytes,
+            cell_evals: record.cell_evals,
+            // Resident table bytes from the tables' logical content —
+            // deterministic, so it survives the byte-identity contract.
+            table_bytes: record.table_bytes,
             results,
         };
-        let record = (keep_record || self.observer.enabled()).then(|| {
-            let worst = report.worst();
-            RunRecord {
-                max_minus_log10_p: worst.map_or(0.0, |result| result.minus_log10_p),
-                worst_label: worst.map(|result| result.label.clone()).unwrap_or_default(),
-                leaking: report.leaking().len(),
-                passed: report.passed(),
-                finished: true,
-                ..engine.record(&context, &state, traces)
-            }
-        });
-        if let Some(record) = record.as_ref().filter(|_| self.observer.enabled()) {
+        record.passed = report.passed();
+        if self.observer.enabled() {
             if let Some(snapshot) = &record.perf {
                 self.observer.emit(&Event::PerfSnapshot {
                     scope: "campaign".to_owned(),
                     snapshot: snapshot.clone(),
                 });
             }
-            self.observer.emit(&Event::HealthSummary(health::assess(
-                std::mem::take(&mut probe_healths),
-                traces,
-                batches * LANES as u64,
-                config.threshold,
-                fresh_bits_per_trace,
-                config.statistic,
-                CHECKPOINT_TOP_PROBES,
-            )));
+            self.observer.emit(&Event::HealthSummary(
+                engine.assess(sweep.healths, sweep.traces),
+            ));
             self.observer.emit(&Event::CampaignFinished(record.clone()));
         }
         // A sorted table hands over its column vector, and a flat one is

@@ -19,20 +19,21 @@
 //! and absorbs straight into the campaign's tables; at more threads
 //! each worker owns shard tables, merged at the end of the window.
 //! Either way the worker settles the tables it wrote before the window
-//! ends, so every reader after it — checkpoint, snapshot, emergency
-//! flush, final sweep — walks settled tables. Every window end funnels
-//! through [`Engine::after_batch`] —
-//! the single checkpoint / health / snapshot / early-stop / interrupt
-//! decision point — which then sees the same `batches_done` and the
-//! same tables at every thread count. That is what makes reports,
-//! trajectories and snapshots byte-identical across thread counts and
-//! resume legs.
+//! ends, so every reader after it walks settled tables. Every window
+//! end funnels through [`Engine::after_batch`], the single checkpoint /
+//! health / snapshot / early-stop / interrupt decision point, which
+//! sees the same `batches_done` and the same tables at every thread
+//! count: reports, trajectories and snapshots are byte-identical across
+//! thread counts and resume legs. Tables become verdicts in one place,
+//! [`Engine::sweep`], for every checkpoint and for the final report,
+//! and state reaches disk through one [`Engine::save_snapshot`].
 //!
 //! Supervision (panic boundaries, bounded in-place retries, rebuilt
 //! simulators, heartbeat watchdogs, degraded-sink snapshots) is
 //! integrated here once; `campaign.rs` is left with configuration, the
-//! builder API and report assembly.
+//! builder API, resume, the final save's failure policy and the report.
 
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::Duration;
@@ -40,7 +41,8 @@ use std::time::Duration;
 use mmaes_netlist::{Netlist, SecretId, WireId};
 use mmaes_sim::{SimStats, Simulator, LANES};
 use mmaes_telemetry::{
-    Checkpoint, Event, Observer, PerfRecorder, ProbeHealth, ProbePoint, RunRecord, Stopwatch,
+    Checkpoint, Event, HealthCheckpoint, Observer, PerfRecorder, ProbeHealth, ProbePoint,
+    RunRecord, Stopwatch,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -49,8 +51,8 @@ use crate::campaign::CampaignError;
 use crate::config::{CampaignMode, EvaluationConfig, SecretDomain, DECISIVE_MARGIN};
 use crate::health;
 use crate::probe::{ProbeModel, ProbeSet};
-use crate::snapshot::{self, TableView};
-use crate::stats::{g_columns, pooling_summary, StatisticKind};
+use crate::snapshot::{self, SnapshotError, TableView};
+use crate::stats::{g_columns, pooling_summary, PoolingSummary, TestOutcome};
 use crate::supervisor::{self, Heartbeats};
 use crate::tabulate::{Table, TabulatorMode, MAX_MINTERM_WIDTH};
 
@@ -147,11 +149,17 @@ pub(crate) fn make_table(set: &ProbeSet, config: &EvaluationConfig) -> Table {
 /// same bytes. A side effect worth naming: `batches_done` is always a contiguous
 /// frontier, so every snapshot records exactly the batches
 /// `0..batches_done` — resumable on any thread count.
+#[derive(Default)]
 pub(crate) struct CampaignState {
     pub(crate) tables: Vec<Table>,
     pub(crate) trajectories: Vec<Vec<(u64, f64)>>,
     pub(crate) flagged: Vec<bool>,
     pub(crate) batches_done: u64,
+    /// Batches restored from a snapshot: counted in `batches_done`, but
+    /// not run under this leg's stopwatch.
+    pub(crate) prior_batches: u64,
+    /// Cell evaluations folded in by previous (interrupted) legs.
+    pub(crate) prior_cell_evals: u64,
     /// Work from absorbed batches only. Batches in a discarded window
     /// are excluded, keeping `cell_evals` independent of the thread
     /// count.
@@ -168,71 +176,45 @@ pub(crate) struct CampaignState {
 
 impl CampaignState {
     pub(crate) fn new(probe_sets: &[ProbeSet], config: &EvaluationConfig) -> Self {
-        let probe_set_count = probe_sets.len();
         CampaignState {
             tables: probe_sets
                 .iter()
                 .map(|set| make_table(set, config))
                 .collect(),
-            trajectories: vec![Vec::new(); probe_set_count],
-            flagged: vec![false; probe_set_count],
-            batches_done: 0,
-            folded: SimStats::default(),
-            early_stopped: false,
-            interrupted: false,
-            snapshot_degraded: false,
-            last_stats: SimStats::default(),
-            last_elapsed_ms: 0,
+            trajectories: vec![Vec::new(); probe_sets.len()],
+            flagged: vec![false; probe_sets.len()],
+            ..CampaignState::default()
         }
     }
 
-    /// Encodes the campaign state in the snapshot format straight from
-    /// the live tables: the encoder walks each table's columns in place,
-    /// so no column is copied.
-    pub(crate) fn encode_snapshot(
-        &self,
-        context: &FoldContext<'_>,
-        statistic: StatisticKind,
-    ) -> Vec<u8> {
-        let header = snapshot::Header {
-            config_fingerprint: context.fingerprint,
-            statistic,
-            batches_done: self.batches_done,
-            total_batches: context.batches,
-            cell_evals: context.prior_cell_evals + self.folded.cell_evals,
-        };
-        let tables: Vec<TableView<'_>> = self
-            .tables
-            .iter()
-            .zip(&self.flagged)
-            .zip(&self.trajectories)
-            .map(|((table, &flagged), trajectory)| TableView {
-                samples: table.samples(),
-                overflow: table.overflow(),
-                flagged,
-                counts: table.columns(),
-                trajectory,
-            })
-            .collect();
-        snapshot::encode(&header, &tables)
+    /// Cell evaluations across every leg of the campaign.
+    pub(crate) fn cell_evals(&self) -> u64 {
+        self.prior_cell_evals + self.folded.cell_evals
     }
 }
 
-/// Read-only context the driver needs besides the state.
-pub(crate) struct FoldContext<'a> {
-    pub(crate) probe_sets: &'a [ProbeSet],
-    pub(crate) watch: &'a Stopwatch,
-    pub(crate) perf: &'a PerfRecorder,
-    pub(crate) fingerprint: u64,
-    pub(crate) batches: u64,
-    pub(crate) checkpoint_every: u64,
-    pub(crate) prior_cell_evals: u64,
-    /// Batches restored from a snapshot: counted in `batches_done`, but
-    /// not run under this leg's stopwatch.
-    pub(crate) prior_batches: u64,
-    /// Fresh randomness the input driver draws per trace, in bits —
-    /// the health layer's randomness-consumption accounting.
-    pub(crate) fresh_bits_per_trace: u64,
+/// One statistic sweep over every table: the only place where tables
+/// become verdicts, for the interim checkpoints and the final report
+/// alike.
+#[derive(Default)]
+pub(crate) struct Sweep {
+    /// The traces the tables hold.
+    pub(crate) traces: u64,
+    /// Per probing set, in enumeration order: the statistic's outcome,
+    /// `None` when the table is untestable.
+    pub(crate) outcomes: Vec<Option<TestOutcome>>,
+    /// Per set, its pooling summary; empty unless asked for or an
+    /// observer listens.
+    pub(crate) summaries: Vec<PoolingSummary>,
+    /// Per set, its health diagnosis; empty unless an observer listens.
+    pub(crate) healths: Vec<ProbeHealth>,
+    /// `(set, -log10(p))` by decreasing `-log10(p)`, 0 for an
+    /// untestable table; ties keep enumeration order.
+    pub(crate) ranked: Vec<(usize, f64)>,
+    /// The largest `-log10(p)`, 0 without sets.
+    pub(crate) max_minus_log10_p: f64,
+    /// Sets over the threshold.
+    pub(crate) leaking: usize,
 }
 
 /// One batch's observations of one probing set, in the form its table
@@ -294,10 +276,11 @@ struct Window {
 }
 
 /// The campaign driver: everything needed to simulate, extract and
-/// absorb batches, shared read-only across worker threads. Splitting
-/// this out of the builder is what lets `std::thread::scope` workers
-/// borrow the input-driving tables while the coordinator keeps `&mut`
-/// access to the campaign state.
+/// absorb batches and to turn the tables into verdicts, shared
+/// read-only across worker threads. Splitting this out of the builder
+/// is what lets `std::thread::scope` workers borrow the input-driving
+/// tables while the coordinator keeps `&mut` access to the campaign
+/// state.
 pub(crate) struct Engine<'a> {
     pub(crate) netlist: &'a Netlist,
     pub(crate) config: &'a EvaluationConfig,
@@ -309,39 +292,150 @@ pub(crate) struct Engine<'a> {
     pub(crate) nonzero_byte_buses: &'a [Vec<WireId>],
     pub(crate) control_schedules: &'a [(WireId, Vec<bool>)],
     pub(crate) observer: &'a Observer,
+    /// The campaign's one stopwatch, started before validation.
+    pub(crate) watch: Stopwatch,
+    /// The snapshot compatibility fingerprint.
+    pub(crate) fingerprint: u64,
+    /// The trace budget in 64-lane batches.
+    pub(crate) batches: u64,
+    /// Batches between interim checkpoints; 0 = none.
+    pub(crate) checkpoint_every: u64,
 }
 
 impl<'a> Engine<'a> {
-    /// The run record at `traces`: the campaign's identity and budget,
-    /// the wall time on its one stopwatch, and the state's flags, cell
-    /// evaluations, table bytes and perf snapshot. Callers fill in the
-    /// statistic's figures; only observed or recorded runs build one.
-    pub(crate) fn record(
-        &self,
-        context: &FoldContext<'_>,
-        state: &CampaignState,
-        traces: u64,
-    ) -> RunRecord {
+    /// The run record at a sweep: the campaign's identity and budget,
+    /// the wall time on its one stopwatch, the state's flags, cell
+    /// evaluations, table bytes and perf snapshot, and the sweep's
+    /// verdict figures.
+    pub(crate) fn record(&self, state: &CampaignState, sweep: &Sweep) -> RunRecord {
         RunRecord {
             design: self.netlist.name().to_owned(),
             model: self.config.model.name().to_owned(),
             order: self.config.order,
             probe_sets: self.probe_sets.len(),
-            traces,
-            resumed_traces: context.prior_batches * LANES as u64,
-            traces_target: context.batches * LANES as u64,
-            wall_ms: context.watch.elapsed_ms(),
+            traces: sweep.traces,
+            resumed_traces: state.prior_batches * LANES as u64,
+            traces_target: self.batches * LANES as u64,
+            wall_ms: self.watch.elapsed_ms(),
+            max_minus_log10_p: sweep.max_minus_log10_p,
+            worst_label: sweep
+                .ranked
+                .first()
+                .map_or_else(String::new, |&(index, _)| {
+                    self.probe_sets[index].label.clone()
+                }),
+            leaking: sweep.leaking,
             early_stopped: state.early_stopped,
             interrupted: state.interrupted,
-            cell_evals: context.prior_cell_evals + state.folded.cell_evals,
+            cell_evals: state.cell_evals(),
             table_bytes: state.tables.iter().map(Table::resident_bytes).sum(),
-            perf: context.perf.snapshot(),
+            perf: self.observer.perf().snapshot(),
             ..RunRecord::default()
         }
     }
 
+    /// Evaluates the statistic once per table at the state's frontier
+    /// and ranks the sets by `-log10(p)`. Pooling summaries are added
+    /// when `summaries` is set, and summaries and probe health whenever
+    /// an observer listens. A set's health extends its trajectory by
+    /// the current point, so an interim sweep runs before the
+    /// checkpoint records that point.
+    pub(crate) fn sweep(&self, state: &CampaignState, summaries: bool) -> Sweep {
+        let config = self.config;
+        let statistic = config.statistic.as_statistic();
+        let health = self.observer.enabled();
+        let mut sweep = Sweep {
+            traces: state.batches_done * LANES as u64,
+            ..Sweep::default()
+        };
+        for (index, table) in state.tables.iter().enumerate() {
+            let outcome = statistic.evaluate_columns(table.columns(), table.overflow());
+            let minus_log10_p = outcome.map_or(0.0, |outcome| outcome.minus_log10_p);
+            if summaries || health {
+                let summary = pooling_summary(g_columns(table.columns(), table.overflow()));
+                if health {
+                    sweep.healths.push(health::probe_health(
+                        &self.probe_sets[index].label,
+                        &summary,
+                        minus_log10_p,
+                        &state.trajectories[index],
+                        sweep.traces,
+                        config.threshold,
+                    ));
+                }
+                sweep.summaries.push(summary);
+            }
+            sweep.outcomes.push(outcome);
+            sweep.ranked.push((index, minus_log10_p));
+            sweep.leaking += usize::from(minus_log10_p > config.threshold);
+        }
+        sweep
+            .ranked
+            .sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        sweep.max_minus_log10_p = sweep.ranked.first().map_or(0.0, |&(_, value)| value);
+        sweep
+    }
+
+    /// The campaign-wide health at `traces` from a sweep's probe health. Its
+    /// randomness-consumption accounting counts the masking randomness
+    /// [`Engine::drive_cycle`] draws per lane per cycle — d−1 random
+    /// shares per secret bit, one bit per free mask, eight bits per
+    /// non-zero byte bus — over the trace's `0..=warmup_cycles` driven
+    /// cycles. The secret value itself is the population variable, not
+    /// masking randomness.
+    pub(crate) fn assess(&self, healths: Vec<ProbeHealth>, traces: u64) -> HealthCheckpoint {
+        let sharing_bits: usize = self
+            .secrets
+            .iter()
+            .map(|(_, shares)| (shares.len() - 1) * shares[0].len())
+            .sum();
+        let mask_bits = self.free_masks.len() + 8 * self.nonzero_byte_buses.len();
+        health::assess(
+            healths,
+            traces,
+            self.batches * LANES as u64,
+            self.config.threshold,
+            ((sharing_bits + mask_bits) * (self.config.warmup_cycles + 1)) as u64,
+            self.config.statistic,
+            CHECKPOINT_TOP_PROBES,
+        )
+    }
+
+    /// Saves the campaign state to `path` inside a `snapshot` span,
+    /// encoded straight from the live tables (the encoder walks each
+    /// table's columns in place, so no column is copied) and written
+    /// with bounded retries. The caller decides what a failure means.
+    pub(crate) fn save_snapshot(
+        &self,
+        state: &CampaignState,
+        path: &Path,
+    ) -> Result<(), SnapshotError> {
+        let _span = self.observer.perf().span("snapshot");
+        let header = snapshot::Header {
+            config_fingerprint: self.fingerprint,
+            statistic: self.config.statistic,
+            batches_done: state.batches_done,
+            total_batches: self.batches,
+            cell_evals: state.cell_evals(),
+        };
+        let tables: Vec<TableView<'_>> = state
+            .tables
+            .iter()
+            .zip(&state.flagged)
+            .zip(&state.trajectories)
+            .map(|((table, &flagged), trajectory)| TableView {
+                samples: table.samples(),
+                overflow: table.overflow(),
+                flagged,
+                counts: table.columns(),
+                trajectory,
+            })
+            .collect();
+        snapshot::save_bytes_with_retry(&snapshot::encode(&header, &tables), path)
+    }
+
     /// Runs the sampling pipeline from `state.batches_done` to
-    /// `context.batches` (or an early stop / interrupt / fatal fault),
+    /// `self.batches` (or an early stop / interrupt / fatal fault),
     /// one window at a time.
     ///
     /// At one thread the worker routine runs on the calling thread and
@@ -362,14 +456,11 @@ impl<'a> Engine<'a> {
     /// contiguous batch range) and the state stays at the last window
     /// boundary. Either way the emergency snapshot records a contiguous
     /// prefix.
-    pub(crate) fn run(
-        &self,
-        context: &FoldContext<'_>,
-        state: &mut CampaignState,
-    ) -> Result<(), CampaignError> {
-        if state.batches_done >= context.batches {
+    pub(crate) fn run(&self, state: &mut CampaignState) -> Result<(), CampaignError> {
+        if state.batches_done >= self.batches {
             return Ok(());
         }
+        let perf = self.observer.perf();
         let threads = self.config.threads.max(1);
         let heartbeats = Heartbeats::new(threads);
         let mut flagged_stall = vec![false; threads];
@@ -382,7 +473,7 @@ impl<'a> Engine<'a> {
                 } else {
                     Vec::new()
                 },
-                perf: if threads > 1 && context.perf.is_enabled() {
+                perf: if threads > 1 && perf.is_enabled() {
                     PerfRecorder::enabled()
                 } else {
                     PerfRecorder::disabled()
@@ -390,23 +481,15 @@ impl<'a> Engine<'a> {
             })
             .collect();
         let mut result = Ok(());
-        while state.batches_done < context.batches {
+        while state.batches_done < self.batches {
             let window = Window {
                 next: AtomicU64::new(state.batches_done),
-                end: self.window_end(context, state.batches_done),
+                end: self.window_end(state.batches_done),
                 chunk: if threads == 1 { 1 } else { CHUNK },
                 stop: AtomicBool::new(false),
             };
             let (stats, fault) = if let [Worker { sim, lanes, .. }] = workers.as_mut_slice() {
-                self.work(
-                    sim,
-                    lanes,
-                    &mut state.tables,
-                    &window,
-                    context.perf,
-                    &heartbeats,
-                    0,
-                )
+                self.work(sim, lanes, &mut state.tables, &window, perf, &heartbeats, 0)
             } else {
                 self.run_workers(&window, &mut workers, &heartbeats, &mut flagged_stall)
             };
@@ -423,7 +506,7 @@ impl<'a> Engine<'a> {
             }
             let reached = window.next.load(Ordering::Relaxed).min(window.end);
             if threads > 1 {
-                let _span = context.perf.span("merge");
+                let _span = perf.span("merge");
                 for worker in &mut workers {
                     for (table, local) in state.tables.iter_mut().zip(&mut worker.shard) {
                         table.merge_from(local);
@@ -432,12 +515,12 @@ impl<'a> Engine<'a> {
             }
             add_stats(&mut state.folded, stats);
             state.batches_done = reached;
-            if self.after_batch(context, state) || reached < window.end {
+            if self.after_batch(state) || reached < window.end {
                 break;
             }
         }
         for worker in &workers {
-            context.perf.absorb(&worker.perf);
+            perf.absorb(&worker.perf);
         }
         result
     }
@@ -446,12 +529,10 @@ impl<'a> Engine<'a> {
     /// point — checkpoint multiple, deterministic batch cap, or the
     /// end. (`cap.max(start + 1)` always runs one batch when resumed at
     /// or past the cap: the cap is only noticed after a batch.)
-    fn window_end(&self, context: &FoldContext<'_>, start: u64) -> u64 {
-        let mut end = match start.checked_div(context.checkpoint_every) {
-            Some(windows_done) => {
-                ((windows_done + 1) * context.checkpoint_every).min(context.batches)
-            }
-            None => context.batches,
+    fn window_end(&self, start: u64) -> u64 {
+        let mut end = match start.checked_div(self.checkpoint_every) {
+            Some(windows_done) => ((windows_done + 1) * self.checkpoint_every).min(self.batches),
+            None => self.batches,
         };
         if let Some(cap) = self.config.durability.stop_after_batches {
             end = end.min(cap.max(start + 1));
@@ -560,7 +641,6 @@ impl<'a> Engine<'a> {
         heartbeats: &Heartbeats,
         worker: usize,
     ) -> (SimStats, Option<CampaignError>) {
-        let interrupt = &self.config.durability.interrupt;
         let mut absorbed = SimStats::default();
         let mut fault = None;
         'claims: while !window.stop.load(Ordering::Acquire) {
@@ -590,10 +670,7 @@ impl<'a> Engine<'a> {
                 }
                 add_stats(&mut absorbed, stats);
             }
-            if interrupt
-                .as_ref()
-                .is_some_and(|flag| flag.load(Ordering::Relaxed))
-            {
+            if self.signalled() {
                 // Stop claiming; completed chunks stand, and the window
                 // end folds the contiguous claimed range.
                 break;
@@ -753,87 +830,61 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Whether a signal handler raised the interrupt flag.
+    fn signalled(&self) -> bool {
+        let flag = self.config.durability.interrupt.as_ref();
+        flag.is_some_and(|flag| flag.load(Ordering::Relaxed))
+    }
+
     /// Everything a window end triggers besides absorption: the interim
     /// checkpoint (running statistic sweep, events, snapshot,
     /// early-stop decision) and the cooperative-interrupt check, purely
     /// as a function of `state.batches_done` and the tables — which is
     /// what keeps checkpoints, trajectories, early stops and interrupt
     /// frontiers byte-identical across thread counts. Returns `true`
-    /// when the campaign should stop before `context.batches`.
-    fn after_batch(&self, context: &FoldContext<'_>, state: &mut CampaignState) -> bool {
+    /// when the campaign should stop before `self.batches`.
+    fn after_batch(&self, state: &mut CampaignState) -> bool {
         let config = self.config;
-        let perf = context.perf;
 
         // Interim checkpoint: running statistic per probing set,
         // events, and the early-stop decision. Skipped on the last
         // batch (the final statistics cover it).
-        if context.checkpoint_every > 0
-            && state.batches_done.is_multiple_of(context.checkpoint_every)
-            && state.batches_done < context.batches
+        if self.checkpoint_every > 0
+            && state.batches_done.is_multiple_of(self.checkpoint_every)
+            && state.batches_done < self.batches
         {
-            let _span = perf.span("g_test");
-            let statistic = config.statistic.as_statistic();
-            let traces_so_far = state.batches_done * LANES as u64;
-            let health_enabled = self.observer.enabled();
-            let mut probe_healths: Vec<ProbeHealth> = Vec::new();
-            let mut running: Vec<(usize, f64)> = Vec::with_capacity(context.probe_sets.len());
-            for (index, table) in state.tables.iter().enumerate() {
-                let minus_log10_p = statistic
-                    .evaluate_columns(table.columns(), table.overflow())
-                    .map(|test| test.minus_log10_p)
-                    .unwrap_or(0.0);
-                state.trajectories[index].push((traces_so_far, minus_log10_p));
-                running.push((index, minus_log10_p));
-                if health_enabled {
-                    probe_healths.push(health::probe_health(
-                        &context.probe_sets[index].label,
-                        &pooling_summary(g_columns(table.columns(), table.overflow())),
+            let _span = self.observer.perf().span("g_test");
+            let observed = self.observer.enabled();
+            let sweep = self.sweep(state, false);
+            for (index, outcome) in sweep.outcomes.iter().enumerate() {
+                let minus_log10_p = outcome.map_or(0.0, |outcome| outcome.minus_log10_p);
+                state.trajectories[index].push((sweep.traces, minus_log10_p));
+                if minus_log10_p > config.threshold
+                    && !std::mem::replace(&mut state.flagged[index], true)
+                    && observed
+                {
+                    self.observer.emit(&Event::ProbeFlagged {
+                        label: self.probe_sets[index].label.clone(),
                         minus_log10_p,
-                        &state.trajectories[index],
-                        traces_so_far,
-                        config.threshold,
-                    ));
-                }
-                if minus_log10_p > config.threshold && !state.flagged[index] {
-                    state.flagged[index] = true;
-                    if health_enabled {
-                        self.observer.emit(&Event::ProbeFlagged {
-                            label: context.probe_sets[index].label.clone(),
-                            minus_log10_p,
-                            traces: traces_so_far,
-                        });
-                    }
+                        traces: sweep.traces,
+                    });
                 }
             }
-            running.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-            let (worst_index, max_minus_log10_p) = running.first().copied().unwrap_or((0, 0.0));
-            if health_enabled {
-                let probes: Vec<ProbePoint> = running
+            if observed {
+                let probes: Vec<ProbePoint> = sweep
+                    .ranked
                     .iter()
                     .enumerate()
                     .take_while(|&(rank, &(_, value))| {
                         rank < CHECKPOINT_TOP_PROBES || value > config.threshold
                     })
                     .map(|(_, &(index, value))| ProbePoint {
-                        label: context.probe_sets[index].label.clone(),
+                        label: self.probe_sets[index].label.clone(),
                         minus_log10_p: value,
                         leaking: value > config.threshold,
                     })
                     .collect();
-                let leaking = running
-                    .iter()
-                    .filter(|&&(_, value)| value > config.threshold)
-                    .count();
-                let record = RunRecord {
-                    max_minus_log10_p,
-                    worst_label: context
-                        .probe_sets
-                        .get(worst_index)
-                        .map(|set| set.label.clone())
-                        .unwrap_or_default(),
-                    leaking,
-                    ..self.record(context, state, traces_so_far)
-                };
+                let record = self.record(state, &sweep);
                 let elapsed_ms = record.wall_ms;
                 self.observer
                     .emit(&Event::CampaignCheckpoint(Checkpoint { record, probes }));
@@ -848,37 +899,25 @@ impl<'a> Engine<'a> {
                     cell_evals: stats.cell_evals,
                     cycles_per_sec: interval.cycles_per_sec,
                     cell_evals_per_sec: interval.cell_evals_per_sec,
-                    lane_utilization: config.traces.min(traces_so_far) as f64
-                        / traces_so_far as f64,
+                    lane_utilization: config.traces.min(sweep.traces) as f64 / sweep.traces as f64,
                 });
-                self.observer.emit(&Event::Health(health::assess(
-                    probe_healths,
-                    traces_so_far,
-                    context.batches * LANES as u64,
-                    config.threshold,
-                    context.fresh_bits_per_trace,
-                    config.statistic,
-                    CHECKPOINT_TOP_PROBES,
-                )));
+                self.observer
+                    .emit(&Event::Health(self.assess(sweep.healths, sweep.traces)));
             }
-            if let Some(path) = &config.durability.snapshot_path {
-                if !state.snapshot_degraded {
-                    let _span = perf.span("snapshot");
-                    let bytes = state.encode_snapshot(context, config.statistic);
-                    if let Err(error) = snapshot::save_bytes_with_retry(&bytes, path) {
-                        // Interim saves are an amenity; losing them must
-                        // not kill a healthy campaign. Degrade: skip
-                        // further interim saves (the final save is still
-                        // attempted) and surface the outage.
-                        state.snapshot_degraded = true;
-                        mmaes_telemetry::degraded::mark(
-                            "snapshot",
-                            &format!("checkpoint at batch {}: {error}", state.batches_done),
-                        );
-                    }
-                }
+            let snapshot_path = config.durability.snapshot_path.as_ref();
+            let interim_path = snapshot_path.filter(|_| !state.snapshot_degraded);
+            if let Some(Err(error)) = interim_path.map(|path| self.save_snapshot(state, path)) {
+                // Interim saves are an amenity; losing them must not
+                // kill a healthy campaign. Degrade: skip further interim
+                // saves (the final save is still attempted) and surface
+                // the outage.
+                state.snapshot_degraded = true;
+                mmaes_telemetry::degraded::mark(
+                    "snapshot",
+                    &format!("checkpoint at batch {}: {error}", state.batches_done),
+                );
             }
-            if config.early_stop && max_minus_log10_p >= DECISIVE_MARGIN * config.threshold {
+            if config.early_stop && sweep.max_minus_log10_p >= DECISIVE_MARGIN * config.threshold {
                 state.early_stopped = true;
                 return true;
             }
@@ -888,16 +927,11 @@ impl<'a> Engine<'a> {
         // SIGINT/SIGTERM handler) or a deterministic batch cap. The
         // folded prefix is contiguous, so the state is consistent; the
         // final snapshot persists it.
-        let signalled = config
-            .durability
-            .interrupt
-            .as_ref()
-            .is_some_and(|flag| flag.load(Ordering::Relaxed));
         let capped = config
             .durability
             .stop_after_batches
             .is_some_and(|cap| state.batches_done >= cap);
-        if (signalled || capped) && state.batches_done < context.batches {
+        if (self.signalled() || capped) && state.batches_done < self.batches {
             state.interrupted = true;
             return true;
         }

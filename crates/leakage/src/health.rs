@@ -98,18 +98,13 @@ pub fn probe_health(
         points.push((traces, minus_log10_p));
     }
     let (slope_per_mtrace, traces_to_detection) = convergence(&points, threshold);
-    let pooled_fraction = if summary.total_mass > 0 {
-        summary.pooled_mass as f64 / summary.total_mass as f64
-    } else {
-        0.0
-    };
     ProbeHealth {
         label: label.to_owned(),
         minus_log10_p,
         leaking: minus_log10_p > threshold,
         tested_columns: summary.tested_columns,
         pooled_columns: summary.pooled_columns,
-        pooled_fraction,
+        pooled_fraction: summary.pooled_fraction(),
         min_expected: summary.min_expected,
         undersampled: !summary.testable || summary.min_expected < MIN_EXPECTED_FLOOR,
         slope_per_mtrace,

@@ -51,7 +51,6 @@
 //! or config-fingerprint mismatch is a typed error, not a panic, so
 //! CLIs can refuse with exit code 2.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
@@ -81,28 +80,6 @@ pub struct TableSnapshot {
     pub counts: Vec<(u128, [u64; 2])>,
     /// Checkpoint trajectory recorded so far: (traces, -log10(p)).
     pub trajectory: Vec<(u64, f64)>,
-}
-
-impl TableSnapshot {
-    /// Builds a snapshot from a live count map (sorts by key).
-    pub fn from_counts(
-        counts: &HashMap<u128, [u64; 2]>,
-        overflow: [u64; 2],
-        samples: u64,
-        flagged: bool,
-        trajectory: &[(u64, f64)],
-    ) -> Self {
-        let mut sorted: Vec<(u128, [u64; 2])> =
-            counts.iter().map(|(&key, &cell)| (key, cell)).collect();
-        sorted.sort_unstable_by_key(|&(key, _)| key);
-        TableSnapshot {
-            samples,
-            overflow,
-            flagged,
-            counts: sorted,
-            trajectory: trajectory.to_vec(),
-        }
-    }
 }
 
 /// The complete serialized state of a paused campaign.
@@ -753,22 +730,6 @@ end
         );
         assert_eq!(v2.to_text(), expected_v2);
         assert_eq!(CampaignSnapshot::from_text(&expected_v2), Ok(v2));
-    }
-
-    #[test]
-    fn serialization_is_byte_deterministic() {
-        // Same logical content through a HashMap must serialize
-        // identically regardless of hash iteration order.
-        let mut counts = HashMap::new();
-        counts.insert(7u128, [1u64, 2u64]);
-        counts.insert(3u128, [5u64, 6u64]);
-        let a = TableSnapshot::from_counts(&counts, [0, 0], 14, false, &[]);
-        assert_eq!(a.counts, vec![(3, [5, 6]), (7, [1, 2])]);
-        let snapshot = CampaignSnapshot {
-            tables: vec![a],
-            ..CampaignSnapshot::default()
-        };
-        assert_eq!(snapshot.to_text(), snapshot.clone().to_text());
     }
 
     #[test]

@@ -408,6 +408,18 @@ pub struct PoolingSummary {
     pub testable: bool,
 }
 
+impl PoolingSummary {
+    /// The share of the sample mass sitting in pooled columns (0 for
+    /// an empty table).
+    pub fn pooled_fraction(&self) -> f64 {
+        if self.total_mass > 0 {
+            self.pooled_mass as f64 / self.total_mass as f64
+        } else {
+            0.0
+        }
+    }
+}
+
 /// Summarizes how [`g_test`] pooling treats `columns`: which survive,
 /// which get pooled, and the minimum expected cell count afterwards.
 /// Two passes and no allocation, like [`g_test`].

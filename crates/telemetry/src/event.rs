@@ -190,8 +190,6 @@ pub struct RunSummary {
     pub id: String,
     /// Randomness schedule(s) involved.
     pub schedule: String,
-    /// Probing model as the CLI spells it, when applicable.
-    pub model: String,
     /// Leakage statistic the run's campaigns applied — `"gtest"` or
     /// `"ttest"`, empty when the run never sampled (schema v8).
     pub statistic: String,
@@ -234,7 +232,7 @@ impl RunSummary {
             .string("id", &self.id)
             .string("design", &record.design)
             .string("schedule", &self.schedule)
-            .string("model", &self.model)
+            .string("model", &record.model)
             // Which leakage test produced `max_minus_log10_p`
             // (schema v8); empty when the run never sampled.
             .string("statistic", &self.statistic)
@@ -640,7 +638,6 @@ mod tests {
                 tool: "mmaes evaluate".into(),
                 id: "kronecker:de-meyer-eq6".into(),
                 schedule: "de-meyer-eq6".into(),
-                model: "glitch".into(),
                 statistic: "gtest".into(),
                 threads: 4,
                 schemas: vec![("snapshot_schema".into(), 1)],
@@ -648,6 +645,7 @@ mod tests {
                 extra: vec![("leaking".into(), "4".into())],
                 record: RunRecord {
                     design: "kronecker".into(),
+                    model: "glitch-extended".into(),
                     order: 1,
                     traces: 200_000,
                     max_minus_log10_p: 308.0,
