@@ -244,14 +244,17 @@ impl<'a> FixedVsRandom<'a> {
         let perf = self.observer.perf();
         self.netlist.validate()?;
         let cones = StableCones::new(self.netlist);
-        let probe_sets = enumerate_probe_sets(
+        // One set past the cap tells a truncated enumeration from one
+        // that exactly fills it.
+        let mut probe_sets = enumerate_probe_sets(
             self.netlist,
             &cones,
             config.order,
             config.probe_scope_filter.as_deref(),
-            config.max_probe_sets,
+            config.max_probe_sets.saturating_add(1),
         );
-        let truncated = probe_sets.len() >= config.max_probe_sets;
+        let truncated = probe_sets.len() > config.max_probe_sets;
+        probe_sets.truncate(config.max_probe_sets);
 
         // Secret share structure: per secret, shares[share][bit] wires.
         // A secret with no share wires at all, or with a hole in the
@@ -403,7 +406,7 @@ impl<'a> FixedVsRandom<'a> {
         run_result?;
 
         let final_sweep = perf.span("g_test");
-        let sweep = engine.sweep(&state, true);
+        let mut sweep = engine.sweep(&state);
         let results: Vec<ProbeResult> = sweep
             .ranked
             .iter()
@@ -466,9 +469,8 @@ impl<'a> FixedVsRandom<'a> {
                     snapshot: snapshot.clone(),
                 });
             }
-            self.observer.emit(&Event::HealthSummary(
-                engine.assess(sweep.healths, sweep.traces),
-            ));
+            self.observer
+                .emit(&Event::HealthSummary(engine.assess(&mut sweep)));
             self.observer.emit(&Event::CampaignFinished(record.clone()));
         }
         // A sorted table hands over its column vector, and a flat one is
@@ -641,7 +643,7 @@ mod tests {
             match crate::stats::g_test(table.g_columns()) {
                 Some(test) => {
                     assert_eq!(test.statistic, result.g_statistic, "{}", table.label);
-                    assert_eq!(test.df as f64, result.df);
+                    assert_eq!(test.df, result.df);
                     assert_eq!(test.minus_log10_p, result.minus_log10_p);
                 }
                 None => assert!(!result.testable),

@@ -52,7 +52,7 @@ use crate::config::{CampaignMode, EvaluationConfig, SecretDomain, DECISIVE_MARGI
 use crate::health;
 use crate::probe::{ProbeModel, ProbeSet};
 use crate::snapshot::{self, SnapshotError, TableView};
-use crate::stats::{g_columns, pooling_summary, PoolingSummary, TestOutcome};
+use crate::stats::{self, g_columns, PoolingSummary, StatisticKind, TestOutcome};
 use crate::supervisor::{self, Heartbeats};
 use crate::tabulate::{Table, TabulatorMode, MAX_MINTERM_WIDTH};
 
@@ -203,14 +203,18 @@ pub(crate) struct Sweep {
     /// Per probing set, in enumeration order: the statistic's outcome,
     /// `None` when the table is untestable.
     pub(crate) outcomes: Vec<Option<TestOutcome>>,
-    /// Per set, its pooling summary; empty unless asked for or an
-    /// observer listens.
+    /// Per set, its pooling summary.
     pub(crate) summaries: Vec<PoolingSummary>,
-    /// Per set, its health diagnosis; empty unless an observer listens.
-    pub(crate) healths: Vec<ProbeHealth>,
     /// `(set, -log10(p))` by decreasing `-log10(p)`, 0 for an
     /// untestable table; ties keep enumeration order.
     pub(crate) ranked: Vec<(usize, f64)>,
+    /// The length of the ranked cut, `ranked[..shown]`, the sets a
+    /// checkpoint and its health show: the first
+    /// [`CHECKPOINT_TOP_PROBES`] plus every set over the threshold.
+    pub(crate) shown: usize,
+    /// Per set of the cut, in rank order, its health diagnosis; empty
+    /// unless an observer listens.
+    healths: Vec<ProbeHealth>,
     /// The largest `-log10(p)`, 0 without sets.
     pub(crate) max_minus_log10_p: f64,
     /// Sets over the threshold.
@@ -334,38 +338,30 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Evaluates the statistic once per table at the state's frontier
-    /// and ranks the sets by `-log10(p)`. Pooling summaries are added
-    /// when `summaries` is set, and summaries and probe health whenever
-    /// an observer listens. A set's health extends its trajectory by
-    /// the current point, so an interim sweep runs before the
-    /// checkpoint records that point.
-    pub(crate) fn sweep(&self, state: &CampaignState, summaries: bool) -> Sweep {
+    /// Pools each table once at the state's frontier and ranks the sets
+    /// by `-log10(p)`. The pooled pass yields every set's pooling
+    /// summary and, for a G-test campaign, its outcome; a t-test walks
+    /// the table once more. Probe health is added for the sets of the
+    /// ranked cut whenever an observer listens. A set's health extends
+    /// its trajectory by the current point, so an interim sweep runs
+    /// before the checkpoint records that point.
+    pub(crate) fn sweep(&self, state: &CampaignState) -> Sweep {
         let config = self.config;
-        let statistic = config.statistic.as_statistic();
-        let health = self.observer.enabled();
         let mut sweep = Sweep {
             traces: state.batches_done * LANES as u64,
             ..Sweep::default()
         };
         for (index, table) in state.tables.iter().enumerate() {
-            let outcome = statistic.evaluate_columns(table.columns(), table.overflow());
+            let pooled = stats::pool(g_columns(table.columns(), table.overflow()), |_| {});
+            let outcome = match config.statistic {
+                StatisticKind::GTest => pooled.test,
+                kind => kind
+                    .as_statistic()
+                    .evaluate_columns(table.columns(), table.overflow()),
+            };
             let minus_log10_p = outcome.map_or(0.0, |outcome| outcome.minus_log10_p);
-            if summaries || health {
-                let summary = pooling_summary(g_columns(table.columns(), table.overflow()));
-                if health {
-                    sweep.healths.push(health::probe_health(
-                        &self.probe_sets[index].label,
-                        &summary,
-                        minus_log10_p,
-                        &state.trajectories[index],
-                        sweep.traces,
-                        config.threshold,
-                    ));
-                }
-                sweep.summaries.push(summary);
-            }
             sweep.outcomes.push(outcome);
+            sweep.summaries.push(pooled.summary);
             sweep.ranked.push((index, minus_log10_p));
             sweep.leaking += usize::from(minus_log10_p > config.threshold);
         }
@@ -373,17 +369,36 @@ impl<'a> Engine<'a> {
             .ranked
             .sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         sweep.max_minus_log10_p = sweep.ranked.first().map_or(0.0, |&(_, value)| value);
+        // `-log10(p)` is never NaN, so the sets over the threshold are
+        // exactly the first `leaking` ranks.
+        sweep.shown = sweep
+            .leaking
+            .max(CHECKPOINT_TOP_PROBES)
+            .min(sweep.ranked.len());
+        if self.observer.enabled() {
+            for &(index, minus_log10_p) in &sweep.ranked[..sweep.shown] {
+                sweep.healths.push(health::probe_health(
+                    &self.probe_sets[index].label,
+                    &sweep.summaries[index],
+                    minus_log10_p,
+                    &state.trajectories[index],
+                    sweep.traces,
+                    config.threshold,
+                ));
+            }
+        }
         sweep
     }
 
-    /// The campaign-wide health at `traces` from a sweep's probe health. Its
+    /// The campaign-wide health at a sweep, from every set's pooling
+    /// summary and the cut's probe health, which it takes. Its
     /// randomness-consumption accounting counts the masking randomness
     /// [`Engine::drive_cycle`] draws per lane per cycle — d−1 random
     /// shares per secret bit, one bit per free mask, eight bits per
     /// non-zero byte bus — over the trace's `0..=warmup_cycles` driven
     /// cycles. The secret value itself is the population variable, not
     /// masking randomness.
-    pub(crate) fn assess(&self, healths: Vec<ProbeHealth>, traces: u64) -> HealthCheckpoint {
+    pub(crate) fn assess(&self, sweep: &mut Sweep) -> HealthCheckpoint {
         let sharing_bits: usize = self
             .secrets
             .iter()
@@ -391,13 +406,13 @@ impl<'a> Engine<'a> {
             .sum();
         let mask_bits = self.free_masks.len() + 8 * self.nonzero_byte_buses.len();
         health::assess(
-            healths,
-            traces,
+            std::mem::take(&mut sweep.healths),
+            &sweep.summaries,
+            sweep.traces,
             self.batches * LANES as u64,
             self.config.threshold,
             ((sharing_bits + mask_bits) * (self.config.warmup_cycles + 1)) as u64,
             self.config.statistic,
-            CHECKPOINT_TOP_PROBES,
         )
     }
 
@@ -855,7 +870,7 @@ impl<'a> Engine<'a> {
         {
             let _span = self.observer.perf().span("g_test");
             let observed = self.observer.enabled();
-            let sweep = self.sweep(state, false);
+            let mut sweep = self.sweep(state);
             for (index, outcome) in sweep.outcomes.iter().enumerate() {
                 let minus_log10_p = outcome.map_or(0.0, |outcome| outcome.minus_log10_p);
                 state.trajectories[index].push((sweep.traces, minus_log10_p));
@@ -871,14 +886,9 @@ impl<'a> Engine<'a> {
                 }
             }
             if observed {
-                let probes: Vec<ProbePoint> = sweep
-                    .ranked
+                let probes: Vec<ProbePoint> = sweep.ranked[..sweep.shown]
                     .iter()
-                    .enumerate()
-                    .take_while(|&(rank, &(_, value))| {
-                        rank < CHECKPOINT_TOP_PROBES || value > config.threshold
-                    })
-                    .map(|(_, &(index, value))| ProbePoint {
+                    .map(|&(index, value)| ProbePoint {
                         label: self.probe_sets[index].label.clone(),
                         minus_log10_p: value,
                         leaking: value > config.threshold,
@@ -901,8 +911,7 @@ impl<'a> Engine<'a> {
                     cell_evals_per_sec: interval.cell_evals_per_sec,
                     lane_utilization: config.traces.min(sweep.traces) as f64 / sweep.traces as f64,
                 });
-                self.observer
-                    .emit(&Event::Health(self.assess(sweep.healths, sweep.traces)));
+                self.observer.emit(&Event::Health(self.assess(&mut sweep)));
             }
             let snapshot_path = config.durability.snapshot_path.as_ref();
             let interim_path = snapshot_path.filter(|_| !state.snapshot_degraded);

@@ -22,6 +22,11 @@
 //! * **randomness accounting** — fresh bits the schedule draws per
 //!   trace, so randomness cost sits next to statistical power.
 //!
+//! A statistic sweep pools each table once, yielding its pooling summary
+//! beside its G-test. The aggregate counts come from every set's
+//! summary, and [`probe_health`] runs only for the sets of the sweep's
+//! ranked cut (the top sets by `-log10(p)` plus every leaking set).
+//!
 //! Everything derives from deterministic campaign state (tables,
 //! trajectories, batch counts) — never from wall clocks — so health
 //! payloads are byte-identical across `--threads`, like every other
@@ -80,6 +85,12 @@ pub fn convergence(points: &[(u64, f64)], threshold: f64) -> (f64, f64) {
     (slope_per_trace * 1e6, traces_to_detection)
 }
 
+/// Whether a set's pooled table is too thin for a calibrated G-test:
+/// untestable, or its minimum expected count under Cochran's floor.
+fn undersampled(summary: &PoolingSummary) -> bool {
+    !summary.testable || summary.min_expected < MIN_EXPECTED_FLOOR
+}
+
 /// Diagnoses one probing set from its pooling summary and checkpoint
 /// trajectory. `trajectory` holds the points recorded so far;
 /// `minus_log10_p` and `traces` are the current values and are
@@ -106,46 +117,29 @@ pub fn probe_health(
         pooled_columns: summary.pooled_columns,
         pooled_fraction: summary.pooled_fraction(),
         min_expected: summary.min_expected,
-        undersampled: !summary.testable || summary.min_expected < MIN_EXPECTED_FLOOR,
+        undersampled: undersampled(summary),
         slope_per_mtrace,
         traces_to_detection,
     }
 }
 
 /// Aggregates per-set diagnostics into one campaign-wide health
-/// checkpoint. `probes` comes in probing-set enumeration order and is
-/// cut to the top `top` sets by `-log10(p)` plus every leaking set
-/// (the same cut as checkpoint events); aggregate counts cover *all*
-/// sets. `testable_sets` counts sets whose pooled table supports a
-/// test at all (`min_expected > 0`, see
-/// [`crate::stats::PoolingSummary::testable`]).
+/// checkpoint. `summaries` holds every set's pooling summary and gives
+/// the set counts; `probes` holds the diagnoses of the sets the sweep's
+/// ranked cut shows — the top sets by `-log10(p)` plus every leaking
+/// set, in rank order, the same cut as checkpoint events — so it also
+/// gives the leaking count. `testable_sets` counts sets whose pooled
+/// table supports a test at all
+/// ([`crate::stats::PoolingSummary::testable`]).
 pub fn assess(
     probes: Vec<ProbeHealth>,
+    summaries: &[PoolingSummary],
     traces: u64,
     traces_target: u64,
     threshold: f64,
     fresh_bits_per_trace: u64,
     statistic: StatisticKind,
-    top: usize,
 ) -> HealthCheckpoint {
-    let probe_sets = probes.len() as u64;
-    let testable_sets = probes.iter().filter(|p| p.min_expected > 0.0).count() as u64;
-    let undersampled_sets = probes.iter().filter(|p| p.undersampled).count() as u64;
-    let leaking_sets = probes.iter().filter(|p| p.leaking).count() as u64;
-    let mut ranked = probes;
-    // Stable sort: ties (0.0 floors, 308.0 saturation) keep
-    // enumeration order, preserving byte-identity across threads.
-    ranked.sort_by(|a, b| {
-        b.minus_log10_p
-            .partial_cmp(&a.minus_log10_p)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let keep = ranked
-        .iter()
-        .enumerate()
-        .take_while(|&(rank, probe)| rank < top || probe.leaking)
-        .count();
-    ranked.truncate(keep);
     HealthCheckpoint {
         traces,
         traces_target,
@@ -153,13 +147,13 @@ pub fn assess(
         // Event schema v8: the statistic name rides along so health
         // consumers know which test produced the -log10(p) values.
         statistic: statistic.name().to_owned(),
-        probe_sets,
-        testable_sets,
-        undersampled_sets,
-        leaking_sets,
+        probe_sets: summaries.len() as u64,
+        testable_sets: summaries.iter().filter(|s| s.testable).count() as u64,
+        undersampled_sets: summaries.iter().filter(|s| undersampled(s)).count() as u64,
+        leaking_sets: probes.iter().filter(|p| p.leaking).count() as u64,
         fresh_bits_per_trace,
         fresh_bits_total: fresh_bits_per_trace * traces,
-        probes: ranked,
+        probes,
         // Fault containment (event schema v7): subsystems that fell
         // back to in-memory operation. Empty on a clean run, so the
         // payload stays deterministic across `--threads`.
@@ -240,22 +234,30 @@ mod tests {
     }
 
     #[test]
-    fn assess_counts_and_cuts_deterministically() {
+    fn assess_counts_every_set_and_carries_the_cut() {
         let dense = summary_for(&[(500, 480), (510, 530)]);
         let sparse = summary_for(&[(3, 2), (1, 4)]);
+        // Sets a, b, c; the cut shows c then a.
+        let summaries = [dense, sparse, dense];
         let probes = vec![
-            probe_health("a", &dense, 1.0, &[], 1000, 5.0),
-            probe_health("b", &sparse, 0.0, &[], 1000, 5.0),
             probe_health("c", &dense, 9.0, &[(500, 6.0)], 1000, 5.0),
+            probe_health("a", &dense, 1.0, &[], 1000, 5.0),
         ];
-        let health = assess(probes, 1000, 2000, 5.0, 24, StatisticKind::GTest, 2);
+        let health = assess(
+            probes,
+            &summaries,
+            1000,
+            2000,
+            5.0,
+            24,
+            StatisticKind::GTest,
+        );
         assert_eq!(health.statistic, "gtest");
         assert_eq!(health.probe_sets, 3);
         assert_eq!(health.testable_sets, 2);
         assert_eq!(health.undersampled_sets, 1);
         assert_eq!(health.leaking_sets, 1);
         assert_eq!(health.fresh_bits_total, 24_000);
-        // Top-2 cut, ranked by -log10(p): c then a.
         assert_eq!(health.probes.len(), 2);
         assert_eq!(health.probes[0].label, "c");
         assert!(health.probes[0].traces_to_detection.is_finite());

@@ -3,7 +3,7 @@
 //! A long fixed-vs-random campaign is a pure fold over batches: all of
 //! its state is the per-probing-set contingency tables plus the batch
 //! counter (the RNG is re-derived per batch from the seed, see
-//! `batch_rng` in the campaign module). This module serializes exactly
+//! `batch_rng` in the engine module). This module serializes exactly
 //! that state so an interrupted campaign can resume bit-identically.
 //!
 //! # Format
@@ -30,12 +30,13 @@
 //!
 //! One encoder renders the format: it appends every record into one
 //! byte buffer, formatting the numbers by hand. A running campaign
-//! encodes straight from its live tables' memoized sorted columns (no
-//! [`CampaignSnapshot`] in between) and then writes those bytes, so a
-//! retried save rewrites the same buffer; [`CampaignSnapshot::to_text`]
-//! and [`save`] render a materialized snapshot through the same
-//! encoder. [`load`] parses the file's bytes directly, reading numbers
-//! exactly as `str::parse` and `from_str_radix` read them.
+//! encodes straight from its live tables, walking each table's settled
+//! columns in key order in place (no [`CampaignSnapshot`] in between),
+//! and then writes those bytes, so a retried save rewrites the same
+//! buffer; [`CampaignSnapshot::to_text`] and [`save`] render a
+//! materialized snapshot through the same encoder. [`load`] parses the
+//! file's bytes directly, reading numbers exactly as `str::parse` and
+//! `from_str_radix` read them.
 //!
 //! # Versioning
 //!

@@ -2,6 +2,11 @@
 //! G-test, Welch t-test, and the pluggable [`Statistic`] abstraction the
 //! campaign engine tests every probing set with.
 //!
+//! A table is pooled in one place: a two-walk pass that pools the rare
+//! columns, then sums the G statistic and the pooling self-audit
+//! together. [`g_test`], [`pooling_summary`] and [`g_breakdown`] are
+//! views of that pass, and a campaign's sweep takes both from it.
+//!
 //! Implemented from first principles (Lanczos approximation + incomplete
 //! gamma/beta series and continued fractions) to keep the workspace free
 //! of heavy numeric dependencies; accuracy is validated in tests against
@@ -117,19 +122,6 @@ pub fn minus_log10_p(p_value: f64) -> f64 {
     }
 }
 
-/// Result of a G-test on a 2×K contingency table.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GTest {
-    /// The G statistic `2 Σ o ln(o/e)`.
-    pub statistic: f64,
-    /// Degrees of freedom (`K' - 1` after pooling).
-    pub df: u64,
-    /// Two-sided p-value from the χ² approximation.
-    pub p_value: f64,
-    /// `-log10(p)`, the PROLEAD reporting convention.
-    pub minus_log10_p: f64,
-}
-
 /// Minimum column total below which cells are pooled into a rare-events
 /// bucket before the G-test.
 ///
@@ -160,10 +152,9 @@ pub(crate) fn g_columns(
         .chain((overflow[0] + overflow[1] > 0).then_some((overflow[0], overflow[1])))
 }
 
-/// The first pass shared by [`g_test`] and [`pooling_summary`]: splits
-/// the non-empty columns into kept ones (total at least
-/// [`POOLING_THRESHOLD`]) and the rare-events bucket, with row totals
-/// over the pooled table.
+/// The first walk of the pooled pass: splits the non-empty columns
+/// into kept ones (total at least [`POOLING_THRESHOLD`]) and the
+/// rare-events bucket, with row totals over the pooled table.
 #[derive(Debug, Clone, Copy, Default)]
 struct Pooling {
     /// Non-empty columns kept as their own contingency cells.
@@ -197,31 +188,96 @@ impl Pooling {
         });
         pooling
     }
+}
 
-    /// Columns left after pooling: the kept ones and the bucket, if any.
-    fn len(&self) -> u64 {
-        self.kept + u64::from(self.rare.0 + self.rare.1 > 0)
+/// What one pooled pass over a table yields: the G-test and the pooling
+/// self-audit of the same pooled table, and its rare-events bucket.
+pub(crate) struct Pooled {
+    /// The G-test; `None` when the pooled table is untestable.
+    pub(crate) test: Option<TestOutcome>,
+    /// How pooling treated the table.
+    pub(crate) summary: PoolingSummary,
+    /// The rare-events bucket's counts per population.
+    rare: (u64, u64),
+    /// The bucket's share of the statistic (0.0 when nothing was pooled
+    /// or the table is untestable).
+    rare_share: f64,
+}
+
+/// The one place a table is pooled. The first walk pools; when the
+/// pooled table is testable, the second walks the kept columns in input
+/// order, then the bucket, summing the G statistic and tracking the
+/// minimum expected count together, and hands `fate` what became of
+/// each input column, in input order. Two walks of `columns` and no
+/// allocation.
+pub(crate) fn pool<I>(columns: I, mut fate: impl FnMut(ColumnFate)) -> Pooled
+where
+    I: IntoIterator<Item = (u64, u64)>,
+    I::IntoIter: Clone,
+{
+    let columns = columns.into_iter();
+    let pooling = Pooling::of(columns.clone());
+    let mut pooled = Pooled {
+        test: None,
+        summary: PoolingSummary {
+            tested_columns: pooling.kept,
+            pooled_columns: pooling.pooled,
+            pooled_mass: pooling.rare.0 + pooling.rare.1,
+            total_mass: pooling.rows.0 + pooling.rows.1,
+            ..PoolingSummary::default()
+        },
+        rare: pooling.rare,
+        rare_share: 0.0,
+    };
+    // Columns left after pooling: the kept ones and the bucket, if any.
+    let left = pooling.kept + u64::from(pooled.summary.pooled_mass > 0);
+    if left < 2 || pooling.rows.0 == 0 || pooling.rows.1 == 0 {
+        return pooled;
     }
-
-    /// Whether the pooled table supports a G-test: at least two columns
-    /// and both groups non-empty.
-    fn testable(&self) -> bool {
-        self.len() >= 2 && self.rows.0 > 0 && self.rows.1 > 0
-    }
-
-    /// Calls `visit` on each post-pooling column in the order the
-    /// G-test sums them: the kept columns in input order, then the
-    /// bucket.
-    fn for_each(&self, columns: impl Iterator<Item = (u64, u64)>, mut visit: impl FnMut(u64, u64)) {
-        columns.for_each(|(a, b)| {
-            if a + b >= POOLING_THRESHOLD {
-                visit(a, b);
+    let (row0, row1) = pooling.rows;
+    let total = (row0 + row1) as f64;
+    let mut statistic = 0.0;
+    let mut min_expected = f64::INFINITY;
+    // The one per-column term: each population's `2o·ln(o/e)` joins the
+    // running sum on its own, the order every reported statistic has
+    // been summed in; the column's share is their sum.
+    let mut column = |cell: [u64; 2]| {
+        let column_total = (cell[0] + cell[1]) as f64;
+        let mut share = 0.0;
+        for (observed, row) in cell.into_iter().zip([row0, row1]) {
+            let expected = row as f64 * column_total / total;
+            min_expected = min_expected.min(expected);
+            if observed > 0 {
+                let term = 2.0 * observed as f64 * (observed as f64 / expected).ln();
+                statistic += term;
+                share += term;
             }
-        });
-        if self.rare.0 + self.rare.1 > 0 {
-            visit(self.rare.0, self.rare.1);
         }
+        share
+    };
+    columns.for_each(|(a, b)| {
+        fate(match a + b {
+            0 => ColumnFate::Empty,
+            sum if sum < POOLING_THRESHOLD => ColumnFate::Pooled,
+            _ => ColumnFate::Tested {
+                contribution: column([a, b]),
+            },
+        });
+    });
+    if pooled.summary.pooled_mass > 0 {
+        pooled.rare_share = column([pooling.rare.0, pooling.rare.1]);
     }
+    let df = left - 1;
+    let p_value = chi2_sf(statistic, df);
+    pooled.test = Some(TestOutcome {
+        statistic,
+        df: df as f64,
+        p_value,
+        minus_log10_p: minus_log10_p(p_value),
+    });
+    pooled.summary.min_expected = min_expected;
+    pooled.summary.testable = true;
+    pooled
 }
 
 /// Performs a G-test of independence on a 2×K contingency table given as
@@ -230,42 +286,16 @@ impl Pooling {
 /// Columns whose total is below [`POOLING_THRESHOLD`] are pooled into a
 /// single bucket. Returns `None` when, after pooling, fewer than two
 /// columns remain or either group is empty (no test possible — treated
-/// as "no evidence of leakage" by callers).
+/// as "no evidence of leakage" by callers). The degrees of freedom are
+/// the pooled column count less one.
 ///
-/// Two passes over `columns` and no allocation: the first pools, the
-/// second sums the kept columns in input order, then the bucket.
-pub fn g_test<I>(columns: I) -> Option<GTest>
+/// A view of the pooled pass: two walks of `columns` and no allocation.
+pub fn g_test<I>(columns: I) -> Option<TestOutcome>
 where
     I: IntoIterator<Item = (u64, u64)>,
     I::IntoIter: Clone,
 {
-    let columns = columns.into_iter();
-    let pooling = Pooling::of(columns.clone());
-    if !pooling.testable() {
-        return None;
-    }
-    let (row0, row1) = pooling.rows;
-    let total = (row0 + row1) as f64;
-    let mut statistic = 0.0;
-    pooling.for_each(columns, |a, b| {
-        let column_total = (a + b) as f64;
-        let expected0 = row0 as f64 * column_total / total;
-        let expected1 = row1 as f64 * column_total / total;
-        if a > 0 {
-            statistic += 2.0 * a as f64 * (a as f64 / expected0).ln();
-        }
-        if b > 0 {
-            statistic += 2.0 * b as f64 * (b as f64 / expected1).ln();
-        }
-    });
-    let df = pooling.len() - 1;
-    let p_value = chi2_sf(statistic, df);
-    Some(GTest {
-        statistic,
-        df,
-        p_value,
-        minus_log10_p: minus_log10_p(p_value),
-    })
+    pool(columns, |_| {}).test
 }
 
 /// What [`g_breakdown`] did with one input column.
@@ -275,7 +305,8 @@ pub enum ColumnFate {
     /// (`2a·ln(a/e₀) + 2b·ln(b/e₁)`, which can be negative for columns
     /// closer to independence than expected).
     Tested {
-        /// The column's additive contribution to [`GTest::statistic`].
+        /// The column's additive contribution to
+        /// [`TestOutcome::statistic`].
         contribution: f64,
     },
     /// Merged into the rare-events bucket (column total below
@@ -295,7 +326,7 @@ pub enum ColumnFate {
 pub struct GBreakdown {
     /// The aggregate test, identical to what [`g_test`] returns on the
     /// same input.
-    pub test: GTest,
+    pub test: TestOutcome,
     /// One fate per *input* column, in input order.
     pub fates: Vec<ColumnFate>,
     /// Total counts pooled into the rare-events bucket per population.
@@ -307,88 +338,28 @@ pub struct GBreakdown {
 
 /// Decomposes a G-test into per-column contributions.
 ///
-/// Pooling, degrees of freedom, and the aggregate statistic follow
-/// [`g_test`] exactly — `g_breakdown(columns).map(|b| b.test)` equals
-/// `g_test(columns.iter().copied())` — and returns `None` in exactly
-/// the same untestable cases. The tested columns' contributions plus
-/// [`GBreakdown::pooled_contribution`] sum to the statistic.
+/// The same pooled pass as [`g_test`], recording each column's fate:
+/// `g_breakdown(columns).map(|b| b.test)` equals
+/// `g_test(columns.iter().copied())` bit for bit, and both return `None`
+/// in exactly the same untestable cases. The tested columns'
+/// contributions plus [`GBreakdown::pooled_contribution`] sum to the
+/// statistic.
 pub fn g_breakdown(columns: &[(u64, u64)]) -> Option<GBreakdown> {
-    let mut fates = vec![ColumnFate::Empty; columns.len()];
-    let mut tested: Vec<(usize, u64, u64)> = Vec::with_capacity(columns.len());
-    let mut rare = (0u64, 0u64);
-    for (index, &(a, b)) in columns.iter().enumerate() {
-        if a + b == 0 {
-            continue;
-        }
-        if a + b < POOLING_THRESHOLD {
-            rare.0 += a;
-            rare.1 += b;
-            fates[index] = ColumnFate::Pooled;
-        } else {
-            tested.push((index, a, b));
-        }
-    }
-    let pooled_len = tested.len() + usize::from(rare.0 + rare.1 > 0);
-    if pooled_len < 2 {
-        return None;
-    }
-    let row0: u64 = tested.iter().map(|&(_, a, _)| a).sum::<u64>() + rare.0;
-    let row1: u64 = tested.iter().map(|&(_, _, b)| b).sum::<u64>() + rare.1;
-    if row0 == 0 || row1 == 0 {
-        return None;
-    }
-    let total = (row0 + row1) as f64;
-    // Accumulate the aggregate statistic term by term, exactly as
-    // `g_test` does, so the two functions agree bit-for-bit; the
-    // per-column share is tracked alongside.
-    let mut statistic = 0.0;
-    let contribution = |a: u64, b: u64, statistic: &mut f64| {
-        let column_total = (a + b) as f64;
-        let expected0 = row0 as f64 * column_total / total;
-        let expected1 = row1 as f64 * column_total / total;
-        let mut share = 0.0;
-        if a > 0 {
-            let term = 2.0 * a as f64 * (a as f64 / expected0).ln();
-            *statistic += term;
-            share += term;
-        }
-        if b > 0 {
-            let term = 2.0 * b as f64 * (b as f64 / expected1).ln();
-            *statistic += term;
-            share += term;
-        }
-        share
-    };
-    for &(index, a, b) in &tested {
-        let share = contribution(a, b, &mut statistic);
-        fates[index] = ColumnFate::Tested {
-            contribution: share,
-        };
-    }
-    let pooled_contribution = if rare.0 + rare.1 > 0 {
-        contribution(rare.0, rare.1, &mut statistic)
-    } else {
-        0.0
-    };
-    let df = (pooled_len - 1) as u64;
-    let p_value = chi2_sf(statistic, df);
+    let mut fates = Vec::with_capacity(columns.len());
+    let pooled = pool(columns.iter().copied(), |fate| fates.push(fate));
     Some(GBreakdown {
-        test: GTest {
-            statistic,
-            df,
-            p_value,
-            minus_log10_p: minus_log10_p(p_value),
-        },
+        test: pooled.test?,
         fates,
-        pooled_counts: rare,
-        pooled_contribution,
+        pooled_counts: pooled.rare,
+        pooled_contribution: pooled.rare_share,
     })
 }
 
-/// What [`g_test`] pooling does to a table, without running the test —
-/// the self-audit numbers surfaced by [`crate::report::LeakageReport`]
-/// and the health layer. The χ² approximation degrades silently when
-/// cells are under-sampled; these numbers make that visible.
+/// What [`g_test`] pooling does to a table — the self-audit numbers
+/// surfaced by [`crate::report::LeakageReport`] and the health layer,
+/// taken from the same pooled pass as the test. The χ² approximation
+/// degrades silently when cells are under-sampled; these numbers make
+/// that visible.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PoolingSummary {
     /// Non-empty columns kept as their own contingency cells.
@@ -422,35 +393,13 @@ impl PoolingSummary {
 
 /// Summarizes how [`g_test`] pooling treats `columns`: which survive,
 /// which get pooled, and the minimum expected cell count afterwards.
-/// Two passes and no allocation, like [`g_test`].
+/// A view of the same pooled pass as [`g_test`].
 pub fn pooling_summary<I>(columns: I) -> PoolingSummary
 where
     I: IntoIterator<Item = (u64, u64)>,
     I::IntoIter: Clone,
 {
-    let columns = columns.into_iter();
-    let pooling = Pooling::of(columns.clone());
-    let mut summary = PoolingSummary {
-        tested_columns: pooling.kept,
-        pooled_columns: pooling.pooled,
-        pooled_mass: pooling.rare.0 + pooling.rare.1,
-        total_mass: pooling.rows.0 + pooling.rows.1,
-        ..PoolingSummary::default()
-    };
-    if !pooling.testable() {
-        return summary;
-    }
-    summary.testable = true;
-    let (row0, row1) = pooling.rows;
-    let total = (row0 + row1) as f64;
-    summary.min_expected = f64::INFINITY;
-    pooling.for_each(columns, |a, b| {
-        let column_total = (a + b) as f64;
-        let expected0 = row0 as f64 * column_total / total;
-        let expected1 = row1 as f64 * column_total / total;
-        summary.min_expected = summary.min_expected.min(expected0).min(expected1);
-    });
-    summary
+    pool(columns, |_| {}).summary
 }
 
 /// A Welch's t-test result (the classic TVLA statistic, used by the
@@ -676,12 +625,7 @@ impl Statistic for GTestStatistic {
     }
 
     fn evaluate_columns(&self, columns: Columns<'_>, overflow: [u64; 2]) -> Option<TestOutcome> {
-        g_test(g_columns(columns, overflow)).map(|test| TestOutcome {
-            statistic: test.statistic,
-            df: test.df as f64,
-            p_value: test.p_value,
-            minus_log10_p: test.minus_log10_p,
-        })
+        g_test(g_columns(columns, overflow))
     }
 }
 
@@ -848,7 +792,7 @@ mod tests {
             .expect("testable");
         let reference = g_test([(1000, 200), (200, 950), (400, 420), (40, 10)]).expect("testable");
         assert_eq!(outcome.statistic, reference.statistic);
-        assert_eq!(outcome.df, reference.df as f64);
+        assert_eq!(outcome.df, reference.df);
         assert_eq!(outcome.minus_log10_p, reference.minus_log10_p);
         // Empty overflow adds no column.
         let without = GTestStatistic.evaluate(&columns, [0, 0]).expect("testable");
@@ -1069,7 +1013,7 @@ mod tests {
         }
         columns.push((1000, 1000));
         let result = g_test(columns.iter().copied()).expect("testable");
-        assert_eq!(result.df, 1); // big column + pooled bucket
+        assert_eq!(result.df, 1.0); // big column + pooled bucket
         assert!(result.minus_log10_p < 2.0, "{result:?}");
     }
 
@@ -1186,7 +1130,7 @@ mod tests {
                 + 10.0 * (10.0f64 / 20.0).ln()
                 + 30.0 * (30.0f64 / 20.0).ln());
         assert!((result.statistic - expected).abs() < 1e-9);
-        assert_eq!(result.df, 1);
+        assert_eq!(result.df, 1.0);
     }
 
     /// The post-pooling columns, collected: what the allocating G-test
@@ -1219,7 +1163,7 @@ mod tests {
 
     /// The allocating G-test and pooling summary, kept as the oracle for
     /// the folds' summation order.
-    fn collected_g_test(columns: &[(u64, u64)]) -> (Option<GTest>, PoolingSummary) {
+    fn collected_g_test(columns: &[(u64, u64)]) -> (Option<TestOutcome>, PoolingSummary) {
         let (pooled, mut summary) = collected_pooling(columns);
         let row0: u64 = pooled.iter().map(|&(a, _)| a).sum();
         let row1: u64 = pooled.iter().map(|&(_, b)| b).sum();
@@ -1244,9 +1188,9 @@ mod tests {
         }
         let df = (pooled.len() - 1) as u64;
         let p_value = chi2_sf(statistic, df);
-        let test = GTest {
+        let test = TestOutcome {
             statistic,
-            df,
+            df: df as f64,
             p_value,
             minus_log10_p: minus_log10_p(p_value),
         };
@@ -1260,15 +1204,6 @@ mod tests {
             outcome.df.to_bits(),
             outcome.p_value.to_bits(),
             outcome.minus_log10_p.to_bits(),
-        ]
-    }
-
-    fn g_test_bits(test: GTest) -> [u64; 4] {
-        [
-            test.statistic.to_bits(),
-            test.df,
-            test.p_value.to_bits(),
-            test.minus_log10_p.to_bits(),
         ]
     }
 
@@ -1316,8 +1251,8 @@ mod tests {
                     let streamed = || g_columns(table.columns(), overflow);
                     let (test, reference) = collected_g_test(&pairs);
                     proptest::prop_assert_eq!(
-                        g_test(streamed()).map(g_test_bits),
-                        test.map(g_test_bits)
+                        g_test(streamed()).map(outcome_bits),
+                        test.map(outcome_bits)
                     );
                     let summary = pooling_summary(streamed());
                     proptest::prop_assert_eq!(

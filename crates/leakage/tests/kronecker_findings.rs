@@ -283,3 +283,27 @@ fn paper_scale_budgets_preserve_every_verdict() {
         "order-2 must break a first-order design:\n{report}"
     );
 }
+
+#[test]
+fn an_enumeration_that_exactly_fills_the_cap_is_complete() {
+    let circuit = build_kronecker(&KroneckerRandomness::de_meyer_eq6()).expect("valid circuit");
+    let run = |max_probe_sets| {
+        let config = EvaluationConfig {
+            traces: 640,
+            warmup_cycles: 6,
+            max_probe_sets,
+            ..EvaluationConfig::default()
+        };
+        FixedVsRandom::new(&circuit.netlist, config)
+            .try_run()
+            .expect("campaign")
+    };
+    let sets = run(usize::MAX).results.len();
+    assert_eq!(sets, 94, "the Eq. 6 core's deduplicated probing sets");
+    let exact = run(sets);
+    assert!(!exact.probe_sets_truncated);
+    assert_eq!(exact.results.len(), sets);
+    let short = run(sets - 1);
+    assert!(short.probe_sets_truncated);
+    assert_eq!(short.results.len(), sets - 1);
+}
