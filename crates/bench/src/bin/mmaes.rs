@@ -67,7 +67,7 @@
 //! worker threads and asserts containment: the finding survives, the report
 //! is byte-identical to the fault-free baseline, the degraded
 //! subsystems are reported, and the final snapshot is loadable. Failpoint specs
-//! are `site=action[@WHEN][xCOUNT][~P:SEED]` entries joined with `;`
+//! are `site=action[@WHEN][xCOUNT]` entries joined with `;`
 //! — sites `worker` (keyed by batch index), `snapshot.save`,
 //! `status.write`, `metrics.write`; actions `ioerr`, `truncate`,
 //! `panic`, `stall[(MS)]`.

@@ -19,6 +19,7 @@
 
 use mmaes_netlist::{Netlist, SecretId, StableCones, WireId};
 use mmaes_sim::LANES;
+use mmaes_telemetry::degraded::{self, retry, RETRY_ATTEMPTS};
 use mmaes_telemetry::{Event, Observer, RunRecord, Stopwatch};
 
 pub use crate::config::{
@@ -192,8 +193,6 @@ impl<'a> FixedVsRandom<'a> {
     /// * [`CampaignError::Netlist`] — the netlist fails
     ///   [`Netlist::validate`] (checked before any simulation).
     /// * [`CampaignError::NoSecretShares`] — nothing to fix vs randomize.
-    /// * [`CampaignError::MalformedShares`] — a secret's share wires do
-    ///   not form a dense `share × bit` matrix.
     /// * [`CampaignError::Snapshot`] — the snapshot file is corrupt,
     ///   version-mismatched, taken under a different configuration, or
     ///   unwritable.
@@ -257,53 +256,21 @@ impl<'a> FixedVsRandom<'a> {
         probe_sets.truncate(config.max_probe_sets);
 
         // Secret share structure: per secret, shares[share][bit] wires.
-        // A secret with no share wires at all, or with a hole in the
-        // share × bit matrix, is a typed error (exit 2 at the CLI), not
-        // a panic: it is malformed *input*, not a campaign bug.
+        // `validate` rejects a sparse share × bit matrix and duplicate
+        // roles, so the sorted triples fill the matrix share by share.
         let secrets: Vec<(SecretId, Vec<Vec<WireId>>)> = self
             .netlist
             .secrets()
             .into_iter()
             .map(|secret| {
                 let triples = self.netlist.shares_of(secret);
-                let no_shares = || CampaignError::MalformedShares {
-                    secret,
-                    detail: "no share wires declared".to_owned(),
-                };
-                let share_count = triples
-                    .iter()
-                    .map(|&(share, ..)| share)
-                    .max()
-                    .ok_or_else(no_shares)? as usize
-                    + 1;
-                let bit_count = triples
-                    .iter()
-                    .map(|&(_, bit, _)| bit)
-                    .max()
-                    .ok_or_else(no_shares)? as usize
-                    + 1;
-                let mut shares: Vec<Vec<Option<WireId>>> = vec![vec![None; bit_count]; share_count];
-                for (share, bit, wire) in triples {
-                    shares[share as usize][bit as usize] = Some(wire);
-                }
-                let shares: Vec<Vec<WireId>> = shares
-                    .into_iter()
-                    .enumerate()
-                    .map(|(share, bus)| {
-                        bus.into_iter()
-                            .enumerate()
-                            .map(|(bit, wire)| {
-                                wire.ok_or_else(|| CampaignError::MalformedShares {
-                                    secret,
-                                    detail: format!("share {share} has no wire for bit {bit}"),
-                                })
-                            })
-                            .collect::<Result<Vec<WireId>, CampaignError>>()
-                    })
-                    .collect::<Result<_, _>>()?;
-                Ok((secret, shares))
+                let shares = triples
+                    .chunk_by(|a, b| a.0 == b.0)
+                    .map(|bus| bus.iter().map(|&(.., wire)| wire).collect())
+                    .collect();
+                (secret, shares)
             })
-            .collect::<Result<_, CampaignError>>()?;
+            .collect();
         if secrets.is_empty() {
             return Err(CampaignError::NoSecretShares);
         }
@@ -327,7 +294,7 @@ impl<'a> FixedVsRandom<'a> {
         // sibling; reap it before touching the snapshot so a torn file
         // can never be mistaken for (or block) campaign state.
         if let Some(path) = &durability.snapshot_path {
-            snapshot::reap_stale_tmp(path);
+            degraded::reap_tmp(path);
         }
         let resume_from = durability.snapshot_path.as_ref();
         if let Some(path) = resume_from.filter(|path| durability.resume && path.exists()) {
@@ -388,8 +355,12 @@ impl<'a> FixedVsRandom<'a> {
         // itself failed, an emergency flush of the contiguous folded
         // prefix before the error propagates, so the traces already
         // simulated are never lost.
-        let final_path = durability.snapshot_path.as_ref();
-        if let Some(Err(error)) = final_path.map(|path| engine.save_snapshot(&state, path)) {
+        let final_save = durability.snapshot_path.as_ref().map(|path| {
+            engine.save_snapshot(&state, |bytes| {
+                retry(RETRY_ATTEMPTS, || snapshot::save_bytes(bytes, path))
+            })
+        });
+        if let Some(Err(error)) = final_save {
             if run_result.is_ok() {
                 // A healthy run whose final state cannot be persisted
                 // is a typed error: the caller asked for durability and
@@ -398,10 +369,7 @@ impl<'a> FixedVsRandom<'a> {
             }
             // The run error is the root cause and wins; record the
             // failed emergency flush alongside it.
-            mmaes_telemetry::degraded::mark(
-                "snapshot",
-                &format!("emergency flush failed: {error}"),
-            );
+            degraded::mark("snapshot", &format!("emergency flush failed: {error}"));
         }
         run_result?;
 
@@ -571,49 +539,6 @@ mod tests {
             .try_run()
             .expect("campaign");
         assert!(report.passed(), "{report}");
-    }
-
-    #[test]
-    fn sparse_share_matrix_is_a_typed_error() {
-        let _failpoints = no_failpoints();
-        // share 1 only declares bit 1 while share 0 declares bit 0: the
-        // share × bit matrix has holes at (0,1) and (1,0). This must be
-        // a typed CampaignError (exit 2 at the CLI), not a panic.
-        let mut builder = NetlistBuilder::new("sparse");
-        let s0 = builder.input(
-            "s0",
-            SignalRole::Share {
-                secret: SecretId(0),
-                share: 0,
-                bit: 0,
-            },
-        );
-        let s1 = builder.input(
-            "s1",
-            SignalRole::Share {
-                secret: SecretId(0),
-                share: 1,
-                bit: 1,
-            },
-        );
-        let q0 = builder.register(s0);
-        let q1 = builder.register(s1);
-        builder.output("q0", q0);
-        builder.output("q1", q1);
-        let Ok(netlist) = builder.build() else {
-            // The builder may reject the sparse sharing outright, which
-            // is an equally typed (non-panicking) surface.
-            return;
-        };
-        let result = FixedVsRandom::new(&netlist, config(1_000)).try_run();
-        match result {
-            Err(CampaignError::MalformedShares { secret, detail }) => {
-                assert_eq!(secret, SecretId(0));
-                assert!(detail.contains("no wire"), "{detail}");
-            }
-            Err(CampaignError::Netlist(_)) => {} // validate() caught it first
-            other => panic!("expected a typed error, got {other:?}"),
-        }
     }
 
     #[test]

@@ -33,13 +33,13 @@
 //! integrated here once; `campaign.rs` is left with configuration, the
 //! builder API, resume, the final save's failure policy and the report.
 
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
 use mmaes_netlist::{Netlist, SecretId, WireId};
 use mmaes_sim::{SimStats, Simulator, LANES};
+use mmaes_telemetry::degraded::{self, Degraded};
 use mmaes_telemetry::{
     Checkpoint, Event, HealthCheckpoint, Observer, PerfRecorder, ProbeHealth, ProbePoint,
     RunRecord, Stopwatch,
@@ -51,7 +51,7 @@ use crate::campaign::CampaignError;
 use crate::config::{CampaignMode, EvaluationConfig, SecretDomain, DECISIVE_MARGIN};
 use crate::health;
 use crate::probe::{ProbeModel, ProbeSet};
-use crate::snapshot::{self, SnapshotError, TableView};
+use crate::snapshot::{self, TableView};
 use crate::stats::{self, g_columns, PoolingSummary, StatisticKind, TestOutcome};
 use crate::supervisor::{self, Heartbeats};
 use crate::tabulate::{Table, TabulatorMode, MAX_MINTERM_WIDTH};
@@ -166,10 +166,6 @@ pub(crate) struct CampaignState {
     pub(crate) folded: SimStats,
     pub(crate) early_stopped: bool,
     pub(crate) interrupted: bool,
-    /// Checkpoint snapshot writes exhausted their retry budget: skip
-    /// further interim saves (the final save is still attempted) and
-    /// surface the outage via the degraded registry.
-    pub(crate) snapshot_degraded: bool,
     pub(crate) last_stats: SimStats,
     pub(crate) last_elapsed_ms: u64,
 }
@@ -416,15 +412,15 @@ impl<'a> Engine<'a> {
         )
     }
 
-    /// Saves the campaign state to `path` inside a `snapshot` span,
-    /// encoded straight from the live tables (the encoder walks each
-    /// table's columns in place, so no column is copied) and written
-    /// with bounded retries. The caller decides what a failure means.
-    pub(crate) fn save_snapshot(
+    /// Saves the campaign state inside a `snapshot` span: encodes it
+    /// once, straight from the live tables (the encoder walks each
+    /// table's columns in place, so no column is copied), and hands the
+    /// bytes to `write`, the caller's retry and failure policy.
+    pub(crate) fn save_snapshot<T>(
         &self,
         state: &CampaignState,
-        path: &Path,
-    ) -> Result<(), SnapshotError> {
+        write: impl FnOnce(&[u8]) -> T,
+    ) -> T {
         let _span = self.observer.perf().span("snapshot");
         let header = snapshot::Header {
             config_fingerprint: self.fingerprint,
@@ -446,7 +442,7 @@ impl<'a> Engine<'a> {
                 trajectory,
             })
             .collect();
-        snapshot::save_bytes_with_retry(&snapshot::encode(&header, &tables), path)
+        write(&snapshot::encode(&header, &tables))
     }
 
     /// Runs the sampling pipeline from `state.batches_done` to
@@ -479,6 +475,7 @@ impl<'a> Engine<'a> {
         let threads = self.config.threads.max(1);
         let heartbeats = Heartbeats::new(threads);
         let mut flagged_stall = vec![false; threads];
+        let mut snapshots = Degraded::new("snapshot");
         let mut workers: Vec<Worker> = (0..threads)
             .map(|_| Worker {
                 sim: Simulator::new(self.netlist),
@@ -530,7 +527,7 @@ impl<'a> Engine<'a> {
             }
             add_stats(&mut state.folded, stats);
             state.batches_done = reached;
-            if self.after_batch(state) || reached < window.end {
+            if self.after_batch(state, &mut snapshots) || reached < window.end {
                 break;
             }
         }
@@ -612,10 +609,7 @@ impl<'a> Engine<'a> {
                     Err(mpsc::RecvTimeoutError::Timeout) => {
                         for (worker, fault) in heartbeats.stalled(stall_timeout_ms) {
                             if !std::mem::replace(&mut flagged_stall[worker], true) {
-                                mmaes_telemetry::degraded::mark(
-                                    "worker",
-                                    &format!("worker {worker}: {fault}"),
-                                );
+                                degraded::mark("worker", &format!("worker {worker}: {fault}"));
                             }
                         }
                     }
@@ -696,13 +690,13 @@ impl<'a> Engine<'a> {
         (absorbed, fault)
     }
 
-    /// Runs one batch under supervision, retrying in place: a faulted
-    /// attempt (contained panic — injected or real) rebuilds the
-    /// simulator and retries after bounded backoff, up to
-    /// [`supervisor::MAX_ATTEMPTS`] total attempts. Every attempt
-    /// rewrites `lanes` whole and commits nothing, and the outcome is a
-    /// pure function of `(seed, batch)`, so a successful retry is
-    /// indistinguishable from a fault-free first attempt.
+    /// Runs one batch under supervision through the one retry loop,
+    /// [`degraded::retry`], with [`supervisor::MAX_ATTEMPTS`] attempts:
+    /// a faulted attempt (contained panic — injected or real) rebuilds
+    /// the simulator before the next. Every attempt rewrites `lanes`
+    /// whole and commits nothing, and the outcome is a pure function of
+    /// `(seed, batch)`, so a successful retry is indistinguishable from
+    /// a fault-free first attempt.
     fn run_batch_supervised(
         &self,
         sim: &mut Simulator<'a>,
@@ -710,26 +704,17 @@ impl<'a> Engine<'a> {
         perf: &PerfRecorder,
         lanes: &mut [Lanes],
     ) -> Result<(u64, SimStats), CampaignError> {
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            match supervisor::supervised(batch, || self.run_batch(sim, batch, perf, &mut *lanes)) {
-                Ok(outcome) => return Ok(outcome),
-                Err(fault) => {
-                    if attempts >= supervisor::MAX_ATTEMPTS {
-                        return Err(CampaignError::Worker {
-                            batch,
-                            attempts,
-                            message: fault.to_string(),
-                        });
-                    }
-                    // The panicked attempt may have torn the simulator
-                    // mid-step; rebuild it rather than trust its state.
-                    *sim = Simulator::new(self.netlist);
-                    std::thread::sleep(Duration::from_millis(supervisor::backoff_ms(attempts)));
-                }
-            }
-        }
+        // A faulted attempt may have torn the simulator mid-step;
+        // rebuild it rather than trust its state.
+        degraded::retry(supervisor::MAX_ATTEMPTS, || {
+            supervisor::supervised(batch, || self.run_batch(sim, batch, perf, lanes))
+                .inspect_err(|_| *sim = Simulator::new(self.netlist))
+        })
+        .map_err(|fault| CampaignError::Worker {
+            batch,
+            attempts: supervisor::MAX_ATTEMPTS,
+            message: fault.to_string(),
+        })
     }
 
     /// Simulates one batch on `sim` and extracts every probing set's
@@ -856,9 +841,10 @@ impl<'a> Engine<'a> {
     /// early-stop decision) and the cooperative-interrupt check, purely
     /// as a function of `state.batches_done` and the tables — which is
     /// what keeps checkpoints, trajectories, early stops and interrupt
-    /// frontiers byte-identical across thread counts. Returns `true`
+    /// frontiers byte-identical across thread counts. Interim snapshot
+    /// writes run under the degrade rule of `snapshots`. Returns `true`
     /// when the campaign should stop before `self.batches`.
-    fn after_batch(&self, state: &mut CampaignState) -> bool {
+    fn after_batch(&self, state: &mut CampaignState, snapshots: &mut Degraded) -> bool {
         let config = self.config;
 
         // Interim checkpoint: running statistic per probing set,
@@ -913,18 +899,17 @@ impl<'a> Engine<'a> {
                 });
                 self.observer.emit(&Event::Health(self.assess(&mut sweep)));
             }
+            // Interim saves are an amenity; losing them must not kill a
+            // healthy campaign. Once degraded, further interim saves are
+            // skipped (the final save is still attempted).
             let snapshot_path = config.durability.snapshot_path.as_ref();
-            let interim_path = snapshot_path.filter(|_| !state.snapshot_degraded);
-            if let Some(Err(error)) = interim_path.map(|path| self.save_snapshot(state, path)) {
-                // Interim saves are an amenity; losing them must not
-                // kill a healthy campaign. Degrade: skip further interim
-                // saves (the final save is still attempted) and surface
-                // the outage.
-                state.snapshot_degraded = true;
-                mmaes_telemetry::degraded::mark(
-                    "snapshot",
-                    &format!("checkpoint at batch {}: {error}", state.batches_done),
-                );
+            if let Some(path) = snapshot_path.filter(|_| !*snapshots) {
+                self.save_snapshot(state, |bytes| {
+                    snapshots.write(
+                        || snapshot::save_bytes(bytes, path),
+                        |error| format!("checkpoint at batch {}: {error}", state.batches_done),
+                    )
+                });
             }
             if config.early_stop && sweep.max_minus_log10_p >= DECISIVE_MARGIN * config.threshold {
                 state.early_stopped = true;

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use mmaes_netlist::{NetlistError, SecretId};
+use mmaes_netlist::NetlistError;
 
 use crate::snapshot::SnapshotError;
 
@@ -22,16 +22,6 @@ pub enum CampaignError {
     /// The netlist declares no secret shares — there is nothing to fix
     /// versus randomize.
     NoSecretShares,
-    /// A declared secret's share wires do not form a dense
-    /// `share × bit` matrix (no share wires at all, or a hole at some
-    /// `(share, bit)` position) — the input driver cannot re-share such
-    /// a secret.
-    MalformedShares {
-        /// The secret whose share matrix is malformed.
-        secret: SecretId,
-        /// What exactly is missing.
-        detail: String,
-    },
     /// A batch kept faulting after exhausting its retry
     /// budget (see [`crate::supervisor`]); the campaign stopped with a
     /// contiguous folded prefix and an emergency snapshot.
@@ -53,13 +43,6 @@ impl fmt::Display for CampaignError {
             CampaignError::NoSecretShares => {
                 write!(formatter, "netlist declares no secret shares")
             }
-            CampaignError::MalformedShares { secret, detail } => {
-                write!(
-                    formatter,
-                    "secret {} has a malformed share matrix: {detail}",
-                    secret.0
-                )
-            }
             CampaignError::Worker {
                 batch,
                 attempts,
@@ -79,9 +62,7 @@ impl std::error::Error for CampaignError {
         match self {
             CampaignError::Netlist(error) => Some(error),
             CampaignError::Snapshot(error) => Some(error),
-            CampaignError::NoSecretShares
-            | CampaignError::MalformedShares { .. }
-            | CampaignError::Worker { .. } => None,
+            CampaignError::NoSecretShares | CampaignError::Worker { .. } => None,
         }
     }
 }

@@ -24,18 +24,21 @@
 //! end
 //! ```
 //!
-//! The trailing `end` line detects truncated writes; [`save`] writes to
-//! a temporary file, fsyncs and renames, so a crash mid-write leaves
-//! either the previous snapshot or a `.tmp` file — never a torn one.
+//! The trailing `end` line detects truncated writes; [`save`] goes
+//! through telemetry's one durable writer,
+//! [`mmaes_telemetry::degraded::write_atomic`] (temporary file, fsync,
+//! rename, directory sync), so a crash mid-write leaves either the
+//! previous snapshot or a `.tmp` file — never a torn one.
 //!
 //! One encoder renders the format: it appends every record into one
 //! byte buffer, formatting the numbers by hand. A running campaign
 //! encodes straight from its live tables, walking each table's settled
 //! columns in key order in place (no [`CampaignSnapshot`] in between),
-//! and then writes those bytes, so a retried save rewrites the same
-//! buffer; [`CampaignSnapshot::to_text`] and [`save`] render a
-//! materialized snapshot through the same encoder. [`load`] parses the
-//! file's bytes directly, reading numbers exactly as `str::parse` and
+//! and then writes those bytes, so a retried save
+//! ([`mmaes_telemetry::degraded::retry`]) rewrites the same buffer;
+//! [`CampaignSnapshot::to_text`] and [`save`] render a materialized
+//! snapshot through the same encoder. [`load`] parses the file's bytes
+//! directly, reading numbers exactly as `str::parse` and
 //! `from_str_radix` read them.
 //!
 //! # Versioning
@@ -54,8 +57,9 @@
 
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
 use std::path::Path;
+
+use mmaes_telemetry::degraded::write_atomic;
 
 use crate::stats::StatisticKind;
 use crate::tabulate::Columns;
@@ -560,14 +564,14 @@ fn parse(bytes: &[u8]) -> Result<CampaignSnapshot, SnapshotError> {
     Ok(snapshot)
 }
 
-/// Writes the snapshot atomically: temporary file in the same
-/// directory, fsync, rename over the destination, best-effort directory
-/// sync. A crash at any point leaves either the old snapshot or a
-/// `.tmp` leftover — never a torn file.
+/// Writes the snapshot in one attempt of the durable write,
+/// [`mmaes_telemetry::degraded::write_atomic`], at the `snapshot.save`
+/// failpoint: a crash leaves either the old snapshot or a `.tmp`
+/// leftover — never a torn file.
 ///
 /// # Errors
 ///
-/// [`SnapshotError::Io`] with the failing path in the message.
+/// [`SnapshotError::Io`] naming the failing step and the path.
 pub fn save(snapshot: &CampaignSnapshot, path: &Path) -> Result<(), SnapshotError> {
     save_bytes(&snapshot.encode(), path)
 }
@@ -575,49 +579,8 @@ pub fn save(snapshot: &CampaignSnapshot, path: &Path) -> Result<(), SnapshotErro
 /// [`save`] for already-encoded bytes: what a running campaign writes
 /// after encoding straight from its tables.
 pub(crate) fn save_bytes(bytes: &[u8], path: &Path) -> Result<(), SnapshotError> {
-    let io_error = |context: &str, error: std::io::Error| {
-        SnapshotError::Io(format!("{context} {}: {error}", path.display()))
-    };
-    let tmp = path.with_extension("tmp");
-    // Deterministic fault injection (`--failpoints snapshot.save=...`):
-    // the chaos harness strikes here, before the real write, so an
-    // injected ENOSPC or truncation never corrupts the destination.
-    mmaes_telemetry::failpoint::inject_io("snapshot.save", Some((&tmp, bytes)))
-        .map_err(|error| io_error("write", error))?;
-    {
-        let mut file = fs::File::create(&tmp).map_err(|error| io_error("create", error))?;
-        file.write_all(bytes)
-            .map_err(|error| io_error("write", error))?;
-        file.sync_all().map_err(|error| io_error("fsync", error))?;
-    }
-    fs::rename(&tmp, path).map_err(|error| io_error("rename", error))?;
-    if let Some(parent) = path.parent() {
-        // Durability of the rename itself; non-fatal where unsupported.
-        if let Ok(directory) = fs::File::open(parent) {
-            let _ = directory.sync_all();
-        }
-    }
-    Ok(())
-}
-
-/// [`save_bytes`] with the bounded retry-with-backoff budget of
-/// [`mmaes_telemetry::degraded::retry`]: transient failures (or a
-/// bounded fault schedule) recover invisibly; persistent ones surface
-/// the last error so the caller can degrade or propagate. Every attempt
-/// writes the same bytes; nothing is re-encoded.
-pub(crate) fn save_bytes_with_retry(bytes: &[u8], path: &Path) -> Result<(), SnapshotError> {
-    mmaes_telemetry::degraded::retry(|| save_bytes(bytes, path))
-}
-
-/// Removes a stale `.tmp` sibling left next to `path` by a crash
-/// mid-rename (or an injected truncation) in a previous run. Called on
-/// campaign startup; best-effort, the atomic-rename discipline never
-/// reads `.tmp` files.
-pub fn reap_stale_tmp(path: &Path) {
-    let tmp = path.with_extension("tmp");
-    if tmp.exists() {
-        let _ = fs::remove_file(&tmp);
-    }
+    write_atomic("snapshot.save", path, bytes)
+        .map_err(|(step, error)| SnapshotError::Io(format!("{step} {}: {error}", path.display())))
 }
 
 /// Loads and parses a snapshot file.
@@ -634,6 +597,8 @@ pub fn load(path: &Path) -> Result<CampaignSnapshot, SnapshotError> {
 
 #[cfg(test)]
 mod tests {
+    use mmaes_telemetry::degraded::{reap_tmp, retry, RETRY_ATTEMPTS};
+
     use super::*;
 
     fn sample() -> CampaignSnapshot {
@@ -832,7 +797,8 @@ end
         let directory = std::env::temp_dir().join("mmaes-snapshot-enospc-test");
         fs::create_dir_all(&directory).expect("mkdir");
         let path = directory.join("full-disk.snapshot");
-        let error = save_bytes_with_retry(&sample().encode(), &path).expect_err("injected ENOSPC");
+        let error = retry(RETRY_ATTEMPTS, || save_bytes(&sample().encode(), &path))
+            .expect_err("injected ENOSPC");
         assert!(matches!(error, SnapshotError::Io(_)), "{error}");
         assert!(error.to_string().contains("injected"), "{error}");
         assert!(!path.exists(), "no snapshot file under persistent ENOSPC");
@@ -847,7 +813,8 @@ end
         let directory = std::env::temp_dir().join("mmaes-snapshot-retry-test");
         fs::create_dir_all(&directory).expect("mkdir");
         let path = directory.join("transient.snapshot");
-        save_bytes_with_retry(&sample().encode(), &path).expect("third attempt lands");
+        retry(RETRY_ATTEMPTS, || save_bytes(&sample().encode(), &path))
+            .expect("third attempt lands");
         assert_eq!(load(&path).expect("loads"), sample());
         fs::remove_file(&path).ok();
     }
@@ -872,7 +839,7 @@ end
         );
         assert_eq!(load(&path).expect("previous snapshot intact"), sample());
         // Startup reaping clears the leftover.
-        reap_stale_tmp(&path);
+        reap_tmp(&path);
         assert!(!tmp.exists(), "stale tmp reaped");
         fs::remove_file(&path).ok();
     }
@@ -890,8 +857,8 @@ end
             .join("mmaes-snapshot-missing-dir-test")
             .join("nonexistent")
             .join("x.snapshot");
-        let error =
-            save_bytes_with_retry(&sample().encode(), &path).expect_err("unwritable directory");
+        let error = retry(RETRY_ATTEMPTS, || save_bytes(&sample().encode(), &path))
+            .expect_err("unwritable directory");
         assert!(matches!(error, SnapshotError::Io(_)), "{error}");
         assert!(error.to_string().contains("create"), "{error}");
     }

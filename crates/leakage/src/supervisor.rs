@@ -2,9 +2,10 @@
 //!
 //! A multi-hour campaign must not lose its statistics to one worker
 //! thread dying mid-batch. This module wraps batch execution in a
-//! panic boundary with a typed [`WorkerFault`] taxonomy, bounds the
-//! in-place retries of a faulted batch with a short backoff, and tracks
-//! per-worker heartbeats so the coordinator can flag a stalled shard.
+//! panic boundary with a typed [`WorkerFault`] taxonomy, sets the budget
+//! ([`MAX_ATTEMPTS`]) of the in-place retries of a faulted batch, and
+//! tracks per-worker heartbeats so the coordinator can flag a stalled
+//! shard.
 //!
 //! Crucially, none of this can perturb the report: every batch's
 //! randomness is a pure function of `(seed, batch)` (see
@@ -109,13 +110,6 @@ pub fn supervised<T>(batch: u64, work: impl FnOnce() -> T) -> Result<T, WorkerFa
         batch,
         message: panic_message(payload),
     })
-}
-
-/// Bounded backoff before retry attempt `attempt` (1-based): 1, 2, 4 ms
-/// — enough to let a transient environmental cause clear, short enough
-/// to be invisible against batch runtimes.
-pub fn backoff_ms(attempt: u32) -> u64 {
-    1u64 << (attempt.saturating_sub(1)).min(6)
 }
 
 /// The configured stall threshold: [`STALL_TIMEOUT_ENV`] when set and
@@ -238,13 +232,5 @@ mod tests {
         ));
         beats.idle(0);
         assert!(beats.stalled(0).is_empty(), "delivered batch clears it");
-    }
-
-    #[test]
-    fn backoff_is_bounded() {
-        assert_eq!(backoff_ms(1), 1);
-        assert_eq!(backoff_ms(2), 2);
-        assert_eq!(backoff_ms(3), 4);
-        assert!(backoff_ms(1000) <= 64);
     }
 }

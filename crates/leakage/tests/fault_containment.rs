@@ -190,9 +190,11 @@ fn stalled_workers_are_flagged_advisory_without_touching_the_report() {
         run_eq6(1, None).expect("fault-free campaign")
     };
     // The watchdog threshold is env-tunable; drop it below the injected
-    // stall so the heartbeat monitor actually fires during the test.
-    std::env::set_var("MMAES_STALL_TIMEOUT_MS", "50");
+    // stall so the heartbeat monitor actually fires during the test. The
+    // gate is taken first: a sibling test holding it may be reading the
+    // variable, and it is removed again before the gate is released.
     let _guard = failpoint::scoped("worker=stall(400)@3");
+    std::env::set_var("MMAES_STALL_TIMEOUT_MS", "50");
     let report = run_eq6(2, None).expect("a stall is advisory, never fatal");
     std::env::remove_var("MMAES_STALL_TIMEOUT_MS");
     assert_eq!(

@@ -1,20 +1,35 @@
-//! The degraded-subsystem registry (DESIGN.md § Fault containment).
+//! Fault containment for artifacts (DESIGN.md § Fault containment):
+//! how an artifact reaches disk, and what happens when it cannot.
 //!
-//! When a resilient sink exhausts its retry budget — the snapshot file
-//! hits ENOSPC, the status file's directory goes away, the metrics
-//! JSONL stream breaks — the campaign does not die: the sink degrades
-//! to in-memory operation and records the failure here. The registry
-//! is the single source of truth for the `degraded` block surfaced in
-//! `status.json`, the `/status` endpoint, `health` events, and the
-//! final `summary` line, so an analyst finding an otherwise-healthy
-//! report can see exactly which artifacts stopped persisting and why.
+//! * [`write_atomic`] is the one durable write. Snapshots and
+//!   `status.json` both go through it, so a reader (or a crash) never
+//!   observes a torn file; [`reap_tmp`] removes the `.tmp` sibling a
+//!   crashed writer left behind.
+//! * [`retry`] is the one retry loop, with one doubling backoff; the
+//!   caller passes the attempt budget ([`RETRY_ATTEMPTS`] for artifact
+//!   writes, the supervisor's for campaign batches).
+//! * [`Degraded`] is the one degrade rule. When an artifact write
+//!   exhausts its budget — the snapshot file hits ENOSPC, the status
+//!   file's directory goes away, the metrics JSONL stream breaks — the
+//!   campaign does not die: the subsystem is marked once in the
+//!   registry and stops trying, while the run carries on in memory.
+//!
+//! The registry is the single source of truth for the `degraded` block
+//! surfaced in `status.json`, the `/status` endpoint, `health` events,
+//! and the final `summary` line, so an analyst finding an
+//! otherwise-healthy report can see exactly which artifacts stopped
+//! persisting and why.
 //!
 //! Entries are keyed by subsystem name and deterministic given the
 //! same fault sequence: a clean run renders `"degraded":[]`
 //! byte-identically at any `--threads` count.
 
 use std::collections::BTreeMap;
+use std::fs;
+use std::io::{self, Write as _};
+use std::path::Path;
 use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::time::Duration;
 
 use crate::json::{array, JsonObject};
 
@@ -47,35 +62,109 @@ pub fn to_json(entries: &[DegradedEntry]) -> String {
     array(entries.iter().map(DegradedEntry::to_json))
 }
 
-/// Retry budget for resilient artifact writes: one initial attempt
-/// plus two retries.
+/// Retry budget for artifact writes: one initial attempt plus two
+/// retries.
 pub const RETRY_ATTEMPTS: u32 = 3;
 
 /// Base backoff between attempts, in milliseconds, doubling per retry.
-/// Deliberately tiny: artifact writes sit on the checkpoint path, and
-/// the budget exists to absorb transient hiccups, not to wait out a
-/// full disk.
+/// Deliberately tiny: artifact writes and batch retries sit on the
+/// campaign's path, and the budget exists to absorb transient hiccups,
+/// not to wait out a full disk.
 pub const RETRY_BACKOFF_MS: u64 = 2;
 
-/// Runs `operation` up to [`RETRY_ATTEMPTS`] times with bounded
-/// doubling backoff, returning the first success or the last error.
-/// Callers that exhaust the budget are expected to [`mark`] their
-/// subsystem and fall back to in-memory operation.
-pub fn retry<T, E>(mut operation: impl FnMut() -> Result<T, E>) -> Result<T, E> {
-    let mut attempt = 0;
-    loop {
-        match operation() {
-            Ok(value) => return Ok(value),
+/// Runs `operation` up to `attempts` times with bounded doubling
+/// backoff (at most 64× the base), returning the first success or the
+/// last error.
+pub fn retry<T, E>(attempts: u32, mut operation: impl FnMut() -> Result<T, E>) -> Result<T, E> {
+    for attempt in 0..attempts.saturating_sub(1) {
+        if let done @ Ok(_) = operation() {
+            return done;
+        }
+        std::thread::sleep(Duration::from_millis(RETRY_BACKOFF_MS << attempt.min(6)));
+    }
+    operation()
+}
+
+/// A failed [`write_atomic`]: the failing step — `"write"` (an injected
+/// fault counts as one), `"create"`, `"fsync"` or `"rename"` — and its
+/// error.
+pub type WriteError = (&'static str, io::Error);
+
+/// Atomically replaces `path` with `bytes`: consults the failpoint
+/// `site` (whose `truncate` leaves half of `bytes` in the `.tmp`
+/// sibling), creates, writes and fsyncs the sibling, renames it over
+/// `path`, then syncs the parent directory (best effort) so the rename
+/// itself is durable. A crash at any point leaves either the previous
+/// file or a `.tmp` leftover — never a torn file.
+pub fn write_atomic(site: &str, path: &Path, bytes: &[u8]) -> Result<(), WriteError> {
+    let tmp = path.with_extension("tmp");
+    crate::failpoint::inject_io(site, Some((&tmp, bytes))).map_err(|error| ("write", error))?;
+    let mut file = fs::File::create(&tmp).map_err(|error| ("create", error))?;
+    file.write_all(bytes).map_err(|error| ("write", error))?;
+    file.sync_all().map_err(|error| ("fsync", error))?;
+    drop(file);
+    fs::rename(&tmp, path).map_err(|error| ("rename", error))?;
+    if let Some(directory) = path.parent().and_then(|parent| fs::File::open(parent).ok()) {
+        let _ = directory.sync_all();
+    }
+    Ok(())
+}
+
+/// Removes the `.tmp` sibling that a crash mid-write (or an injected
+/// truncation) left next to `path` in a previous run. Called when a
+/// campaign or a status file starts; best effort, as [`write_atomic`]
+/// never reads a `.tmp` file.
+pub fn reap_tmp(path: &Path) {
+    let _ = fs::remove_file(path.with_extension("tmp"));
+}
+
+/// The degrade rule for one artifact stream. A write goes through
+/// [`retry`] with [`RETRY_ATTEMPTS`]; the first to exhaust the budget
+/// marks the subsystem once, and later writes are skipped (the disk is
+/// not coming back mid-run). Final writes keep their own policies.
+/// `!degraded` holds while the subsystem still writes.
+#[derive(Debug, Clone, Copy)]
+pub struct Degraded {
+    subsystem: &'static str,
+    degraded: bool,
+}
+
+impl Degraded {
+    /// A healthy subsystem, registered as `subsystem` once it degrades.
+    pub const fn new(subsystem: &'static str) -> Self {
+        Degraded {
+            subsystem,
+            degraded: false,
+        }
+    }
+
+    /// Runs `write` through [`retry`] unless the subsystem has
+    /// degraded. On exhaustion, degrades it and [`mark`]s it with
+    /// `detail` of the last error. Returns whether the write landed.
+    pub fn write<E>(
+        &mut self,
+        write: impl FnMut() -> Result<(), E>,
+        detail: impl FnOnce(E) -> String,
+    ) -> bool {
+        if self.degraded {
+            return false;
+        }
+        match retry(RETRY_ATTEMPTS, write) {
+            Ok(()) => true,
             Err(error) => {
-                attempt += 1;
-                if attempt >= RETRY_ATTEMPTS {
-                    return Err(error);
-                }
-                std::thread::sleep(std::time::Duration::from_millis(
-                    RETRY_BACKOFF_MS << (attempt - 1),
-                ));
+                self.degraded = true;
+                mark(self.subsystem, &detail(error));
+                false
             }
         }
+    }
+}
+
+impl std::ops::Not for Degraded {
+    type Output = bool;
+
+    fn not(self) -> bool {
+        !self.degraded
     }
 }
 
@@ -146,7 +235,7 @@ mod tests {
     #[test]
     fn retry_returns_first_success_or_last_error() {
         let mut calls = 0;
-        let result: Result<u32, &str> = retry(|| {
+        let result: Result<u32, &str> = retry(RETRY_ATTEMPTS, || {
             calls += 1;
             if calls < 3 {
                 Err("transient")
@@ -157,7 +246,7 @@ mod tests {
         assert_eq!(result, Ok(7));
         assert_eq!(calls, 3, "succeeds on the last budgeted attempt");
         let mut calls = 0;
-        let result: Result<u32, String> = retry(|| {
+        let result: Result<u32, String> = retry(RETRY_ATTEMPTS, || {
             calls += 1;
             Err(format!("attempt {calls} failed"))
         });

@@ -14,10 +14,10 @@
 //!   atomic load and a predictable branch; the registry lock is only
 //!   taken while a spec is installed. Production binaries never
 //!   activate it unless `MMAES_FAILPOINTS` / `--failpoints` is set.
-//! * **Deterministic.** Triggers key off hit counters, batch indices,
-//!   or a seeded hash — never wall clocks — so a fault schedule
-//!   reproduces the same fault sequence at any `--threads` count, and
-//!   chaos runs can assert byte-identical reports.
+//! * **Deterministic.** Triggers key off hit counters or batch
+//!   indices — never wall clocks — so a fault schedule reproduces the
+//!   same fault sequence at any `--threads` count, and chaos runs can
+//!   assert byte-identical reports.
 //!
 //! # Spec grammar
 //!
@@ -25,7 +25,7 @@
 //! ignored):
 //!
 //! ```text
-//! site=action[@WHEN][xCOUNT][~P:SEED]
+//! site=action[@WHEN][xCOUNT]
 //! ```
 //!
 //! * `site` — where to strike: `worker`, `snapshot.save`,
@@ -40,11 +40,8 @@
 //!   independent of which thread claims the batch). `@*` (the
 //!   default) fires at every eligible hit.
 //! * `xCOUNT` — fire at most `COUNT` times (default 1); `x*` is
-//!   unlimited. Retry loops re-consult the failpoint, so `x3` makes
-//!   exactly three attempts fail.
-//! * `~P:SEED` — probabilistic: fire with probability `P` decided by
-//!   a splitmix64 hash of the seed and the hit/batch index, still
-//!   fully deterministic for a given seed.
+//!   unlimited. [`crate::degraded::retry`] re-consults the failpoint
+//!   at every attempt, so `x3` makes exactly three attempts fail.
 //!
 //! Example: `worker=panic@3x2;snapshot.save=ioerr x3` panics batch 3
 //! twice (recovering on the second retry) and fails the first three
@@ -95,15 +92,6 @@ enum Trigger {
     /// Only when the hit counter (I/O sites) or batch index (`worker`)
     /// equals this value.
     At(u64),
-    /// Seeded coin flip per hit: fires when
-    /// `splitmix64(seed ^ index) < p_threshold` (a `u128` so `P=1.0`
-    /// does not overflow).
-    Chance {
-        /// `P` scaled to a 64-bit threshold.
-        threshold: u128,
-        /// The deterministic seed.
-        seed: u64,
-    },
 }
 
 #[derive(Debug, Clone)]
@@ -130,15 +118,6 @@ fn lock_registry() -> MutexGuard<'static, Vec<Entry>> {
         // carries no broken invariant worth propagating.
         poisoned.into_inner()
     })
-}
-
-/// splitmix64: the same finalizer the campaign uses to derive per-batch
-/// RNG streams, reused here so probabilistic faults are reproducible.
-fn splitmix64(value: u64) -> u64 {
-    let mut z = value.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn parse_count(text: &str) -> Result<Option<u64>, String> {
@@ -180,45 +159,20 @@ fn parse_entry(entry: &str) -> Result<Entry, String> {
     if site.is_empty() {
         return Err(format!("empty site in failpoint entry {entry:?}"));
     }
-    // Split off the suffixes in order: action [@WHEN] [xCOUNT] [~P:SEED].
-    let (rest, chance) = match rest.split_once('~') {
-        Some((head, prob)) => {
-            let (p, seed) = prob
-                .split_once(':')
-                .ok_or_else(|| format!("probabilistic entry needs ~P:SEED, got ~{prob}"))?;
-            let p: f64 = p
-                .parse()
-                .map_err(|_| format!("invalid probability {p:?}"))?;
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("probability {p} out of [0, 1]"));
-            }
-            let seed: u64 = seed.parse().map_err(|_| format!("invalid seed {seed:?}"))?;
-            let threshold = (p * 18_446_744_073_709_551_616.0) as u128;
-            (head, Some(Trigger::Chance { threshold, seed }))
-        }
-        None => (rest, None),
-    };
+    // Split off the suffixes in order: action [@WHEN] [xCOUNT].
     let (rest, count) = match rest.split_once('x') {
         Some((head, count)) => (head, Some(parse_count(count)?)),
         None => (rest, None),
     };
-    let (action, when) = match rest.split_once('@') {
-        Some((head, "*")) => (head, None),
+    let (action, trigger) = match rest.split_once('@') {
+        Some((head, "*")) => (head, Trigger::Always),
         Some((head, at)) => {
             let at: u64 = at
                 .parse()
                 .map_err(|_| format!("invalid '@' index {at:?} (expected a number or '*')"))?;
-            (head, Some(at))
+            (head, Trigger::At(at))
         }
-        None => (rest, None),
-    };
-    let trigger = match (when, chance) {
-        (Some(_), Some(_)) => {
-            return Err(format!("entry {entry:?} mixes '@' and '~' triggers"));
-        }
-        (Some(at), None) => Trigger::At(at),
-        (None, Some(chance)) => chance,
-        (None, None) => Trigger::Always,
+        None => (rest, Trigger::Always),
     };
     Ok(Entry {
         site: site.to_owned(),
@@ -281,11 +235,9 @@ fn consult(site: &str, index_of: impl Fn(u64) -> u64) -> Option<Fault> {
             continue;
         }
         entry.hits += 1;
-        let index = index_of(entry.hits);
         let eligible = match entry.trigger {
             Trigger::Always => true,
-            Trigger::At(at) => at == index,
-            Trigger::Chance { threshold, seed } => u128::from(splitmix64(seed ^ index)) < threshold,
+            Trigger::At(at) => at == index_of(entry.hits),
         };
         let budgeted = entry.remaining != Some(0);
         if eligible && budgeted {
@@ -424,29 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn probabilistic_entries_are_deterministic_per_seed() {
-        let sample = |spec: &str| -> Vec<bool> {
-            let _guard = scoped(spec);
-            (0..64).map(|_| check("metrics.write").is_some()).collect()
-        };
-        let first = sample("metrics.write=ioerr x*~0.5:7");
-        let again = sample("metrics.write=ioerr x*~0.5:7");
-        assert_eq!(first, again, "same seed, same fault sequence");
-        let fired = first.iter().filter(|&&fired| fired).count();
-        assert!((16..=48).contains(&fired), "roughly half fire: {fired}");
-        let other = sample("metrics.write=ioerr x*~0.5:8");
-        assert_ne!(first, other, "different seed, different sequence");
-        assert!(
-            sample("metrics.write=ioerr x*~0:7").iter().all(|f| !f),
-            "P=0 never fires"
-        );
-        assert!(
-            sample("metrics.write=ioerr x*~1:7").iter().all(|f| *f),
-            "P=1 always fires"
-        );
-    }
-
-    #[test]
     fn malformed_specs_are_rejected() {
         let _guard = scoped("");
         for spec in [
@@ -458,6 +387,7 @@ mod tests {
             "worker=stall(fast)",
             "worker=panic~2:1",
             "worker=panic~0.5",
+            "metrics.write=ioerr x*~0.5:7",
         ] {
             assert!(configure(spec).is_err(), "{spec:?} must be rejected");
         }

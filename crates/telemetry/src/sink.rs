@@ -6,6 +6,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use crate::degraded::Degraded;
 use crate::event::Event;
 
 /// Receives telemetry events.
@@ -24,17 +25,17 @@ pub trait Sink: Send {
 /// Writes one JSON object per line — a replayable run record
 /// (`--metrics FILE.jsonl`).
 ///
-/// Resilient: a failed line write is retried with bounded backoff;
-/// once the budget is exhausted the sink degrades to an in-memory
-/// buffer (bounded, newest lines kept) and records itself in the
-/// [`crate::degraded`] registry instead of silently dropping records.
-/// [`Sink::flush`] makes one last attempt to land the buffered tail.
+/// Resilient: line writes run under the degrade rule of
+/// [`crate::degraded::Degraded`]. Once a write exhausts the retry
+/// budget the sink buffers lines in memory (bounded, newest lines kept)
+/// instead of silently dropping records, and [`Sink::flush`] makes one
+/// last attempt to land the buffered tail.
 #[derive(Debug)]
 pub struct JsonlSink {
     writer: BufWriter<File>,
     /// In-memory fallback once writes stop succeeding.
     buffered: Vec<String>,
-    degraded: bool,
+    degraded: Degraded,
 }
 
 /// Cap on lines the degraded in-memory buffer retains (oldest dropped
@@ -48,46 +49,37 @@ impl JsonlSink {
         Ok(JsonlSink {
             writer: BufWriter::new(File::create(path)?),
             buffered: Vec::new(),
-            degraded: false,
+            degraded: Degraded::new("metrics"),
         })
-    }
-
-    fn write_line(&mut self, line: &str) -> io::Result<()> {
-        crate::failpoint::inject_io("metrics.write", None)?;
-        writeln!(self.writer, "{line}")
-    }
-
-    fn buffer(&mut self, line: String) {
-        if self.buffered.len() >= DEGRADED_BUFFER_LINES {
-            self.buffered.remove(0);
-        }
-        self.buffered.push(line);
     }
 }
 
 impl Sink for JsonlSink {
     fn on_event(&mut self, event: &Event) {
         let line = event.to_json_line();
-        if self.degraded {
-            self.buffer(line);
-            return;
-        }
-        if let Err(error) = crate::degraded::retry(|| self.write_line(&line)) {
-            self.degraded = true;
-            crate::degraded::mark("metrics", &format!("event record: {error}"));
-            self.buffer(line);
+        let writer = &mut self.writer;
+        let landed = self.degraded.write(
+            || {
+                crate::failpoint::inject_io("metrics.write", None)?;
+                writeln!(writer, "{line}")
+            },
+            |error| format!("event record: {error}"),
+        );
+        if !landed {
+            if self.buffered.len() >= DEGRADED_BUFFER_LINES {
+                self.buffered.remove(0);
+            }
+            self.buffered.push(line);
         }
     }
 
     fn flush(&mut self) {
-        if self.degraded && !self.buffered.is_empty() {
-            // Best effort: if the disk recovered, the buffered tail
-            // still lands in order before the final flush.
-            let pending = std::mem::take(&mut self.buffered);
-            for line in pending {
-                if writeln!(self.writer, "{line}").is_err() {
-                    break;
-                }
+        // Best effort: if the disk recovered, the buffered tail (empty
+        // unless the sink degraded) still lands in order before the
+        // final flush.
+        for line in std::mem::take(&mut self.buffered) {
+            if writeln!(self.writer, "{line}").is_err() {
+                break;
             }
         }
         let _ = self.writer.flush();

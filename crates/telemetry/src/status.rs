@@ -1,6 +1,8 @@
 //! Live campaign status: a crash-safe `--status-file` rewritten at
-//! every checkpoint, and the shared model behind the `/status`
-//! exposition endpoint (documented in DESIGN.md § Campaign health).
+//! every checkpoint through the one durable write under the one degrade
+//! rule ([`crate::degraded`]), and the shared model behind the
+//! `/status` exposition endpoint (documented in DESIGN.md § Campaign
+//! health).
 //!
 //! The status document is split into two parts by determinism. Every
 //! top-level field derives from the deterministic event stream
@@ -11,13 +13,13 @@
 //! comparing runs drop one key instead of maintaining a field list.
 
 use std::collections::BTreeMap;
-use std::fs;
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
+use crate::degraded::{reap_tmp, write_atomic, Degraded};
 use crate::event::{Event, HealthCheckpoint, EVENT_SCHEMA_VERSION};
 use crate::json::{array, number, JsonObject};
 use crate::record::RunRecord;
+use crate::sink::Sink;
 
 /// Version of the `--status-file` document. Independent of the event
 /// schema: the status file is a point-in-time projection, not a log.
@@ -194,21 +196,6 @@ impl StatusModel {
     }
 }
 
-/// Atomically replaces `path` with `contents`: write a sibling tmp
-/// file, fsync, rename — the same discipline as campaign snapshots, so
-/// a reader (or a crash) never observes a torn document.
-pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    crate::failpoint::inject_io("status.write", Some((&tmp, contents.as_bytes())))?;
-    {
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(contents.as_bytes())?;
-        file.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    Ok(())
-}
-
 /// A sink that maintains a crash-safe live status file
 /// (`--status-file status.json`), atomically rewritten at every
 /// checkpoint and on campaign completion.
@@ -216,10 +203,10 @@ pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
 pub struct StatusFileSink {
     model: StatusModel,
     path: PathBuf,
-    /// Set once the write-retry budget is exhausted: the model keeps
-    /// accumulating in memory, but checkpoint rewrites stop (a final
-    /// best-effort attempt still happens at [`Sink::flush`] time).
-    degraded: bool,
+    /// Checkpoint rewrites under the degrade rule: once degraded, the
+    /// model keeps accumulating in memory and only [`Sink::flush`]
+    /// makes a last best-effort write.
+    degraded: Degraded,
 }
 
 impl StatusFileSink {
@@ -229,30 +216,34 @@ impl StatusFileSink {
     /// file left behind by a crash mid-rename in a previous run.
     pub fn create(path: impl Into<PathBuf>, threads: u64) -> Self {
         let path = path.into();
-        let stale_tmp = path.with_extension("tmp");
-        if stale_tmp.exists() {
-            let _ = fs::remove_file(&stale_tmp);
-        }
+        reap_tmp(&path);
         StatusFileSink {
             model: StatusModel::new(threads),
             path,
-            degraded: false,
+            degraded: Degraded::new("status-file"),
         }
     }
 
+    /// Writes the document under the degrade rule, or, once degraded
+    /// (only [`Sink::flush`] gets here then), in one best-effort attempt:
+    /// if the disk recovered, the final document still lands.
     fn persist(&mut self) {
-        // Status is advisory; a full disk must not kill a multi-hour
-        // campaign the way a final-snapshot failure would. Retry with
-        // bounded backoff, then degrade to in-memory and say so.
         let document = self.model.render() + "\n";
-        if let Err(error) = crate::degraded::retry(|| write_atomic(&self.path, &document)) {
-            self.degraded = true;
-            crate::degraded::mark("status-file", &format!("{}: {error}", self.path.display()));
+        let path = &self.path;
+        let write = || write_atomic("status.write", path, document.as_bytes());
+        if !self.degraded {
+            // Status is advisory; a full disk must not kill a
+            // multi-hour campaign the way a final-snapshot failure
+            // would.
+            self.degraded
+                .write(write, |(_, error)| format!("{}: {error}", path.display()));
+        } else {
+            let _ = write();
         }
     }
 }
 
-impl crate::sink::Sink for StatusFileSink {
+impl Sink for StatusFileSink {
     fn on_event(&mut self, event: &Event) {
         if self.model.absorb(event) && !self.degraded {
             self.persist();
@@ -260,21 +251,16 @@ impl crate::sink::Sink for StatusFileSink {
     }
 
     fn flush(&mut self) {
-        if self.degraded {
-            // One last best-effort write: if the disk recovered, the
-            // final document (with its `degraded` block) still lands.
-            let _ = write_atomic(&self.path, &(self.model.render() + "\n"));
-        } else {
-            self.persist();
-        }
+        self.persist();
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::fs;
+
     use super::*;
     use crate::event::{Checkpoint, ProbeHealth, ProbePoint};
-    use crate::sink::Sink;
 
     fn checkpoint(traces: u64, value: f64) -> Event {
         Event::CampaignCheckpoint(Checkpoint {
